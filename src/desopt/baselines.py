@@ -9,43 +9,24 @@ additionally divide the budget evenly; see csa_population_size).
 from __future__ import annotations
 
 import math
-import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bench import MetricRow, RunRecord
-from .dataio import partition_uniform
+from .bench import RunRecord
 from .mutation import RngStream
-from .objective import Dataset, LossKind, RegularizedObjective, classification_error
+from .objective import Dataset, LossKind
+from .server import RoundConfig, map_workers, run_rounds
+
+# Unused here, but benchmarks/tracing.py patches both through this module's __dict__.
+from .dataio import partition_uniform  # noqa: F401
+from .objective import classification_error  # noqa: F401
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
+class BaselineConfig(RoundConfig):
     """Shared knobs: K' = local_iters // 2 descent steps (two evaluations per
     zeroth-order estimate), alpha doubles as the ES initial step-size."""
-
-    workers: int
-    rounds: int
-    local_iters: int
-    batch_size: int
-    alpha: float
-    seed: int
-    max_evals: int | None = None
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.rounds < 0:
-            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
-        if self.local_iters < 1:
-            raise ValueError(f"local_iters must be >= 1, got {self.local_iters}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -93,77 +74,46 @@ def _half_iters(cfg: BaselineConfig) -> int:
         warnings.warn(
             f"odd local_iters={cfg.local_iters}: forfeiting {forfeited} "
             "evaluations per worker per round to keep estimates paired",
-            stacklevel=3,
+            stacklevel=4,
         )
     return k_prime
 
 
-def _run_loop(
-    algo: str,
-    cfg: BaselineConfig,
-    train: Dataset,
-    test: Dataset,
-    loss_kind: LossKind,
-    reg: float,
-    threads: int | None,
-    timing: bool,
-    instance: str,
-    make_round,
-    config_extra: dict | None = None,
-) -> RunRecord:
-    """Shared round loop: snapshot round 0, then advance via make_round's
-    round function until the round count or evaluation budget runs out."""
-    obj = RegularizedObjective(loss_kind, train, reg)
-    partition = partition_uniform(train, cfg.workers, RngStream(cfg.seed, "partition"))
-    round_fn = make_round(obj, partition)
+def _run_zo(algorithm, cfg, train, test, loss_kind, reg, smoothing, threads, timing,
+            instance, local, combine) -> RunRecord:
+    """Round skeleton of the zeroth-order baselines.
 
-    config = {
-        "workers": cfg.workers, "rounds": cfg.rounds, "local_iters": cfg.local_iters,
-        "batch_size": cfg.batch_size, "alpha": cfg.alpha, "loss": loss_kind.value,
-        "reg": reg, **(config_extra or {}),
-    }
-    record = RunRecord(algorithm=algo, instance=instance, seed=cfg.seed, config=config)
+    Worker i of round t calls local(t, x, k_prime, next_view, grad): next_view()
+    slices a fresh minibatch from the worker's shard, and grad(view, point) is a
+    central-difference estimate on it. Both draw from (t, i)-keyed streams.
+    combine(t, x, worker_results) gives the next iterate.
+    """
+    k_prime = _half_iters(cfg)
+    evals = cfg.workers * k_prime * 2 * cfg.batch_size * smoothing.directions
 
-    x = np.zeros(train.n_features)
-    done = 0
-    cum = 0
+    def make_round(obj, partition):
+        def round_fn(t, x, pool):
+            def worker(i):
+                batch_stream = RngStream(cfg.seed, t, i, "batch")
+                sm_stream = RngStream(cfg.seed, t, i, "smoothing")
 
-    def snapshot(wall_ms: float) -> None:
-        record.rows.append(MetricRow(
-            round=done,
-            cum_evals=cum,
-            train_loss=obj.eval_full(x),
-            train_err=classification_error(x, train),
-            test_err=classification_error(x, test),
-            wall_ms=wall_ms if timing else 0.0,
-        ))
+                def next_view():
+                    return obj.batch(partition.minibatch(i, batch_stream, cfg.batch_size))
 
-    snapshot(0.0)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads is not None and threads > 1 else None
-    try:
-        for t in range(cfg.rounds):
-            if cfg.max_evals is not None and cum >= cfg.max_evals:
-                break
-            start = time.perf_counter()
-            x, evals = round_fn(t, x, pool)
-            cum += evals
-            done += 1
-            snapshot((time.perf_counter() - start) * 1e3)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    if obj.eval_counter != cum:
-        raise RuntimeError(
-            f"evaluation ledger drift: instrumented counter {obj.eval_counter} "
-            f"vs recorded total {cum}"
-        )
-    return record.validate()
+                def grad(view, point):
+                    return zo_grad_central(view.value, point, smoothing, sm_stream)
+
+                return local(t, x, k_prime, next_view, grad)
+
+            return combine(t, x, map_workers(pool, worker, cfg.workers)), evals
+        return round_fn
+
+    return run_rounds(algorithm, cfg, train, test, loss_kind, reg, threads, timing,
+                      instance, make_round, {"mu": smoothing.mu})
 
 
-def _map_ordered(pool, fn, count: int) -> list:
-    if pool is None:
-        return [fn(i) for i in range(count)]
-    return list(pool.map(fn, range(count)))
+def _mean(t, x, finals):
+    return np.mean(np.asarray(finals), axis=0)
 
 
 def run_fed_zo_gd(
@@ -179,28 +129,16 @@ def run_fed_zo_gd(
 ) -> RunRecord:
     """Federated averaging over zeroth-order descent on one fixed minibatch
     per worker per round, step alpha / ((k+1) * sqrt(t+1))."""
-    k_prime = _half_iters(cfg)
 
-    def make_round(obj, partition):
-        def round_fn(t, x, pool):
-            def worker(i):
-                shard = partition.worker_shards[i]
-                batch_stream = RngStream(cfg.seed, t, i, "batch")
-                rows = shard[batch_stream.gen.integers(0, len(shard), size=cfg.batch_size)]
-                view = obj.batch(rows)
-                sm_stream = RngStream(cfg.seed, t, i, "smoothing")
-                xi = x.copy()
-                for k in range(k_prime):
-                    g = zo_grad_central(view.value, xi, smoothing, sm_stream)
-                    xi -= cfg.alpha / ((k + 1) * math.sqrt(t + 1)) * g
-                return xi
-            finals = _map_ordered(pool, worker, cfg.workers)
-            evals = cfg.workers * k_prime * 2 * cfg.batch_size * smoothing.directions
-            return np.mean(np.asarray(finals), axis=0), evals
-        return round_fn
+    def local(t, x, k_prime, next_view, grad):
+        view = next_view()
+        xi = x.copy()
+        for k in range(k_prime):
+            xi -= cfg.alpha / ((k + 1) * math.sqrt(t + 1)) * grad(view, xi)
+        return xi
 
-    return _run_loop("fed-zo-gd", cfg, train, test, loss_kind, reg, threads, timing,
-                     instance, make_round, {"mu": smoothing.mu})
+    return _run_zo("fed-zo-gd", cfg, train, test, loss_kind, reg, smoothing, threads,
+                   timing, instance, local, _mean)
 
 
 def run_fed_zo_sgd(
@@ -216,28 +154,15 @@ def run_fed_zo_sgd(
 ) -> RunRecord:
     """As run_fed_zo_gd but each local step draws a fresh minibatch and the
     step-size is alpha / sqrt((k+1) * (t+1))."""
-    k_prime = _half_iters(cfg)
 
-    def make_round(obj, partition):
-        def round_fn(t, x, pool):
-            def worker(i):
-                shard = partition.worker_shards[i]
-                batch_stream = RngStream(cfg.seed, t, i, "batch")
-                sm_stream = RngStream(cfg.seed, t, i, "smoothing")
-                xi = x.copy()
-                for k in range(k_prime):
-                    rows = shard[batch_stream.gen.integers(0, len(shard), size=cfg.batch_size)]
-                    view = obj.batch(rows)
-                    g = zo_grad_central(view.value, xi, smoothing, sm_stream)
-                    xi -= cfg.alpha / math.sqrt((k + 1) * (t + 1)) * g
-                return xi
-            finals = _map_ordered(pool, worker, cfg.workers)
-            evals = cfg.workers * k_prime * 2 * cfg.batch_size * smoothing.directions
-            return np.mean(np.asarray(finals), axis=0), evals
-        return round_fn
+    def local(t, x, k_prime, next_view, grad):
+        xi = x.copy()
+        for k in range(k_prime):
+            xi -= cfg.alpha / math.sqrt((k + 1) * (t + 1)) * grad(next_view(), xi)
+        return xi
 
-    return _run_loop("fed-zo-sgd", cfg, train, test, loss_kind, reg, threads, timing,
-                     instance, make_round, {"mu": smoothing.mu})
+    return _run_zo("fed-zo-sgd", cfg, train, test, loss_kind, reg, smoothing, threads,
+                   timing, instance, local, _mean)
 
 
 def run_zo_signsgd(
@@ -254,29 +179,18 @@ def run_zo_signsgd(
     """Majority-vote sign descent: each worker averages K' estimates at the
     broadcast point (fresh minibatch each), votes with the elementwise sign,
     and the server steps along the sign of the vote sum."""
-    k_prime = _half_iters(cfg)
 
-    def make_round(obj, partition):
-        def round_fn(t, x, pool):
-            def worker(i):
-                shard = partition.worker_shards[i]
-                batch_stream = RngStream(cfg.seed, t, i, "batch")
-                sm_stream = RngStream(cfg.seed, t, i, "smoothing")
-                g_sum = np.zeros(x.shape[0])
-                for _ in range(k_prime):
-                    rows = shard[batch_stream.gen.integers(0, len(shard), size=cfg.batch_size)]
-                    view = obj.batch(rows)
-                    g_sum += zo_grad_central(view.value, x, smoothing, sm_stream)
-                return sign_plus(g_sum / k_prime)
-            votes = _map_ordered(pool, worker, cfg.workers)
-            step = cfg.alpha / math.sqrt(t + 1)
-            x_next = x - step * sign_plus(np.sum(np.asarray(votes), axis=0))
-            evals = cfg.workers * k_prime * 2 * cfg.batch_size * smoothing.directions
-            return x_next, evals
-        return round_fn
+    def local(t, x, k_prime, next_view, grad):
+        g_sum = np.zeros(x.shape[0])
+        for _ in range(k_prime):
+            g_sum += grad(next_view(), x)
+        return sign_plus(g_sum / k_prime)
 
-    return _run_loop("zo-signsgd", cfg, train, test, loss_kind, reg, threads, timing,
-                     instance, make_round, {"mu": smoothing.mu})
+    def combine(t, x, votes):
+        return x - cfg.alpha / math.sqrt(t + 1) * sign_plus(np.sum(np.asarray(votes), axis=0))
+
+    return _run_zo("zo-signsgd", cfg, train, test, loss_kind, reg, smoothing, threads,
+                   timing, instance, local, combine)
 
 
 @dataclass(frozen=True)
@@ -374,18 +288,18 @@ def run_es_csa(
 
     def make_round(obj, partition):
         views = [obj.batch(shard) for shard in partition.worker_shards]
-        state_box = [csa_init(np.zeros(train.n_features), lam, sigma0=cfg.alpha)]
+        state = csa_init(np.zeros(train.n_features), lam, sigma0=cfg.alpha)
 
         def round_fn(t, x, pool):
-            state = state_box[0]
+            nonlocal state
             draws = RngStream(cfg.seed, t, "csa").gen.standard_normal((lam, train.n_features))
             candidates = state.mean + state.sigma * draws
-            shard_sums = _map_ordered(pool, lambda i: views[i].loss_sum_many(candidates), cfg.workers)
+            shard_sums = map_workers(pool, lambda i: views[i].loss_sum_many(candidates), cfg.workers)
             values = np.sum(np.asarray(shard_sums), axis=0) / len(train)
             values += 0.5 * reg * np.sum(candidates**2, axis=1)
-            state_box[0] = csa_step(state, draws, values)
-            return state_box[0].mean.copy(), lam * len(train)
+            state = csa_step(state, draws, values)
+            return state.mean.copy(), lam * len(train)
         return round_fn
 
-    return _run_loop("es-csa", cfg, train, test, loss_kind, reg, threads, timing,
-                     instance, make_round, {"lambda": lam})
+    return run_rounds("es-csa", cfg, train, test, loss_kind, reg, threads, timing,
+                      instance, make_round, {"lambda": lam})

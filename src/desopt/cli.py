@@ -36,7 +36,7 @@ from .dataio import (
 )
 from .mutation import MutationKind, MutationModel, RngStream
 from .objective import Dataset, LossKind
-from .server import BETA_LIMIT, DesConfig, run_des
+from .server import DesConfig, check_beta, run_des
 
 _MODEL_NAMES = {
     "gaussian": MutationKind.STANDARD_GAUSSIAN,
@@ -92,10 +92,31 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise ValueError(f"field {field!r}: {message}")
 
 
-def _check_keys(entry: dict, allowed: set[str], where: str) -> None:
+def _check_keys(entry, allowed: set[str], where: str) -> None:
+    _require(isinstance(entry, dict), where, f"expected an object, got {entry!r}")
     for key in entry:
         if key not in allowed:
             raise ValueError(f"unknown key {key!r} in {where}")
+
+
+def _integer(value, field: str, minimum: int | None = None) -> int:
+    bound = "" if minimum is None else f" >= {minimum}"
+    _require(isinstance(value, int) and not isinstance(value, bool)
+             and (minimum is None or value >= minimum),
+             field, f"must be an integer{bound}, got {value!r}")
+    return value
+
+
+def _number(value, field: str) -> float:
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool), field,
+             f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _choice(value, options, field: str):
+    _require(isinstance(value, str) and value in options, field,
+             f"expected one of {sorted(options)}, got {value!r}")
+    return value
 
 
 def _build_dataset_spec(entry: dict, index: int) -> DatasetSpec:
@@ -107,50 +128,45 @@ def _build_dataset_spec(entry: dict, index: int) -> DatasetSpec:
     path = entry.get("path")
     _require((synth is None) != (path is None), where, "give exactly one of synthetic/path")
     if synth is not None:
-        _require(synth in _SYNTH_NAMES, f"{where}.synthetic",
-                 f"expected one of {sorted(_SYNTH_NAMES)}")
-        _require(isinstance(entry.get("n"), int) and entry["n"] >= 1, f"{where}.n",
-                 "synthetic datasets need a positive integer dimension")
-        _require(isinstance(entry.get("examples"), int) and entry["examples"] >= 2,
-                 f"{where}.examples", "synthetic datasets need >= 2 examples")
+        _choice(synth, _SYNTH_NAMES, f"{where}.synthetic")
+        _integer(entry.get("n"), f"{where}.n", 1)
+        _integer(entry.get("examples"), f"{where}.examples", 2)
+    threshold = entry.get("label_threshold")
+    n_features = entry.get("n_features")
     return DatasetSpec(
         name=str(entry["name"]),
         synthetic=_SYNTH_NAMES[synth] if synth is not None else None,
         n=entry.get("n"),
         examples=entry.get("examples"),
         path=path,
-        label_threshold=entry.get("label_threshold"),
-        n_features=entry.get("n_features"),
-        seed=int(entry.get("seed", 0)),
+        label_threshold=None if threshold is None else _number(threshold, f"{where}.label_threshold"),
+        n_features=None if n_features is None else _integer(n_features, f"{where}.n_features", 1),
+        seed=_integer(entry.get("seed", 0), f"{where}.seed"),
     )
 
 
 def _build_algo_spec(entry: dict, index: int) -> AlgoSpec:
     where = f"algorithms[{index}]"
     _check_keys(entry, {"name", "alpha", "beta", "model", "l", "allow_unsafe_beta"}, where)
-    name = entry.get("name")
-    _require(name in _ALGO_NAMES, f"{where}.name", f"expected one of {_ALGO_NAMES}")
+    name = _choice(entry.get("name"), _ALGO_NAMES, f"{where}.name")
     alpha = entry.get("alpha", [0.1, 1.0, 10.0])
-    if not isinstance(alpha, list):
-        alpha = [alpha]
-    _require(len(alpha) > 0 and all(a > 0 for a in alpha), f"{where}.alpha",
+    alphas = tuple(_number(a, f"{where}.alpha") for a in (alpha if isinstance(alpha, list) else [alpha]))
+    _require(len(alphas) > 0 and all(a > 0 for a in alphas), f"{where}.alpha",
              "step-sizes must be positive")
-    beta = float(entry.get("beta", 0.5))
-    _require(0.0 <= beta < 1.0, f"{where}.beta", f"must be in [0,1), got {beta}")
-    allow_unsafe = bool(entry.get("allow_unsafe_beta", False))
-    if name == "des" and not allow_unsafe:
-        _require(beta < BETA_LIMIT, f"{where}.beta",
-                 f"must stay below {BETA_LIMIT:.6f} unless allow_unsafe_beta is set")
-    model = entry.get("model", "gaussian")
-    _require(model in _MODEL_NAMES, f"{where}.model", f"expected one of {sorted(_MODEL_NAMES)}")
-    mixture_size = int(entry.get("l", 8))
-    _require(mixture_size >= 1, f"{where}.l", "must be >= 1")
+    beta = _number(entry.get("beta", 0.5), f"{where}.beta")
+    allow_unsafe = entry.get("allow_unsafe_beta", False)
+    _require(isinstance(allow_unsafe, bool), f"{where}.allow_unsafe_beta", "must be true or false")
+    try:
+        # only DES has momentum; the other entries just need a beta in [0,1)
+        check_beta(beta, allow_unsafe or name != "des")
+    except ValueError as exc:
+        raise ValueError(f"field {where + '.beta'!r}: {exc}") from None
     return AlgoSpec(
         name=name,
-        alphas=tuple(float(a) for a in alpha),
+        alphas=alphas,
         beta=beta,
-        model=model,
-        mixture_size=mixture_size,
+        model=_choice(entry.get("model", "gaussian"), _MODEL_NAMES, f"{where}.model"),
+        mixture_size=_integer(entry.get("l", 8), f"{where}.l", 1),
         allow_unsafe_beta=allow_unsafe,
     )
 
@@ -167,36 +183,29 @@ def _build_spec(raw: dict) -> ExperimentSpec:
     algorithms = tuple(_build_algo_spec(e, i) for i, e in enumerate(raw["algorithms"]))
 
     loss_names = raw.get("losses", ["LR"])
-    for name in loss_names:
-        _require(name in LossKind.__members__, "losses",
-                 f"unknown loss {name!r}, expected subset of {list(LossKind.__members__)}")
-    losses = tuple(LossKind[name] for name in loss_names)
-    _require(len(losses) > 0, "losses", "need at least one loss")
+    _require(isinstance(loss_names, list) and loss_names, "losses", "need at least one loss")
+    losses = tuple(LossKind[_choice(name, LossKind.__members__, "losses")] for name in loss_names)
 
-    workers = int(raw.get("workers", 10))
-    _require(workers >= 1, "workers", "must be >= 1")
-    batch_size = int(raw.get("batch_size", 1000))
-    _require(batch_size >= 1, "batch_size", "must be >= 1")
-    local_iters = raw.get("local_iters")
-    _require(local_iters is None or (isinstance(local_iters, int) and local_iters >= 1),
-             "local_iters", "must be a positive integer or null")
-    epochs = raw.get("epochs")
-    _require(epochs is None or (isinstance(epochs, int) and epochs >= 1),
-             "epochs", "must be a positive integer or null")
-    split_fraction = float(raw.get("split_fraction", 0.8))
+    workers = _integer(raw.get("workers", 10), "workers", 1)
+    batch_size = _integer(raw.get("batch_size", 1000), "batch_size", 1)
+    for field in ("local_iters", "epochs"):  # null picks the dimension rule's value
+        if raw.get(field) is not None:
+            _integer(raw[field], field, 1)
+    split_fraction = _number(raw.get("split_fraction", 0.8), "split_fraction")
     _require(0.0 < split_fraction < 1.0, "split_fraction", "must be in (0,1)")
-    reg = float(raw.get("reg", 1e-6))
+    reg = _number(raw.get("reg", 1e-6), "reg")
     _require(reg >= 0.0, "reg", "must be nonnegative")
-    delta = float(raw.get("delta", 0.1))
+    delta = _number(raw.get("delta", 0.1), "delta")
     _require(0.0 < delta < 1.0, "delta", f"must be in (0,1), got {delta}")
-    seeds = tuple(int(s) for s in raw.get("seeds", range(8)))
-    _require(len(seeds) > 0, "seeds", "need at least one seed")
+    seeds = raw.get("seeds", list(range(8)))
+    _require(isinstance(seeds, list) and seeds, "seeds", "need a nonempty list of seeds")
+    seeds = tuple(_integer(s, "seeds") for s in seeds)
     _require(len(set(seeds)) == len(seeds), "seeds", "must be distinct")
 
     return ExperimentSpec(
         datasets=datasets, losses=losses, algorithms=algorithms,
-        workers=workers, batch_size=batch_size, local_iters=local_iters,
-        epochs=epochs, split_fraction=split_fraction, reg=reg, delta=delta,
+        workers=workers, batch_size=batch_size, local_iters=raw.get("local_iters"),
+        epochs=raw.get("epochs"), split_fraction=split_fraction, reg=reg, delta=delta,
         seeds=seeds, out_dir=str(raw.get("out_dir", "runs")),
     )
 

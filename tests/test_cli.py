@@ -88,6 +88,11 @@ def test_load_spec_field_validation(tmp_path):
         ({"datasets": [{"name": "d", "synthetic": "noisy", "n": 4, "examples": 10,
                         "path": "x"}]}, "synthetic/path"),
         ({"datasets": [{"name": "d", "synthetic": "wavy", "n": 4, "examples": 10}]}, "synthetic"),
+        ({"seeds": 3}, "seeds"),
+        ({"algorithms": [{"name": "des", "alpha": ["fast"]}]}, "alpha"),
+        ({"datasets": [5]}, "datasets"),
+        ({"workers": 2.7}, "workers"),
+        ({"algorithms": [{"name": "des", "l": 2.5}]}, r"\.l'"),
     ]
     for override, needle in cases:
         raw = dict(base, **override)
@@ -205,6 +210,8 @@ def test_run_spec_errors_exit_1(tmp_path, capsys):
     assert main(["run", str(unknown)]) == 1
     spec_path = write_spec(tmp_path / "ok.json")
     assert main(["run", str(spec_path), "--set", "seeds=[0,0]",
+                 "--out", str(tmp_path / "r")]) == 1
+    assert main(["run", str(spec_path), "--set", "seeds=3",
                  "--out", str(tmp_path / "r")]) == 1
     assert "error:" in capsys.readouterr().err
 

@@ -75,6 +75,8 @@ def test_parse_errors_name_the_line():
         ("+1 3:1 2:5\n", "line 1"),  # decreasing index
         ("+1 1:x\n", "line 1"),
         ("+1 1\n", "line 1"),
+        ("+1 1:1\n-1 1:nan\n", "line 2"),
+        ("+1 1:inf\n", "line 1"),
     ]
     for text, needle in cases:
         with pytest.raises(LibsvmParseError) as err:
