@@ -394,7 +394,9 @@ def main(argv=None) -> int:
                        metavar="KEY=VALUE", help="override a spec entry (dotted paths)")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--threads", type=int, default=None,
-                       help="worker thread cap (default: CPU count); results are identical at any value")
+                       help="thread cap for the baselines' workers (default: CPU count); DES "
+                            "workers run in lockstep in the calling thread; results are "
+                            "identical at any value")
     run_p.add_argument("--timing", action="store_true",
                        help="record wall-clock times (breaks byte-reproducibility of CSVs)")
 

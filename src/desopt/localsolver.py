@@ -1,9 +1,9 @@
 """The local (1+1)-ES: diminishing step-size schedule, tie-accepting greedy
-selection, and the fixed-minibatch solver each worker runs per round.
+selection, and the fixed-minibatch solver loop that advances all workers of a
+round in lockstep.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,17 +55,91 @@ def step_size(alpha: float, t: int, k: int) -> float:
     return alpha * (t + 1) ** -0.25 * (k + 1) ** -0.5
 
 
-def accept(f_parent: float, f_candidate: float) -> bool:
+def accept(f_parent, f_candidate):
     """Greedy selection: keep the candidate iff f_candidate <= f_parent.
 
     Ties accept (the zero case counts as an improvement). NaN on either side
     means the objective is poisoned and raises rather than silently ranking.
+    Works elementwise on arrays of worker values.
     """
-    if math.isnan(f_parent) or math.isnan(f_candidate):
+    if np.isnan(f_parent).any() or np.isnan(f_candidate).any():
         raise NonFiniteObjectiveError(
             f"objective returned NaN (parent={f_parent!r}, candidate={f_candidate!r})"
         )
     return f_candidate <= f_parent
+
+
+class CallableBatch:
+    """Evaluator over one value function per worker, called one point at a
+    time; the functions do their own evaluation accounting."""
+
+    def __init__(self, value_fns: list[Callable[[np.ndarray], float]]):
+        self.value_fns = value_fns
+
+    def values(self, V: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        return np.array([fn(v) for fn, v in zip(self.value_fns, V)], dtype=np.float64)
+
+    def keep(self, accepted: np.ndarray) -> None:
+        pass
+
+
+def run_lockstep_es(
+    V: np.ndarray,
+    cfg: LocalConfig,
+    batch,
+    streams: list,
+    f_start,
+    traces: list[Callable[[int, float, np.ndarray, float], None]] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run cfg.iters (1+1)-ES iterations on every row of V at once, in place.
+
+    Row i of V (M x n, C-contiguous) is worker i's point and f_start[i] its
+    value. Each iteration, every worker draws a mutation u_i from
+    streams[i] (in worker order, one draw per iteration), all M candidates
+    v_i + step_k * u_i with step_k = step0 / sqrt(k+1) are evaluated by one
+    batch.values(candidates, cols) call, and each worker keeps its candidate
+    on ties or improvement; batch.keep(accepted) then drops the rejected
+    candidates from any state the evaluator holds. cols lists the changed
+    flat coordinates i*n + j of mixture candidates and is None for dense ones.
+    traces[i], if given, receives (k, step_k, v_i copy, f_i) after every
+    iteration. Returns (final values, accepted counts), both of length M.
+    """
+    if not V.flags.c_contiguous:
+        raise ValueError("the stacked points must be one C-contiguous array")
+    f = np.array(f_start, dtype=np.float64)
+    if np.isnan(f).any():
+        raise NonFiniteObjectiveError(f"objective returned NaN at the start point ({f!r})")
+    gens = [stream.gen for stream in streams]
+    model = cfg.model
+    flat = V.reshape(-1)
+    accepted = np.zeros(len(gens), dtype=np.int64)
+
+    for k in range(cfg.iters):
+        step = cfg.step0 * (k + 1) ** -0.5
+        if model.is_mixture:
+            # Sparse candidates: perturb in place, then put back the saved
+            # slots of rejected workers. Duplicate indices accumulate in draw
+            # order and restore to the value saved before any of them.
+            terms = [draw_terms(model, gen) for gen in gens]
+            cols = np.concatenate([idx + i * model.n for i, (idx, _) in enumerate(terms)])
+            saved = flat[cols]
+            np.add.at(flat, cols, step * np.concatenate([vals for _, vals in terms]))
+            f_cand = batch.values(V, cols)
+            ok = accept(f, f_cand)
+            undo = np.repeat(~ok, model.l)
+            flat[cols[undo]] = saved[undo]
+        else:
+            candidates = V + step * np.stack([gen.standard_normal(model.n) for gen in gens])
+            f_cand = batch.values(candidates)
+            ok = accept(f, f_cand)
+            V[ok] = candidates[ok]
+        batch.keep(ok)
+        f = np.where(ok, f_cand, f)
+        accepted += ok
+        if traces is not None:
+            for i, trace in enumerate(traces):
+                trace(k, step, V[i].copy(), float(f[i]))
+    return f, accepted
 
 
 def run_local_es(
@@ -79,51 +153,22 @@ def run_local_es(
 ) -> WorkerResult:
     """Run cfg.iters iterations of the (1+1)-ES from x_start on a fixed objective.
 
-    Each iteration draws a mutation u from cfg.model, evaluates the candidate
-    v + step_k * u with step_k = step0 / sqrt(k+1), and accepts on ties or
-    improvement. The parent value is carried forward, so the loop costs one
-    value_fn call per iteration; pass f_start to supply the initial parent
-    value from an uncounted path. evals_per_call sizes the evaluation ledger
-    (b for minibatch objectives). trace, if given, receives
-    (k, step_k, v_copy, f_v) after every iteration.
+    The one-worker case of run_lockstep_es. Each iteration draws a mutation u
+    from cfg.model, evaluates the candidate v + step_k * u with
+    step_k = step0 / sqrt(k+1), and accepts on ties or improvement. The
+    parent value is carried forward, so the loop costs one value_fn call per
+    iteration; pass f_start to supply the initial parent value from an
+    uncounted path. evals_per_call sizes the evaluation ledger (b for
+    minibatch objectives). trace, if given, receives (k, step_k, v_copy, f_v)
+    after every iteration.
     """
-    v = np.array(x_start, dtype=np.float64, copy=True)
-    f_v = value_fn(v) if f_start is None else float(f_start)
-    if math.isnan(f_v):
-        raise NonFiniteObjectiveError(f"objective returned NaN at the start point ({f_v!r})")
-    gen = stream.gen
-    model = cfg.model
-    accepted = 0
-
-    for k in range(cfg.iters):
-        step = cfg.step0 * (k + 1) ** -0.5
-        if model.is_mixture:
-            # Sparse candidate: perturb in place, restore the touched slots on
-            # rejection. Duplicate indices accumulate, so restore via uniques.
-            idx, vals = draw_terms(model, gen)
-            uniq = np.unique(idx)
-            saved = v[uniq].copy()
-            np.add.at(v, idx, step * vals)
-            f_cand = value_fn(v)
-            if accept(f_v, f_cand):
-                f_v = f_cand
-                accepted += 1
-            else:
-                v[uniq] = saved
-        else:
-            u = gen.standard_normal(model.n)
-            candidate = v + step * u
-            f_cand = value_fn(candidate)
-            if accept(f_v, f_cand):
-                v = candidate
-                f_v = f_cand
-                accepted += 1
-        if trace is not None:
-            trace(k, step, v.copy(), f_v)
-
+    V = np.array(x_start, dtype=np.float64, copy=True).reshape(1, -1)
+    f_v = value_fn(V[0]) if f_start is None else float(f_start)
+    f, accepted = run_lockstep_es(V, cfg, CallableBatch([value_fn]), [stream], [f_v],
+                                  None if trace is None else [trace])
     return WorkerResult(
-        v_final=v,
-        f_final=f_v,
+        v_final=V[0],
+        f_final=float(f[0]),
         evals_used=cfg.iters * evals_per_call,
-        accepted_count=accepted,
+        accepted_count=int(accepted[0]),
     )

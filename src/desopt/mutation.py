@@ -7,6 +7,7 @@ stays the identity.
 """
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 from enum import Enum
@@ -72,7 +73,7 @@ class MutationModel:
     def is_mixture(self) -> bool:
         return self.kind is not MutationKind.STANDARD_GAUSSIAN
 
-    @property
+    @functools.cached_property
     def scale(self) -> float:
         return float(np.sqrt(self.n / self.l))
 

@@ -195,6 +195,107 @@ class BatchView:
         return np.asarray(self._X.T @ coef) / self.b + self.obj.reg * x
 
 
+class StackedBatch:
+    """M same-size minibatch objectives of one RegularizedObjective, evaluated
+    together at the M rows of a stacked point array V (M x n).
+
+    The minibatches form one block-diagonal CSR whose block i acts on row i of
+    V (columns offset by i*n), and an M x b cache holds the per-row losses of
+    the kept points. A candidate that changes only a few coordinates
+    recomputes just the batch rows those columns touch, found through a CSC
+    copy. When the changed columns hold more entries than a quarter of the
+    M*b rows, gathering those rows costs about as much as the full stacked
+    matvec, which then runs instead. Each worker value is
+    mean(loss row) plus the regularizer, the same operations as
+    BatchView.value, so the values match it bit for bit.
+    """
+
+    def __init__(self, views: list[BatchView]):
+        self.obj = views[0].obj
+        self.b = views[0].b
+        if any(view.obj is not self.obj or view.b != self.b for view in views):
+            raise ValueError("stacked minibatches must share one objective and one size")
+        n = self.obj.dataset.n_features
+        blocks = [view._X for view in views]
+        starts = np.cumsum([0] + [block.nnz for block in blocks])
+        shape = (len(views) * self.b, len(views) * n)
+        # int32 indices, the dtype scipy would pick anyway, skip its content scan
+        index = np.int32 if max(*shape, starts[-1]) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.concatenate([[0]] + [block.indptr[1:] + start
+                                         for block, start in zip(blocks, starts)]).astype(index)
+        indices = np.concatenate([block.indices.astype(index, copy=False) + index(i * n)
+                                  for i, block in enumerate(blocks)])
+        data = np.concatenate([block.data for block in blocks])
+        self._X = sp.csr_matrix((data, indices, indptr), shape=shape)
+        self._csc = self._X.tocsc()
+        self._y = np.concatenate([view._y for view in views])
+        self._loss = None
+        self._undo = None
+
+    def _all_rows(self, V: np.ndarray) -> np.ndarray:
+        a = self._y * (self._X @ V.reshape(-1))
+        return _loss_values(self.obj.loss_kind, a).reshape(-1, self.b)
+
+    def _some_rows(self, V: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        pos, indptr = _slices(self._X.indptr, rows)
+        sub = sp.csr_matrix((self._X.data[pos], self._X.indices[pos], indptr),
+                            shape=(len(rows), self._X.shape[1]))
+        return _loss_values(self.obj.loss_kind, self._y[rows] * (sub @ V.reshape(-1)))
+
+    def _worker_values(self, V: np.ndarray) -> np.ndarray:
+        return self._loss.mean(axis=1) + np.array([self.obj._reg_term(v) for v in V])
+
+    def reset(self, V: np.ndarray) -> np.ndarray:
+        """Worker values at V, uncounted; V becomes the kept points."""
+        self._loss = self._all_rows(V)
+        return self._worker_values(V)
+
+    def values(self, V: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        """Worker values at the candidates V, charging M*b evaluations.
+
+        cols lists the flat coordinates (row i, column j as i*n + j, repeats
+        allowed) where V may differ from the kept points; None means anywhere.
+        """
+        total = self._X.shape[0]
+        self.obj._count(total)
+        rows = None
+        if cols is not None:
+            touched = self._csc.indptr[cols + 1] - self._csc.indptr[cols]
+            if touched.sum() <= total // 4:
+                hit = np.zeros(total, dtype=bool)
+                hit[self._csc.indices[_slices(self._csc.indptr, cols)[0]]] = True
+                rows = np.flatnonzero(hit)
+        if rows is None:
+            self._undo = (None, self._loss)
+            self._loss = self._all_rows(V)
+        else:
+            flat = self._loss.reshape(-1)
+            self._undo = (rows, flat[rows])
+            flat[rows] = self._some_rows(V, rows)
+        return self._worker_values(V)
+
+    def keep(self, accepted: np.ndarray) -> None:
+        """Keep the last candidates of the accepted workers; restore the rest."""
+        rows, old = self._undo
+        rejected = ~accepted
+        if rows is None:
+            self._loss[rejected] = old[rejected]
+        else:
+            back = rejected[rows // self.b]
+            self._loss.reshape(-1)[rows[back]] = old[back]
+
+
+def _slices(indptr: np.ndarray, majors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the given rows (CSR) or columns (CSC) of a compressed matrix sit:
+    the positions of their entries in stored order, and the indptr of the
+    matrix made of just those slices."""
+    starts = indptr[majors]
+    lengths = indptr[majors + 1] - starts
+    sub_indptr = np.zeros(len(majors) + 1, dtype=indptr.dtype)
+    np.cumsum(lengths, out=sub_indptr[1:])
+    return np.arange(sub_indptr[-1]) + np.repeat(starts - sub_indptr[:-1], lengths), sub_indptr
+
+
 class RegularizedObjective:
     """A loss kind + L2 regularizer over one dataset, with eval instrumentation.
 

@@ -1,6 +1,6 @@
-"""Synchronous distributed-ES orchestration: broadcast the incumbent, run one
-local solver per worker in a fork-join round, average the returned points, and
-advance the incumbent through a momentum-damped delayed step. Also home to the
+"""Synchronous distributed-ES orchestration: broadcast the incumbent, run the
+workers' local solvers in lockstep for one round, average the returned points,
+and advance the incumbent through a momentum-damped delayed step. Also home to the
 round driver and config checks that DES and the baselines share.
 """
 from __future__ import annotations
@@ -15,9 +15,11 @@ import numpy as np
 
 from .bench import MetricRow, RunRecord
 from .dataio import PartitionPlan, partition_uniform
-from .localsolver import LocalConfig, run_local_es, step_size
+from .localsolver import CallableBatch, LocalConfig, run_lockstep_es, step_size
+from .localsolver import run_local_es  # noqa: F401  benchmarks/tracing.py wraps it by this name
 from .mutation import MutationKind, MutationModel, RngStream
-from .objective import Dataset, LossKind, RegularizedObjective, classification_error
+from .objective import (BatchView, Dataset, LossKind, RegularizedObjective, StackedBatch,
+                        classification_error)
 
 # Momentum must stay below sqrt(1/(2*sqrt(2))) ~ 0.5946 or the delayed step
 # can feed back on itself; larger values are for deliberate failure studies.
@@ -99,8 +101,8 @@ def momentum_update(m: np.ndarray, d: np.ndarray, beta: float) -> np.ndarray:
     return beta * m + (1.0 - beta) * d
 
 
-def average_displacement(x: np.ndarray, v_finals: list[np.ndarray]) -> np.ndarray:
-    """Mean worker endpoint minus the broadcast point."""
+def average_displacement(x: np.ndarray, v_finals: np.ndarray) -> np.ndarray:
+    """Mean worker endpoint (one per row, or a list of arrays) minus the broadcast point."""
     return np.mean(np.asarray(v_finals), axis=0) - x
 
 
@@ -116,43 +118,41 @@ def des_round(
     cfg: DesConfig,
     obj_factory,
     partition: PartitionPlan,
-    pool: ThreadPoolExecutor | None = None,
     trace_factory=None,
 ) -> tuple[ServerState, RoundMetrics]:
     """One synchronous round at t = state.t.
 
     Each worker draws a size-b minibatch uniformly with replacement from its
-    shard, runs the local solver from the broadcast point with the round's
-    annealed base step, and returns its endpoint. The server averages the
-    endpoints into a displacement and applies the momentum step. Worker
-    results are keyed streams collected in index order, so the outcome does
-    not depend on scheduling.
+    shard. All M workers then run the local solver in lockstep, in the
+    calling thread, from the broadcast point with the round's annealed base
+    step, each on its own keyed mutation stream. Minibatches of one
+    RegularizedObjective are evaluated together by a StackedBatch; other
+    views (such as stubs) are called one point at a time. The server averages
+    the endpoints into a displacement and applies the momentum step.
+    trace_factory(i), if given, returns worker i's per-iteration trace hook.
     """
     t = state.t
-    step0 = step_size(cfg.alpha, t, 0)
-    local_cfg = LocalConfig(iters=cfg.local_iters, model=cfg.model, step0=step0)
-
-    def solve(i: int):
-        rows = partition.minibatch(i, RngStream(cfg.seed, t, i, "batch"), cfg.batch_size)
-        view = obj_factory(i).batch(rows)
-        return run_local_es(
-            state.x,
-            local_cfg,
-            view.value,
-            RngStream(cfg.seed, t, i, "mutation"),
-            f_start=view.peek_value(state.x),
-            evals_per_call=cfg.batch_size,
-            trace=trace_factory(i) if trace_factory is not None else None,
-        )
-
-    results = map_workers(pool, solve, cfg.workers)
-    d = average_displacement(state.x, [r.v_final for r in results])
-    m_next = momentum_update(state.m, d, cfg.beta)
+    local_cfg = LocalConfig(iters=cfg.local_iters, model=cfg.model, step0=step_size(cfg.alpha, t, 0))
+    views = [obj_factory(i).batch(partition.minibatch(i, RngStream(cfg.seed, t, i, "batch"),
+                                                      cfg.batch_size))
+             for i in range(cfg.workers)]
+    V = np.tile(state.x, (cfg.workers, 1))
+    if all(isinstance(view, BatchView) and view.obj is views[0].obj for view in views):
+        batch = StackedBatch(views)
+        f_start = batch.reset(V)
+    else:
+        batch = CallableBatch([view.value for view in views])
+        f_start = [view.peek_value(state.x) for view in views]
+    f, accepted = run_lockstep_es(
+        V, local_cfg, batch, [RngStream(cfg.seed, t, i, "mutation") for i in range(cfg.workers)],
+        f_start, None if trace_factory is None else [trace_factory(i) for i in range(cfg.workers)],
+    )
+    m_next = momentum_update(state.m, average_displacement(state.x, V), cfg.beta)
     new_state = ServerState(x=state.x + m_next, m=m_next, t=t + 1)
     metrics = RoundMetrics(
-        evals=sum(r.evals_used for r in results),
-        accepted=tuple(r.accepted_count for r in results),
-        worker_values=tuple(r.f_final for r in results),
+        evals=cfg.workers * cfg.local_iters * cfg.batch_size,
+        accepted=tuple(int(a) for a in accepted),
+        worker_values=tuple(float(v) for v in f),
     )
     return new_state, metrics
 
@@ -256,7 +256,7 @@ def run_des(
 
         def round_fn(t, x, pool):
             nonlocal state
-            state, metrics = des_round(state, cfg, lambda i: obj, partition, pool=pool)
+            state, metrics = des_round(state, cfg, lambda i: obj, partition)
             return state.x, metrics.evals
         return round_fn
 

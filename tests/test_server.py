@@ -12,7 +12,9 @@ from desopt import (
     LossKind,
     MutationKind,
     MutationModel,
+    NonFiniteObjectiveError,
     PartitionPlan,
+    RegularizedObjective,
     RngStream,
     ServerState,
     SplitSpec,
@@ -20,6 +22,7 @@ from desopt import (
     average_displacement,
     des_round,
     momentum_update,
+    partition_uniform,
     run_des,
     split_train_test,
     step_size,
@@ -134,6 +137,27 @@ def test_des_round_schedule_is_exact():
                   trace_factory=lambda i: lambda k, s, v, f: steps[i].append(s))
         for i in (0, 1):
             assert steps[i] == [step_size(2.0, t, k) for k in range(4)]
+
+
+@pytest.mark.parametrize("path", ["stacked", "callable"])
+def test_des_round_nan_start_raises(path):
+    # Views of one objective go through the stacked evaluator; views of
+    # distinct objectives are called one point at a time. Both must refuse a
+    # NaN parent value instead of ranking against it.
+    train = synth_dataset(SynthKind.SEPARABLE_LINEAR, 4, 40, RngStream(3, "synth"))
+    objs = [RegularizedObjective(LossKind.LR, train) for _ in range(2)]
+    factory = (lambda i: objs[0]) if path == "stacked" else (lambda i: objs[i])
+    partition = partition_uniform(train, 2, RngStream(0, "partition"))
+    state = ServerState(x=np.array([0.5, np.nan, 0.0, 1.0]), m=np.zeros(4), t=0)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteObjectiveError, match="start point"):
+        des_round(state, make_cfg(), factory, partition)
+
+
+def test_des_round_nan_candidate_raises():
+    partition = PartitionPlan(worker_shards=(np.array([0, 1]), np.array([2, 3])))
+    stub = StubObjective(StubView(parent_value=1.0, candidate_value=float("nan")))
+    with pytest.raises(NonFiniteObjectiveError):
+        des_round(ServerState.initial(4), make_cfg(), lambda i: stub, partition)
 
 
 def test_round_and_run_eval_accounting():
