@@ -48,15 +48,7 @@ from .localsolver import (
     run_local_es,
     step_size,
 )
-from .mutation import (
-    MutationKind,
-    MutationModel,
-    RngStream,
-    empirical_covariance,
-    empirical_moments,
-    fourth_moment_closed_form,
-    sample,
-)
+from .mutation import MutationKind, MutationModel, RngStream
 from .objective import (
     BatchView,
     Dataset,

@@ -350,6 +350,8 @@ def run_matrix(spec: ExperimentSpec, threads: int | None = None, timing: bool = 
 
 
 def _cmd_run(args) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     with open(args.spec, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     raw = _apply_overrides(raw, args.overrides)
@@ -394,9 +396,9 @@ def main(argv=None) -> int:
                        metavar="KEY=VALUE", help="override a spec entry (dotted paths)")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--threads", type=int, default=None,
-                       help="thread cap for the baselines' workers (default: CPU count); DES "
-                            "workers run in lockstep in the calling thread; results are "
-                            "identical at any value")
+                       help="thread cap, at least 1, for the baselines' workers (default: "
+                            "CPU count); DES workers run in lockstep in the calling thread; "
+                            "results are identical at any value")
     run_p.add_argument("--timing", action="store_true",
                        help="record wall-clock times (breaks byte-reproducibility of CSVs)")
 

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mutation import RngStream
-from .objective import Dataset, SparseExample
+from .objective import Dataset
 
 
 class LibsvmParseError(ValueError):
@@ -212,19 +212,19 @@ def synth_dataset_with_truth(
     gen = stream.gen
     w_star = gen.standard_normal(n)
     nnz = max(1, round(0.25 * n))
-    examples = []
-    for _ in range(num_examples):
-        idx = np.sort(gen.choice(n, size=nnz, replace=False)).astype(np.int64)
+    indices = np.empty((num_examples, nnz), dtype=np.int64)
+    values = np.empty((num_examples, nnz))
+    labels = np.empty(num_examples)
+    for r in range(num_examples):
+        idx = np.sort(gen.choice(n, size=nnz, replace=False))
         val = gen.standard_normal(nnz)
-        margin = float(val @ w_star[idx])
-        label = 1 if margin >= 0.0 else -1
-        examples.append(SparseExample(indices=idx, values=val, label=label))
-    dataset = Dataset.from_examples(examples, n_features=n)
+        indices[r], values[r] = idx, val
+        labels[r] = 1.0 if val @ w_star[idx] >= 0.0 else -1.0
     if kind is SynthKind.NOISY_LINEAR:
-        flips = gen.random(num_examples) < 0.1
-        labels = np.where(flips, -dataset.labels, dataset.labels)
-        dataset = Dataset(dataset.matrix, labels)
-    return dataset, w_star
+        labels = np.where(gen.random(num_examples) < 0.1, -labels, labels)
+    indptr = np.arange(num_examples + 1) * nnz
+    matrix = sp.csr_matrix((values.reshape(-1), indices.reshape(-1), indptr), shape=(num_examples, n))
+    return Dataset(matrix, labels), w_star
 
 
 def synth_dataset(kind: SynthKind, n: int, num_examples: int, stream: RngStream) -> Dataset:

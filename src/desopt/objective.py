@@ -196,39 +196,36 @@ class BatchView:
 
 
 class StackedBatch:
-    """M same-size minibatch objectives of one RegularizedObjective, evaluated
-    together at the M rows of a stacked point array V (M x n).
+    """The M same-size minibatch objectives of one round, evaluated together at
+    the M rows of a stacked point array V (M x n).
 
-    The minibatches form one block-diagonal CSR whose block i acts on row i of
-    V (columns offset by i*n), and an M x b cache holds the per-row losses of
-    the kept points. A candidate that changes only a few coordinates
-    recomputes just the batch rows those columns touch, found through a CSC
-    copy. When the changed columns hold more entries than a quarter of the
-    M*b rows, gathering those rows costs about as much as the full stacked
-    matvec, which then runs instead. Each worker value is
+    rows holds worker i's minibatch (row indices into obj.dataset) in row i.
+    One gather of all M*b rows makes a block-diagonal CSR whose block i acts
+    on row i of V (columns offset by i*n), and an M x b cache holds the
+    per-row losses of the kept points. A candidate that changes only a few
+    coordinates recomputes just the batch rows those columns touch, found
+    through a CSC copy. When the changed columns hold more entries than a
+    quarter of the M*b rows, gathering those rows costs about as much as the
+    full stacked matvec, which then runs instead. Each worker value is
     mean(loss row) plus the regularizer, the same operations as
     BatchView.value, so the values match it bit for bit.
     """
 
-    def __init__(self, views: list[BatchView]):
-        self.obj = views[0].obj
-        self.b = views[0].b
-        if any(view.obj is not self.obj or view.b != self.b for view in views):
-            raise ValueError("stacked minibatches must share one objective and one size")
-        n = self.obj.dataset.n_features
-        blocks = [view._X for view in views]
-        starts = np.cumsum([0] + [block.nnz for block in blocks])
-        shape = (len(views) * self.b, len(views) * n)
+    def __init__(self, obj: "RegularizedObjective", rows):
+        rows = np.asarray(rows, dtype=np.int64)
+        self.obj = obj
+        workers, self.b = rows.shape
+        rows = rows.reshape(-1)
+        X = obj.dataset.matrix[rows]
+        n = obj.dataset.n_features
+        shape = (workers * self.b, workers * n)
         # int32 indices, the dtype scipy would pick anyway, skip its content scan
-        index = np.int32 if max(*shape, starts[-1]) <= np.iinfo(np.int32).max else np.int64
-        indptr = np.concatenate([[0]] + [block.indptr[1:] + start
-                                         for block, start in zip(blocks, starts)]).astype(index)
-        indices = np.concatenate([block.indices.astype(index, copy=False) + index(i * n)
-                                  for i, block in enumerate(blocks)])
-        data = np.concatenate([block.data for block in blocks])
-        self._X = sp.csr_matrix((data, indices, indptr), shape=shape)
+        index = np.int32 if max(*shape, X.nnz) <= np.iinfo(np.int32).max else np.int64
+        offsets = np.repeat(np.arange(workers, dtype=index) * index(n), np.diff(X.indptr[::self.b]))
+        self._X = sp.csr_matrix((X.data, X.indices.astype(index, copy=False) + offsets,
+                                 X.indptr.astype(index, copy=False)), shape=shape)
         self._csc = self._X.tocsc()
-        self._y = np.concatenate([view._y for view in views])
+        self._y = obj.dataset.labels[rows]
         self._loss = None
         self._undo = None
 

@@ -15,11 +15,10 @@ import numpy as np
 
 from .bench import MetricRow, RunRecord
 from .dataio import PartitionPlan, partition_uniform
-from .localsolver import CallableBatch, LocalConfig, run_lockstep_es, step_size
+from .localsolver import LocalConfig, run_lockstep_es, step_size
 from .localsolver import run_local_es  # noqa: F401  benchmarks/tracing.py wraps it by this name
 from .mutation import MutationKind, MutationModel, RngStream
-from .objective import (BatchView, Dataset, LossKind, RegularizedObjective, StackedBatch,
-                        classification_error)
+from .objective import Dataset, LossKind, RegularizedObjective, StackedBatch, classification_error
 
 # Momentum must stay below sqrt(1/(2*sqrt(2))) ~ 0.5946 or the delayed step
 # can feed back on itself; larger values are for deliberate failure studies.
@@ -116,36 +115,29 @@ class RoundMetrics:
 def des_round(
     state: ServerState,
     cfg: DesConfig,
-    obj_factory,
+    obj: RegularizedObjective,
     partition: PartitionPlan,
     trace_factory=None,
 ) -> tuple[ServerState, RoundMetrics]:
     """One synchronous round at t = state.t.
 
-    Each worker draws a size-b minibatch uniformly with replacement from its
-    shard. All M workers then run the local solver in lockstep, in the
-    calling thread, from the broadcast point with the round's annealed base
-    step, each on its own keyed mutation stream. Minibatches of one
-    RegularizedObjective are evaluated together by a StackedBatch; other
-    views (such as stubs) are called one point at a time. The server averages
-    the endpoints into a displacement and applies the momentum step.
+    Each worker draws a size-b minibatch of obj uniformly with replacement
+    from its shard. All M workers then run the local solver in lockstep, in
+    the calling thread, from the broadcast point with the round's annealed
+    base step, each on its own keyed mutation stream, and one StackedBatch
+    scores all M candidates at once. The server averages the endpoints into
+    a displacement and applies the momentum step.
     trace_factory(i), if given, returns worker i's per-iteration trace hook.
     """
     t = state.t
     local_cfg = LocalConfig(iters=cfg.local_iters, model=cfg.model, step0=step_size(cfg.alpha, t, 0))
-    views = [obj_factory(i).batch(partition.minibatch(i, RngStream(cfg.seed, t, i, "batch"),
-                                                      cfg.batch_size))
-             for i in range(cfg.workers)]
+    batch = StackedBatch(obj, [partition.minibatch(i, RngStream(cfg.seed, t, i, "batch"),
+                                                   cfg.batch_size) for i in range(cfg.workers)])
     V = np.tile(state.x, (cfg.workers, 1))
-    if all(isinstance(view, BatchView) and view.obj is views[0].obj for view in views):
-        batch = StackedBatch(views)
-        f_start = batch.reset(V)
-    else:
-        batch = CallableBatch([view.value for view in views])
-        f_start = [view.peek_value(state.x) for view in views]
     f, accepted = run_lockstep_es(
         V, local_cfg, batch, [RngStream(cfg.seed, t, i, "mutation") for i in range(cfg.workers)],
-        f_start, None if trace_factory is None else [trace_factory(i) for i in range(cfg.workers)],
+        batch.reset(V),
+        None if trace_factory is None else [trace_factory(i) for i in range(cfg.workers)],
     )
     m_next = momentum_update(state.m, average_displacement(state.x, V), cfg.beta)
     new_state = ServerState(x=state.x + m_next, m=m_next, t=t + 1)
@@ -256,7 +248,7 @@ def run_des(
 
         def round_fn(t, x, pool):
             nonlocal state
-            state, metrics = des_round(state, cfg, lambda i: obj, partition)
+            state, metrics = des_round(state, cfg, obj, partition)
             return state.x, metrics.evals
         return round_fn
 

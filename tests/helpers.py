@@ -1,5 +1,4 @@
-"""Shared test utilities: dense-backed datasets, scripted RNG stand-ins, and
-stub objectives for exercising solver plumbing without real data."""
+"""Shared test utilities: dense-backed datasets and scripted RNG stand-ins."""
 from __future__ import annotations
 
 import numpy as np
@@ -33,24 +32,3 @@ class ScriptedStream:
     def __init__(self, gen: ScriptedGen):
         self.gen = gen
 
-
-class StubView:
-    """Batch view yielding a fixed parent value and a fixed candidate value."""
-
-    def __init__(self, parent_value: float, candidate_value: float):
-        self.parent_value = parent_value
-        self.candidate_value = candidate_value
-
-    def peek_value(self, x):
-        return self.parent_value
-
-    def value(self, x):
-        return self.candidate_value
-
-
-class StubObjective:
-    def __init__(self, view: StubView):
-        self.view = view
-
-    def batch(self, rows):
-        return self.view

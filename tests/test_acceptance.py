@@ -30,8 +30,6 @@ from desopt import (
     SynthKind,
     compute_profiles,
     des_round,
-    empirical_moments,
-    fourth_moment_closed_form,
     main,
     partition_uniform,
     read_metrics_csv,
@@ -48,6 +46,7 @@ from desopt import (
 )
 from desopt.localsolver import LocalConfig
 from desopt.mutation import draw_terms
+from mutation_oracles import empirical_moments, fourth_moment_closed_form
 
 
 @contextlib.contextmanager
@@ -169,7 +168,7 @@ def test_criterion_03_budget_parity():
         partition = partition_uniform(train, 2, RngStream(0, "partition"))
         state = ServerState.initial(6)
         for r in range(3):
-            state, metrics = des_round(state, cfg, lambda i: obj, partition)
+            state, metrics = des_round(state, cfg, obj, partition)
             assert metrics.evals == per_round
             assert obj.eval_counter == (r + 1) * per_round
 

@@ -214,6 +214,10 @@ def test_run_spec_errors_exit_1(tmp_path, capsys):
     assert main(["run", str(spec_path), "--set", "seeds=3",
                  "--out", str(tmp_path / "r")]) == 1
     assert "error:" in capsys.readouterr().err
+    for threads in ("0", "-3"):
+        assert main(["run", str(spec_path), "--threads", threads,
+                     "--out", str(tmp_path / "r")]) == 1
+        assert "--threads" in capsys.readouterr().err
 
 
 def test_profile_command(tmp_path, capsys):

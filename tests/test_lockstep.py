@@ -122,7 +122,7 @@ def test_lockstep_round_matches_per_worker_reference(monkeypatch):
         ref_obj = RegularizedObjective(loss, data, reg)
         obj = RegularizedObjective(loss, data, reg)
         want_state, want = reference_round(state, cfg, ref_obj, partition)
-        got_state, got = des_round(state, cfg, lambda i: obj, partition)
+        got_state, got = des_round(state, cfg, obj, partition)
         assert np.array_equal(got_state.x, want_state.x)
         assert np.array_equal(got_state.m, want_state.m)
         assert got_state.t == want_state.t

@@ -6,16 +6,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from desopt import (
-    MutationKind,
-    MutationModel,
-    RngStream,
+from desopt import MutationKind, MutationModel, RngStream
+from desopt.mutation import draw_terms
+from mutation_oracles import (
     empirical_covariance,
     empirical_moments,
     fourth_moment_closed_form,
     sample,
 )
-from desopt.mutation import draw_terms
 
 MIXTURE_KINDS = [MutationKind.MIXTURE_GAUSSIAN, MutationKind.MIXTURE_RADEMACHER]
 ALL_KINDS = [MutationKind.STANDARD_GAUSSIAN] + MIXTURE_KINDS

@@ -13,7 +13,6 @@ from desopt import (
     MutationKind,
     MutationModel,
     NonFiniteObjectiveError,
-    PartitionPlan,
     RegularizedObjective,
     RngStream,
     ServerState,
@@ -28,7 +27,7 @@ from desopt import (
     step_size,
     synth_dataset,
 )
-from helpers import StubObjective, StubView
+from desopt.objective import StackedBatch
 
 GAUSS = MutationModel(MutationKind.STANDARD_GAUSSIAN, 4)
 
@@ -105,18 +104,20 @@ def test_average_displacement_identity():
 
 
 def test_des_round_all_rejected_is_fixed_point():
-    # Candidates always evaluate worse than the parent: every worker returns
-    # x unchanged, d = 0, and with m = 0 the incumbent does not move.
+    # A regularizer this large makes every move away from x = 0 worse than
+    # staying: every worker returns x unchanged, d = 0, and with m = 0 the
+    # incumbent does not move.
+    train = synth_dataset(SynthKind.SEPARABLE_LINEAR, 4, 40, RngStream(3, "synth"))
+    obj = RegularizedObjective(LossKind.LR, train, reg=1e6)
     cfg = make_cfg(workers=2, beta=0.5)
-    partition = PartitionPlan(worker_shards=(np.array([0, 1]), np.array([2, 3])))
-    state = ServerState(x=np.array([1.0, -1.0, 0.5, 0.0]), m=np.zeros(4), t=0)
-    stub = StubObjective(StubView(parent_value=1.0, candidate_value=2.0))
-    new_state, metrics = des_round(state, cfg, lambda i: stub, partition)
+    partition = partition_uniform(train, 2, RngStream(0, "partition"))
+    state = ServerState.initial(4)
+    new_state, metrics = des_round(state, cfg, obj, partition)
     npt.assert_array_equal(new_state.x, state.x)
     npt.assert_array_equal(new_state.m, np.zeros(4))
     assert new_state.t == 1
     assert metrics.accepted == (0, 0)
-    assert metrics.evals == 2 * 4 * 5
+    assert metrics.evals == obj.eval_counter == 2 * 4 * 5
 
 
 def test_des_round_schedule_is_exact():
@@ -133,31 +134,30 @@ def test_des_round_schedule_is_exact():
         state = ServerState.initial(4)
         state.t = t
         steps: dict[int, list[float]] = {0: [], 1: []}
-        des_round(state, cfg, lambda i: obj, partition,
+        des_round(state, cfg, obj, partition,
                   trace_factory=lambda i: lambda k, s, v, f: steps[i].append(s))
         for i in (0, 1):
             assert steps[i] == [step_size(2.0, t, k) for k in range(4)]
 
 
-@pytest.mark.parametrize("path", ["stacked", "callable"])
+@pytest.mark.parametrize("path", ["stacked"])
 def test_des_round_nan_start_raises(path):
-    # Views of one objective go through the stacked evaluator; views of
-    # distinct objectives are called one point at a time. Both must refuse a
-    # NaN parent value instead of ranking against it.
+    # A NaN parent value must be refused instead of ranked against.
     train = synth_dataset(SynthKind.SEPARABLE_LINEAR, 4, 40, RngStream(3, "synth"))
-    objs = [RegularizedObjective(LossKind.LR, train) for _ in range(2)]
-    factory = (lambda i: objs[0]) if path == "stacked" else (lambda i: objs[i])
+    obj = RegularizedObjective(LossKind.LR, train)
     partition = partition_uniform(train, 2, RngStream(0, "partition"))
     state = ServerState(x=np.array([0.5, np.nan, 0.0, 1.0]), m=np.zeros(4), t=0)
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteObjectiveError, match="start point"):
-        des_round(state, make_cfg(), factory, partition)
+        des_round(state, make_cfg(), obj, partition)
 
 
-def test_des_round_nan_candidate_raises():
-    partition = PartitionPlan(worker_shards=(np.array([0, 1]), np.array([2, 3])))
-    stub = StubObjective(StubView(parent_value=1.0, candidate_value=float("nan")))
-    with pytest.raises(NonFiniteObjectiveError):
-        des_round(ServerState.initial(4), make_cfg(), lambda i: stub, partition)
+def test_des_round_nan_candidate_raises(monkeypatch):
+    train = synth_dataset(SynthKind.SEPARABLE_LINEAR, 4, 40, RngStream(3, "synth"))
+    obj = RegularizedObjective(LossKind.LR, train)
+    partition = partition_uniform(train, 2, RngStream(0, "partition"))
+    monkeypatch.setattr(StackedBatch, "values", lambda self, V, cols=None: np.full(len(V), np.nan))
+    with pytest.raises(NonFiniteObjectiveError, match="candidate"):
+        des_round(ServerState.initial(4), make_cfg(), obj, partition)
 
 
 def test_round_and_run_eval_accounting():
