@@ -54,7 +54,6 @@ from .objective import (
     Dataset,
     LossKind,
     RegularizedObjective,
-    SparseExample,
     classification_error,
 )
 from .server import (

@@ -4,7 +4,8 @@ fixed or fresh minibatches, sign-vote zeroth-order SGD, and a distributed
 
 All four consume exactly workers * local_iters * batch_size objective
 evaluations per round when local_iters is even (the ES population size must
-additionally divide the budget evenly; see csa_population_size).
+additionally divide the budget evenly; see csa_population_size). Each round
+runs its M workers one after another in the calling thread, in index order.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 from .bench import RunRecord
 from .mutation import RngStream
 from .objective import Dataset, LossKind
-from .server import RoundConfig, map_workers, run_rounds
+from .server import RoundConfig, run_rounds
 
 # Unused here, but benchmarks/tracing.py patches both through this module's __dict__.
 from .dataio import partition_uniform  # noqa: F401
@@ -79,8 +80,8 @@ def _half_iters(cfg: BaselineConfig) -> int:
     return k_prime
 
 
-def _run_zo(algorithm, cfg, train, test, loss_kind, reg, smoothing, threads, timing,
-            instance, local, combine) -> RunRecord:
+def _run_zo(algorithm, cfg, train, test, loss_kind, reg, smoothing, timing, instance,
+            local, combine) -> RunRecord:
     """Round skeleton of the zeroth-order baselines.
 
     Worker i of round t calls local(t, x, k_prime, next_view, grad): next_view()
@@ -92,7 +93,7 @@ def _run_zo(algorithm, cfg, train, test, loss_kind, reg, smoothing, threads, tim
     evals = cfg.workers * k_prime * 2 * cfg.batch_size * smoothing.directions
 
     def make_round(obj, partition):
-        def round_fn(t, x, pool):
+        def round_fn(t, x):
             def worker(i):
                 batch_stream = RngStream(cfg.seed, t, i, "batch")
                 sm_stream = RngStream(cfg.seed, t, i, "smoothing")
@@ -105,10 +106,10 @@ def _run_zo(algorithm, cfg, train, test, loss_kind, reg, smoothing, threads, tim
 
                 return local(t, x, k_prime, next_view, grad)
 
-            return combine(t, x, map_workers(pool, worker, cfg.workers)), evals
+            return combine(t, x, [worker(i) for i in range(cfg.workers)]), evals
         return round_fn
 
-    return run_rounds(algorithm, cfg, train, test, loss_kind, reg, threads, timing,
+    return run_rounds(algorithm, cfg, train, test, loss_kind, reg, timing,
                       instance, make_round, {"mu": smoothing.mu})
 
 
@@ -123,7 +124,6 @@ def run_fed_zo_gd(
     loss_kind: LossKind,
     reg: float = 1e-6,
     smoothing: SmoothingConfig = SmoothingConfig(),
-    threads: int | None = None,
     timing: bool = False,
     instance: str = "",
 ) -> RunRecord:
@@ -137,8 +137,8 @@ def run_fed_zo_gd(
             xi -= cfg.alpha / ((k + 1) * math.sqrt(t + 1)) * grad(view, xi)
         return xi
 
-    return _run_zo("fed-zo-gd", cfg, train, test, loss_kind, reg, smoothing, threads,
-                   timing, instance, local, _mean)
+    return _run_zo("fed-zo-gd", cfg, train, test, loss_kind, reg, smoothing, timing,
+                   instance, local, _mean)
 
 
 def run_fed_zo_sgd(
@@ -148,7 +148,6 @@ def run_fed_zo_sgd(
     loss_kind: LossKind,
     reg: float = 1e-6,
     smoothing: SmoothingConfig = SmoothingConfig(),
-    threads: int | None = None,
     timing: bool = False,
     instance: str = "",
 ) -> RunRecord:
@@ -161,8 +160,8 @@ def run_fed_zo_sgd(
             xi -= cfg.alpha / math.sqrt((k + 1) * (t + 1)) * grad(next_view(), xi)
         return xi
 
-    return _run_zo("fed-zo-sgd", cfg, train, test, loss_kind, reg, smoothing, threads,
-                   timing, instance, local, _mean)
+    return _run_zo("fed-zo-sgd", cfg, train, test, loss_kind, reg, smoothing, timing,
+                   instance, local, _mean)
 
 
 def run_zo_signsgd(
@@ -172,7 +171,6 @@ def run_zo_signsgd(
     loss_kind: LossKind,
     reg: float = 1e-6,
     smoothing: SmoothingConfig = SmoothingConfig(),
-    threads: int | None = None,
     timing: bool = False,
     instance: str = "",
 ) -> RunRecord:
@@ -189,8 +187,8 @@ def run_zo_signsgd(
     def combine(t, x, votes):
         return x - cfg.alpha / math.sqrt(t + 1) * sign_plus(np.sum(np.asarray(votes), axis=0))
 
-    return _run_zo("zo-signsgd", cfg, train, test, loss_kind, reg, smoothing, threads,
-                   timing, instance, local, combine)
+    return _run_zo("zo-signsgd", cfg, train, test, loss_kind, reg, smoothing, timing,
+                   instance, local, combine)
 
 
 @dataclass(frozen=True)
@@ -277,7 +275,6 @@ def run_es_csa(
     test: Dataset,
     loss_kind: LossKind,
     reg: float = 1e-6,
-    threads: int | None = None,
     timing: bool = False,
     instance: str = "",
 ) -> RunRecord:
@@ -290,16 +287,16 @@ def run_es_csa(
         views = [obj.batch(shard) for shard in partition.worker_shards]
         state = csa_init(np.zeros(train.n_features), lam, sigma0=cfg.alpha)
 
-        def round_fn(t, x, pool):
+        def round_fn(t, x):
             nonlocal state
             draws = RngStream(cfg.seed, t, "csa").gen.standard_normal((lam, train.n_features))
             candidates = state.mean + state.sigma * draws
-            shard_sums = map_workers(pool, lambda i: views[i].loss_sum_many(candidates), cfg.workers)
+            shard_sums = [view.loss_sum_many(candidates) for view in views]
             values = np.sum(np.asarray(shard_sums), axis=0) / len(train)
             values += 0.5 * reg * np.sum(candidates**2, axis=1)
             state = csa_step(state, draws, values)
             return state.mean.copy(), lam * len(train)
         return round_fn
 
-    return run_rounds("es-csa", cfg, train, test, loss_kind, reg, threads, timing,
+    return run_rounds("es-csa", cfg, train, test, loss_kind, reg, timing,
                       instance, make_round, {"lambda": lam})

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -254,8 +253,7 @@ def _dimension_rule(n: int, spec: ExperimentSpec) -> tuple[int, int]:
 
 
 def _run_cell(spec, algo: AlgoSpec, alpha: float, seed: int, train, test,
-              loss: LossKind, local_iters: int, rounds: int,
-              threads: int | None, timing: bool, instance: str):
+              loss: LossKind, local_iters: int, rounds: int, timing: bool, instance: str):
     if algo.name == "des":
         model = MutationModel(_MODEL_NAMES[algo.model], train.n_features, l=algo.mixture_size)
         cfg = DesConfig(
@@ -263,8 +261,7 @@ def _run_cell(spec, algo: AlgoSpec, alpha: float, seed: int, train, test,
             batch_size=spec.batch_size, alpha=alpha, model=model, seed=seed,
             beta=algo.beta, allow_unsafe_beta=algo.allow_unsafe_beta,
         )
-        return run_des(cfg, train, test, loss, reg=spec.reg, threads=threads,
-                       timing=timing, instance=instance)
+        return run_des(cfg, train, test, loss, reg=spec.reg, timing=timing, instance=instance)
     cfg = BaselineConfig(
         workers=spec.workers, rounds=rounds, local_iters=local_iters,
         batch_size=spec.batch_size, alpha=alpha, seed=seed,
@@ -275,11 +272,10 @@ def _run_cell(spec, algo: AlgoSpec, alpha: float, seed: int, train, test,
         "zo-signsgd": run_zo_signsgd,
         "es-csa": run_es_csa,
     }[algo.name]
-    return runner(cfg, train, test, loss, reg=spec.reg, threads=threads,
-                  timing=timing, instance=instance)
+    return runner(cfg, train, test, loss, reg=spec.reg, timing=timing, instance=instance)
 
 
-def run_matrix(spec: ExperimentSpec, threads: int | None = None, timing: bool = False) -> int:
+def run_matrix(spec: ExperimentSpec, timing: bool = False) -> int:
     """Execute the full experiment cross-product and write metrics/profiles CSVs.
 
     Per-cell failures are reported and skipped; any failure yields exit code 2.
@@ -313,7 +309,7 @@ def run_matrix(spec: ExperimentSpec, threads: int | None = None, timing: bool = 
                     for seed in spec.seeds:
                         try:
                             rec = _run_cell(spec, algo, alpha, seed, train, test, loss,
-                                            local_iters, rounds, threads, timing, instance)
+                                            local_iters, rounds, timing, instance)
                         except Exception as exc:
                             failures.append(
                                 (f"{algo.name} alpha={alpha:g} on {instance} seed {seed}", exc)
@@ -357,9 +353,7 @@ def _cmd_run(args) -> int:
     raw = _apply_overrides(raw, args.overrides)
     if args.out is not None:
         raw["out_dir"] = args.out
-    spec = _build_spec(raw)
-    threads = args.threads if args.threads is not None else os.cpu_count()
-    return run_matrix(spec, threads=threads, timing=args.timing)
+    return run_matrix(_build_spec(raw), timing=args.timing)
 
 
 def _cmd_profile(args) -> int:
@@ -396,9 +390,8 @@ def main(argv=None) -> int:
                        metavar="KEY=VALUE", help="override a spec entry (dotted paths)")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--threads", type=int, default=None,
-                       help="thread cap, at least 1, for the baselines' workers (default: "
-                            "CPU count); DES workers run in lockstep in the calling thread; "
-                            "results are identical at any value")
+                       help="ignored, but must be at least 1 if given: every algorithm "
+                            "runs its workers in the calling thread")
     run_p.add_argument("--timing", action="store_true",
                        help="record wall-clock times (breaks byte-reproducibility of CSVs)")
 

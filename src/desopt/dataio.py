@@ -129,10 +129,11 @@ def write_libsvm(dataset: Dataset, target) -> None:
     """Serialize a Dataset back to LIBSVM text (1-based indices, exact floats)."""
     fh, owned = (target, False) if hasattr(target, "write") else (open(target, "w", encoding="utf-8"), True)
     try:
-        for i in range(len(dataset)):
-            ex = dataset.example(i)
-            parts = [f"{ex.label:+d}"]
-            parts.extend(f"{j + 1}:{v:.17g}" for j, v in zip(ex.indices, ex.values))
+        X = dataset.matrix
+        for i, label in enumerate(dataset.labels):
+            row = slice(X.indptr[i], X.indptr[i + 1])
+            parts = [f"{int(label):+d}"]
+            parts.extend(f"{j + 1}:{v:.17g}" for j, v in zip(X.indices[row], X.data[row]))
             fh.write(" ".join(parts) + "\n")
     finally:
         if owned:

@@ -1,44 +1,21 @@
-"""Regularized finite-sum losses over sparse data, plus diagnostic gradients.
+"""Regularized finite-sum losses over sparse data.
 
 Three binary-classification losses (logistic, nonconvex SVM, hinge SVM) with
 an L2 regularizer. Minibatches are plain arrays of row indices into a Dataset
-(duplicates allowed, matching with-replacement draws). Analytic gradients are
-diagnostic only; the search algorithms never call them.
+(duplicates allowed, matching with-replacement draws).
 """
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 
 class LossKind(Enum):
     LR = "LR"
     NSVM = "NSVM"
     LSVM = "LSVM"
-
-
-@dataclass(frozen=True)
-class SparseExample:
-    """One data point: sorted 0-based feature indices, values, and a ±1 label."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        if len(self.indices) != len(self.values):
-            raise ValueError("indices and values must have the same length")
-        if len(self.indices) and np.any(np.diff(self.indices) <= 0):
-            raise ValueError("indices must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values must be finite")
-        if self.label not in (-1, 1):
-            raise ValueError(f"label must be -1 or +1, got {self.label}")
 
 
 class Dataset:
@@ -59,37 +36,12 @@ class Dataset:
         self.matrix = matrix
         self.labels = labels
 
-    @classmethod
-    def from_examples(cls, examples: list[SparseExample], n_features: int | None = None) -> "Dataset":
-        if not examples:
-            raise ValueError("dataset must be nonempty")
-        seen_max = max((int(ex.indices.max()) + 1 if len(ex.indices) else 0) for ex in examples)
-        n = seen_max if n_features is None else int(n_features)
-        if n < max(seen_max, 1):
-            raise ValueError(f"n_features={n_features} smaller than max index seen ({seen_max})")
-        indptr = np.zeros(len(examples) + 1, dtype=np.int64)
-        for i, ex in enumerate(examples):
-            indptr[i + 1] = indptr[i] + len(ex.indices)
-        indices = np.concatenate([ex.indices for ex in examples]) if indptr[-1] else np.zeros(0, dtype=np.int64)
-        values = np.concatenate([ex.values for ex in examples]) if indptr[-1] else np.zeros(0)
-        labels = np.array([ex.label for ex in examples], dtype=np.float64)
-        matrix = sp.csr_matrix((values, indices, indptr), shape=(len(examples), n))
-        return cls(matrix, labels)
-
     @property
     def n_features(self) -> int:
         return self.matrix.shape[1]
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
-
-    def example(self, i: int) -> SparseExample:
-        start, end = self.matrix.indptr[i], self.matrix.indptr[i + 1]
-        return SparseExample(
-            indices=self.matrix.indices[start:end].astype(np.int64),
-            values=self.matrix.data[start:end].copy(),
-            label=int(self.labels[i]),
-        )
 
     def subset(self, rows) -> "Dataset":
         rows = np.asarray(rows, dtype=np.int64)
@@ -119,16 +71,6 @@ def _loss_values(kind: LossKind, a: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 1.0 - a)
 
 
-def _loss_margin_grad(kind: LossKind, a: np.ndarray) -> np.ndarray:
-    """d(loss)/da at the signed margin; hinge kink (a = 1) takes 0."""
-    if kind is LossKind.LR:
-        return -expit(-a)
-    if kind is LossKind.NSVM:
-        t = np.tanh(a)
-        return -(1.0 - t * t)
-    return np.where(a < 1.0, -1.0, 0.0)
-
-
 class BatchView:
     """The fixed-minibatch objective f_i: rows sliced once, evaluated many times.
 
@@ -156,7 +98,7 @@ class BatchView:
     def value(self, x: np.ndarray) -> float:
         """Mean batch loss plus the L2 regularizer."""
         a = self._margins(x)
-        self.obj._count(self.b)
+        self.obj.eval_counter += self.b
         return float(np.mean(_loss_values(self.obj.loss_kind, a))) + self.obj._reg_term(x)
 
     def peek_value(self, x: np.ndarray) -> float:
@@ -168,31 +110,12 @@ class BatchView:
         a = self._margins(x)
         return float(np.mean(_loss_values(self.obj.loss_kind, a))) + self.obj._reg_term(x)
 
-    def loss_sum(self, x: np.ndarray) -> float:
-        """Unregularized loss summed over the batch (for shard-sum aggregation)."""
-        a = self._margins(x)
-        self.obj._count(self.b)
-        return float(np.sum(_loss_values(self.obj.loss_kind, a)))
-
     def loss_sum_many(self, points: np.ndarray) -> np.ndarray:
         """Unregularized loss sums for several points at once, shape (q,)."""
         points = np.asarray(points, dtype=np.float64)
         margins = self._y[:, None] * (self._X @ points.T)
-        self.obj._count(self.b * points.shape[0])
+        self.obj.eval_counter += self.b * points.shape[0]
         return np.sum(_loss_values(self.obj.loss_kind, margins), axis=0)
-
-    def value_many(self, points: np.ndarray) -> np.ndarray:
-        """Regularized batch objective at several points at once, shape (q,)."""
-        sums = self.loss_sum_many(points)
-        regs = 0.5 * self.obj.reg * np.sum(np.asarray(points, dtype=np.float64) ** 2, axis=1)
-        return sums / self.b + regs
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Exact batch gradient (subgradient for the hinge). Diagnostic only."""
-        x = np.asarray(x, dtype=np.float64)
-        a = self._margins(x)
-        coef = self._y * _loss_margin_grad(self.obj.loss_kind, a)
-        return np.asarray(self._X.T @ coef) / self.b + self.obj.reg * x
 
 
 class StackedBatch:
@@ -254,7 +177,7 @@ class StackedBatch:
         allowed) where V may differ from the kept points; None means anywhere.
         """
         total = self._X.shape[0]
-        self.obj._count(total)
+        self.obj.eval_counter += total
         rows = None
         if cols is not None:
             touched = self._csc.indptr[cols + 1] - self._csc.indptr[cols]
@@ -308,21 +231,12 @@ class RegularizedObjective:
         self.dataset = dataset
         self.reg = float(reg)
         self.eval_counter = 0
-        self._lock = threading.Lock()
-
-    def _count(self, samples: int) -> None:
-        with self._lock:
-            self.eval_counter += samples
 
     def _reg_term(self, x: np.ndarray) -> float:
         return 0.5 * self.reg * float(np.dot(x, x))
 
     def batch(self, rows) -> BatchView:
         return BatchView(self, rows)
-
-    def eval(self, x: np.ndarray, rows) -> float:
-        """Minibatch objective f_i(x): mean loss over rows + regularizer."""
-        return self.batch(rows).value(x)
 
     def eval_full(self, x: np.ndarray) -> float:
         """Full-dataset objective f(x). Metric path, not counted."""
@@ -333,10 +247,6 @@ class RegularizedObjective:
             )
         a = self.dataset.labels * (self.dataset.matrix @ x)
         return float(np.mean(_loss_values(self.loss_kind, a))) + self._reg_term(x)
-
-    def gradient(self, x: np.ndarray, rows) -> np.ndarray:
-        """Exact minibatch gradient, validated against central differences."""
-        return self.batch(rows).gradient(x)
 
 
 def classification_error(x: np.ndarray, dataset: Dataset) -> float:

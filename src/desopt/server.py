@@ -1,14 +1,14 @@
 """Synchronous distributed-ES orchestration: broadcast the incumbent, run the
 workers' local solvers in lockstep for one round, average the returned points,
 and advance the incumbent through a momentum-damped delayed step. Also home to the
-round driver and config checks that DES and the baselines share.
+round driver and config checks that DES and the baselines share. Every
+algorithm simulates its M workers in the calling thread; none starts a thread.
 """
 from __future__ import annotations
 
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,13 +157,6 @@ def _algo_id(model: MutationModel) -> str:
     }[model.kind]
 
 
-def map_workers(pool: ThreadPoolExecutor | None, fn, count: int) -> list:
-    """[fn(0), ..., fn(count - 1)] in index order, on the pool's threads if given."""
-    if pool is None:
-        return [fn(i) for i in range(count)]
-    return list(pool.map(fn, range(count)))
-
-
 def run_rounds(
     algorithm: str,
     cfg: RoundConfig,
@@ -171,7 +164,6 @@ def run_rounds(
     test: Dataset,
     loss_kind: LossKind,
     reg: float,
-    threads: int | None,
     timing: bool,
     instance: str,
     make_round,
@@ -179,11 +171,11 @@ def run_rounds(
 ) -> RunRecord:
     """The round loop every algorithm runs through.
 
-    make_round(obj, partition) returns round_fn(t, x, pool) -> (x_next, evals),
-    which advances the iterate by round t and reports the evaluations it spent;
-    pool is None or a thread pool for map_workers. Row 0 snapshots the zero
-    starting point; a round starts only while the evaluation total is below
-    cfg.max_evals. Wall times are recorded only when timing=True; otherwise
+    make_round(obj, partition) returns round_fn(t, x) -> (x_next, evals),
+    which advances the iterate by round t, with its M workers simulated in
+    the calling thread, and reports the evaluations it spent. Row 0 snapshots
+    the zero starting point; a round starts only while the evaluation total
+    is below cfg.max_evals. Wall times are recorded only when timing=True; otherwise
     the column is a deterministic 0 so repeated runs serialize byte-identically.
     """
     obj = RegularizedObjective(loss_kind, train, reg)
@@ -210,19 +202,14 @@ def run_rounds(
         ))
 
     snapshot(0.0)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads is not None and threads > 1 else None
-    try:
-        for t in range(cfg.rounds):
-            if cfg.max_evals is not None and cum >= cfg.max_evals:
-                break
-            start = time.perf_counter()
-            x, evals = round_fn(t, x, pool)
-            cum += evals
-            done += 1
-            snapshot((time.perf_counter() - start) * 1e3)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for t in range(cfg.rounds):
+        if cfg.max_evals is not None and cum >= cfg.max_evals:
+            break
+        start = time.perf_counter()
+        x, evals = round_fn(t, x)
+        cum += evals
+        done += 1
+        snapshot((time.perf_counter() - start) * 1e3)
     if obj.eval_counter != cum:
         raise RuntimeError(
             f"evaluation ledger drift: instrumented counter {obj.eval_counter} "
@@ -241,17 +228,21 @@ def run_des(
     timing: bool = False,
     instance: str = "",
 ) -> RunRecord:
-    """Run cfg.rounds DES rounds from the zero point, one metric row per round."""
+    """Run cfg.rounds DES rounds from the zero point, one metric row per round.
+
+    threads is accepted and ignored (the M workers run in lockstep in the
+    calling thread); it stays only for existing callers.
+    """
 
     def make_round(obj, partition):
         state = ServerState.initial(train.n_features)
 
-        def round_fn(t, x, pool):
+        def round_fn(t, x):
             nonlocal state
             state, metrics = des_round(state, cfg, obj, partition)
             return state.x, metrics.evals
         return round_fn
 
-    return run_rounds(_algo_id(cfg.model), cfg, train, test, loss_kind, reg, threads, timing,
+    return run_rounds(_algo_id(cfg.model), cfg, train, test, loss_kind, reg, timing,
                       instance, make_round, {"beta": cfg.beta, "model": cfg.model.kind.value,
                                              "mixture_size": cfg.model.l})

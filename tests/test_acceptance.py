@@ -47,6 +47,7 @@ from desopt import (
 from desopt.localsolver import LocalConfig
 from desopt.mutation import draw_terms
 from mutation_oracles import empirical_moments, fourth_moment_closed_form
+from objective_oracles import batch_gradient
 
 
 @contextlib.contextmanager
@@ -343,7 +344,7 @@ def test_criterion_10_zo_estimator_sanity():
         for p in range(10):
             view = obj.batch(rng.integers(0, 200, size=32))
             x = rng.normal(size=10) * 0.5
-            g_true = view.gradient(x)
+            g_true = batch_gradient(view, x)
             g_est = zo_grad_central(view.peek_value, x, smoothing, RngStream(57, "zo", p))
             cos = float(g_est @ g_true / (np.linalg.norm(g_est) * np.linalg.norm(g_true)))
             assert cos > 0.9, (p, cos)

@@ -3,6 +3,7 @@ reproducibility, and command exit codes."""
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -165,6 +166,22 @@ def test_run_matrix_byte_identical_reruns_and_threads(tmp_path):
             (out_dir / "profiles.csv").read_bytes(),
         )
     assert blobs["a"] == blobs["b"] == blobs["c"]
+
+
+def test_run_matrix_starts_no_thread(tmp_path, monkeypatch):
+    # Every algorithm simulates its workers in the calling thread, whatever --threads says.
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    names = ("des", "fed-zo-gd", "fed-zo-sgd", "zo-signsgd", "es-csa")
+    # 2*2*32 = 128 evaluations per round over 64 training rows: es-csa population 2
+    spec_path = write_spec(tmp_path / "spec.json", batch_size=32, epochs=4, seeds=[0],
+                           algorithms=[{"name": name, "alpha": [1.0]} for name in names])
+    assert main(["run", str(spec_path), "--out", str(tmp_path / "runs"), "--threads", "4"]) == 0
+    records = read_metrics_csv(tmp_path / "runs" / "metrics.csv")
+    assert sorted(r.algorithm for r in records) == sorted(names)
+    assert all(len(r.rows) == 3 for r in records)
 
 
 def test_run_matrix_alpha_grid_suffix(tmp_path):

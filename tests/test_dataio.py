@@ -36,13 +36,10 @@ def test_parse_basic():
     ds = parse_libsvm(io.StringIO(SAMPLE))
     assert len(ds) == 3
     assert ds.n_features == 4
-    ex0 = ds.example(0)
-    npt.assert_array_equal(ex0.indices, [0, 2])  # 1-based input, 0-based storage
-    npt.assert_array_equal(ex0.values, [0.5, -2.0])
-    assert ex0.label == 1
-    assert ds.example(1).label == -1
-    npt.assert_array_equal(ds.example(2).indices, [3])
-    npt.assert_allclose(ds.example(2).values, [1e-3])
+    npt.assert_array_equal(ds.matrix.indptr, [0, 2, 3, 4])
+    npt.assert_array_equal(ds.matrix.indices, [0, 2, 1, 3])  # 1-based input, 0-based storage
+    npt.assert_allclose(ds.matrix.data, [0.5, -2.0, 1.25, 1e-3])
+    npt.assert_array_equal(ds.labels, [1.0, -1.0, 1.0])
 
 
 def test_parse_n_features_override_and_blank_lines():
@@ -95,7 +92,7 @@ def test_parse_gzip_path(tmp_path):
         fh.write(SAMPLE)
     ds = parse_libsvm(path)
     assert len(ds) == 3
-    assert ds.example(0).label == 1
+    assert ds.labels[0] == 1.0
 
 
 def test_parse_plain_path(tmp_path):
@@ -127,10 +124,8 @@ def test_split_sizes_and_disjointness():
     assert len(test) == 20
     # row multiset is preserved: compare sorted serialized rows
     def keys(d):
-        return sorted(
-            (tuple(d.example(i).indices), tuple(d.example(i).values), d.example(i).label)
-            for i in range(len(d))
-        )
+        X = d.matrix
+        return sorted((tuple(X[i].indices), tuple(X[i].data), d.labels[i]) for i in range(len(d)))
     assert sorted(keys(train) + keys(test)) == keys(ds)
 
 
@@ -183,9 +178,9 @@ def test_synth_separable_truth_has_zero_error():
     assert classification_error(w_star, ds) == 0.0
     # per-row sparsity: round(20/4) = 5 distinct sorted indices
     for i in range(0, 500, 97):
-        ex = ds.example(i)
-        assert len(ex.indices) == 5
-        assert np.all(np.diff(ex.indices) > 0)
+        indices = ds.matrix[i].indices
+        assert len(indices) == 5
+        assert np.all(np.diff(indices) > 0)
 
 
 def test_synth_noisy_flip_rate():
@@ -198,7 +193,7 @@ def test_synth_noisy_flip_rate():
 def test_synth_single_feature_dimension():
     ds = synth_dataset(SynthKind.SEPARABLE_LINEAR, 1, 10, RngStream(23, "synth"))
     assert ds.n_features == 1
-    assert all(len(ds.example(i).indices) == 1 for i in range(10))
+    npt.assert_array_equal(np.diff(ds.matrix.indptr), 1)
 
 
 def test_synth_deterministic():

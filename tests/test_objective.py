@@ -9,10 +9,10 @@ from desopt import (
     Dataset,
     LossKind,
     RegularizedObjective,
-    SparseExample,
     classification_error,
 )
 from helpers import dataset_from_dense
+from objective_oracles import batch_gradient
 
 RNG = np.random.default_rng(90210)
 
@@ -45,11 +45,11 @@ def test_value_matches_per_example_loop():
     x = RNG.normal(size=6)
     for kind in LossKind:
         obj = RegularizedObjective(kind, ds, reg=1e-3)
-        got = obj.eval(x, rows)
+        got = obj.batch(rows).value(x)
         per = []
         for r in rows:
-            ex = ds.example(int(r))
-            a = ex.label * float(np.sum(ex.values * x[ex.indices]))
+            row = ds.matrix[int(r)]
+            a = ds.labels[r] * float(np.sum(row.data * x[row.indices]))
             if kind is LossKind.LR:
                 per.append(np.log1p(np.exp(-a)))
             elif kind is LossKind.NSVM:
@@ -84,9 +84,9 @@ def test_gradient_closed_forms_at_zero():
     # sigmoid-style SVM gradient is -1 e1 (reg term vanishes at zero).
     ds = dataset_from_dense([[1.0, 0.0, 0.0]], [1.0])
     x0 = np.zeros(3)
-    g_lr = RegularizedObjective(LossKind.LR, ds, reg=1e-6).gradient(x0, [0])
+    g_lr = batch_gradient(RegularizedObjective(LossKind.LR, ds, reg=1e-6).batch([0]), x0)
     npt.assert_allclose(g_lr, [-0.5, 0.0, 0.0], rtol=0, atol=1e-15)
-    g_nsvm = RegularizedObjective(LossKind.NSVM, ds, reg=1e-6).gradient(x0, [0])
+    g_nsvm = batch_gradient(RegularizedObjective(LossKind.NSVM, ds, reg=1e-6).batch([0]), x0)
     npt.assert_allclose(g_nsvm, [-1.0, 0.0, 0.0], rtol=0, atol=1e-15)
 
 
@@ -100,7 +100,7 @@ def test_gradient_matches_central_differences():
             x = rng.normal(size=4)
             rows = rng.integers(0, len(ds), size=6)
             view = obj.batch(rows)
-            g = view.gradient(x)
+            g = batch_gradient(view, x)
             fd = np.zeros(4)
             for j in range(4):
                 e = np.zeros(4)
@@ -111,15 +111,15 @@ def test_gradient_matches_central_differences():
 
 def test_hinge_subgradient_cases():
     ds = dataset_from_dense([[1.0, 0.0]], [1.0])
-    obj = RegularizedObjective(LossKind.LSVM, ds, reg=1e-3)
+    view = RegularizedObjective(LossKind.LSVM, ds, reg=1e-3).batch([0])
     # margin a = x[0]; below the kink the subgradient is -y z + reg x
-    g_below = obj.gradient(np.array([0.5, 0.0]), [0])
+    g_below = batch_gradient(view, np.array([0.5, 0.0]))
     npt.assert_allclose(g_below, [-1.0 + 1e-3 * 0.5, 0.0], rtol=1e-12)
     # at the kink (a = 1) the loss slope is defined as 0
-    g_at = obj.gradient(np.array([1.0, 0.0]), [0])
+    g_at = batch_gradient(view, np.array([1.0, 0.0]))
     npt.assert_allclose(g_at, [1e-3 * 1.0, 0.0], rtol=1e-12)
     # above the kink only the regularizer remains
-    g_above = obj.gradient(np.array([2.0, 0.0]), [0])
+    g_above = batch_gradient(view, np.array([2.0, 0.0]))
     npt.assert_allclose(g_above, [1e-3 * 2.0, 0.0], rtol=1e-12)
 
 
@@ -152,28 +152,12 @@ def test_eval_counter_semantics():
     assert obj.eval_counter == 4
     view.peek_value(x)
     assert obj.eval_counter == 4  # peek path is uncounted
-    view.loss_sum(x)
-    assert obj.eval_counter == 8
     view.loss_sum_many(np.zeros((3, 3)))
-    assert obj.eval_counter == 8 + 3 * 4
-    view.value_many(np.zeros((2, 3)))
-    assert obj.eval_counter == 20 + 2 * 4
+    assert obj.eval_counter == 4 + 3 * 4
     obj.eval_full(x)
-    view.gradient(x)
-    obj.gradient(x, [0, 1])
-    assert obj.eval_counter == 28  # metric/diagnostic paths stay uncounted
-    obj.eval(x, [5])
-    assert obj.eval_counter == 29
-
-
-def test_value_many_matches_value():
-    ds = random_dense_dataset(10, 3)
-    obj = RegularizedObjective(LossKind.NSVM, ds, reg=1e-4)
-    view = obj.batch([1, 4, 4, 9])
-    pts = np.random.default_rng(3).normal(size=(5, 3))
-    many = view.value_many(pts)
-    for i in range(5):
-        npt.assert_allclose(many[i], view.peek_value(pts[i]), rtol=1e-12)
+    assert obj.eval_counter == 16  # the metric path stays uncounted
+    obj.batch([5]).value(x)
+    assert obj.eval_counter == 17
 
 
 def test_dimension_mismatch_raises():
@@ -183,7 +167,7 @@ def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         obj.eval_full(bad)
     with pytest.raises(ValueError):
-        obj.eval(bad, [0])
+        obj.batch([0]).value(bad)
     with pytest.raises(ValueError):
         classification_error(bad, ds)
 
@@ -210,43 +194,11 @@ def test_dataset_validation():
         RegularizedObjective(LossKind.LR, random_dense_dataset(), reg=-1.0)
 
 
-def test_sparse_example_validation():
-    with pytest.raises(ValueError):
-        SparseExample(np.array([3, 1]), np.array([1.0, 2.0]), 1)
-    with pytest.raises(ValueError):
-        SparseExample(np.array([0, 0]), np.array([1.0, 2.0]), 1)
-    with pytest.raises(ValueError):
-        SparseExample(np.array([0]), np.array([1.0]), 0)
-    with pytest.raises(ValueError):
-        SparseExample(np.array([0]), np.array([1.0, 2.0]), 1)
-
-
-def test_from_examples_round_trip():
-    exs = [
-        SparseExample(np.array([0, 3]), np.array([1.5, -2.0]), 1),
-        SparseExample(np.array([1]), np.array([0.5]), -1),
-        SparseExample(np.array([], dtype=np.int64), np.array([]), 1),
-    ]
-    ds = Dataset.from_examples(exs, n_features=5)
-    assert ds.n_features == 5
-    assert len(ds) == 3
-    back = ds.example(0)
-    npt.assert_array_equal(back.indices, [0, 3])
-    npt.assert_array_equal(back.values, [1.5, -2.0])
-    assert back.label == 1
-    assert ds.example(2).indices.size == 0
-
-    with pytest.raises(ValueError):
-        Dataset.from_examples(exs, n_features=2)
-    with pytest.raises(ValueError):
-        Dataset.from_examples([])
-
-
 def test_subset_and_equality():
     ds = random_dense_dataset(8, 4)
     sub = ds.subset([0, 3, 3])
     assert len(sub) == 3
-    assert sub.example(1).label == ds.example(3).label
+    assert sub.labels[1] == ds.labels[3]
     assert sub == ds.subset(np.array([0, 3, 3]))
     assert not (sub == ds.subset([0, 3, 4]))
 
