@@ -259,7 +259,7 @@ def csa_step(state: CsaState, draws: np.ndarray, values: np.ndarray) -> CsaState
     c_sigma = (mu_eff + 2.0) / (n + mu_eff + 5.0)
     d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (n + 1.0)) - 1.0) + c_sigma
     p_next = (1.0 - c_sigma) * state.p_sigma + math.sqrt(c_sigma * (2.0 - c_sigma) * mu_eff) * z_mean
-    ratio = float(np.linalg.norm(p_next)) / _expected_chi_norm(n)
+    ratio = math.sqrt(float(np.sum(np.square(p_next)))) / _expected_chi_norm(n)
     sigma_next = state.sigma * math.exp((c_sigma / d_sigma) * (ratio - 1.0))
     return replace(
         state,

@@ -76,7 +76,8 @@ class CallableBatch:
     def __init__(self, value_fns: list[Callable[[np.ndarray], float]]):
         self.value_fns = value_fns
 
-    def values(self, V: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    def values(self, V: np.ndarray, cols: np.ndarray | None = None,
+               before: np.ndarray | None = None) -> np.ndarray:
         return np.array([fn(v) for fn, v in zip(self.value_fns, V)], dtype=np.float64)
 
     def keep(self, accepted: np.ndarray) -> None:
@@ -94,13 +95,17 @@ def run_lockstep_es(
     """Run cfg.iters (1+1)-ES iterations on every row of V at once, in place.
 
     Row i of V (M x n, C-contiguous) is worker i's point and f_start[i] its
-    value. Each iteration, every worker draws a mutation u_i from
-    streams[i] (in worker order, one draw per iteration), all M candidates
-    v_i + step_k * u_i with step_k = step0 / sqrt(k+1) are evaluated by one
-    batch.values(candidates, cols) call, and each worker keeps its candidate
-    on ties or improvement; batch.keep(accepted) then drops the rejected
-    candidates from any state the evaluator holds. cols lists the changed
-    flat coordinates i*n + j of mixture candidates and is None for dense ones.
+    value. Every iteration, all M candidates v_i + step_k * u_i with
+    step_k = step0 / sqrt(k+1) are evaluated by one batch.values call, and
+    each worker keeps its candidate on ties or improvement; batch.keep(accepted)
+    then drops the rejected candidates from any state the evaluator holds.
+    Mixture mutations u_i come from one draw_terms block per worker, drawn
+    from streams[i] at the start (in worker order, cfg.iters samples each);
+    their candidates are made in place and scored by
+    batch.values(V, cols, before), where cols lists the changed flat
+    coordinates i*n + j and before their kept values. Dense mutations are
+    drawn per iteration, standard_normal(n) from each stream in worker order,
+    and scored by batch.values(candidates).
     traces[i], if given, receives (k, step_k, v_i copy, f_i) after every
     iteration. Returns (final values, accepted counts), both of length M.
     """
@@ -113,6 +118,11 @@ def run_lockstep_es(
     model = cfg.model
     flat = V.reshape(-1)
     accepted = np.zeros(len(gens), dtype=np.int64)
+    if model.is_mixture:
+        idx, terms = zip(*(draw_terms(model, gen, cfg.iters) for gen in gens))
+        # (iters, M, l): iteration k's changed flat coordinates and terms
+        all_cols = np.stack(idx, axis=1) + (np.arange(len(gens)) * model.n)[:, None]
+        all_terms = np.stack(terms, axis=1)
 
     for k in range(cfg.iters):
         step = cfg.step0 * (k + 1) ** -0.5
@@ -120,11 +130,10 @@ def run_lockstep_es(
             # Sparse candidates: perturb in place, then put back the saved
             # slots of rejected workers. Duplicate indices accumulate in draw
             # order and restore to the value saved before any of them.
-            terms = [draw_terms(model, gen) for gen in gens]
-            cols = np.concatenate([idx + i * model.n for i, (idx, _) in enumerate(terms)])
+            cols = all_cols[k].reshape(-1)
             saved = flat[cols]
-            np.add.at(flat, cols, step * np.concatenate([vals for _, vals in terms]))
-            f_cand = batch.values(V, cols)
+            np.add.at(flat, cols, step * all_terms[k].reshape(-1))
+            f_cand = batch.values(V, cols, saved)
             ok = accept(f, f_cand)
             undo = np.repeat(~ok, model.l)
             flat[cols[undo]] = saved[undo]

@@ -78,17 +78,22 @@ class MutationModel:
         return float(np.sqrt(self.n / self.l))
 
 
-def draw_terms(model: MutationModel, gen) -> tuple[np.ndarray, np.ndarray]:
+def draw_terms(model: MutationModel, gen,
+               count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Draw the raw terms of one mixture sample: (indices, scaled values).
 
     Indices are drawn uniformly with replacement, so duplicates may appear;
     the sample is their additive accumulation. O(l) work, independent of n.
+    With count, draws a block of count samples in one call: both arrays have
+    shape (count, l), row k holding sample k (all indices are drawn before
+    all values, so the block differs from count one-sample draws).
     """
     if not model.is_mixture:
         raise ValueError("draw_terms is only defined for mixture models")
-    idx = gen.integers(0, model.n, size=model.l)
+    shape = model.l if count is None else (count, model.l)
+    idx = gen.integers(0, model.n, size=shape)
     if model.kind is MutationKind.MIXTURE_GAUSSIAN:
-        z = gen.standard_normal(model.l)
+        z = gen.standard_normal(shape)
     else:
-        z = gen.integers(0, 2, size=model.l) * 2.0 - 1.0
+        z = gen.integers(0, 2, size=shape) * 2.0 - 1.0
     return idx, model.scale * z

@@ -124,14 +124,20 @@ class StackedBatch:
 
     rows holds worker i's minibatch (row indices into obj.dataset) in row i.
     One gather of all M*b rows makes a block-diagonal CSR whose block i acts
-    on row i of V (columns offset by i*n), and an M x b cache holds the
-    per-row losses of the kept points. A candidate that changes only a few
-    coordinates recomputes just the batch rows those columns touch, found
-    through a CSC copy. When the changed columns hold more entries than a
-    quarter of the M*b rows, gathering those rows costs about as much as the
-    full stacked matvec, which then runs instead. Each worker value is
-    mean(loss row) plus the regularizer, the same operations as
-    BatchView.value, so the values match it bit for bit.
+    on row i of V (columns offset by i*n). For the kept points it caches the
+    M*b signed margins a = y * (X v), their per-row losses and each worker's
+    squared norm, all computed exactly by reset. A dense candidate recomputes
+    them with the full stacked matvec and one row sum per worker, the
+    operations of BatchView.value, so its values match it bit for bit. A
+    sparse mixture candidate moves the margins of the rows in each changed
+    column j by y_r * X_rj * delta_j (through a CSC copy whose entries are
+    scaled by y), recomputes the losses of those rows only, and moves each
+    squared norm by new^2 - old^2 over its changed coordinates. That is
+    O(l * column nnz + touched rows) arithmetic instead of a matvec over the
+    whole batch, plus copy-speed passes over the M*b cache (the saved copy
+    that keep restores rejected workers from, and the per-worker means); the
+    values equal an exact recompute up to rounding. Each worker value is
+    mean(loss row) plus the regularizer.
     """
 
     def __init__(self, obj: "RegularizedObjective", rows):
@@ -140,80 +146,76 @@ class StackedBatch:
         workers, self.b = rows.shape
         rows = rows.reshape(-1)
         X = obj.dataset.matrix[rows]
-        n = obj.dataset.n_features
-        shape = (workers * self.b, workers * n)
+        self.n = obj.dataset.n_features
+        shape = (workers * self.b, workers * self.n)
         # int32 indices, the dtype scipy would pick anyway, skip its content scan
         index = np.int32 if max(*shape, X.nnz) <= np.iinfo(np.int32).max else np.int64
-        offsets = np.repeat(np.arange(workers, dtype=index) * index(n), np.diff(X.indptr[::self.b]))
+        offsets = np.repeat(np.arange(workers, dtype=index) * index(self.n),
+                            np.diff(X.indptr[::self.b]))
         self._X = sp.csr_matrix((X.data, X.indices.astype(index, copy=False) + offsets,
                                  X.indptr.astype(index, copy=False)), shape=shape)
-        self._csc = self._X.tocsc()
         self._y = obj.dataset.labels[rows]
-        self._loss = None
-        self._undo = None
+        self._csc = self._X.tocsc()
+        self._csc.data *= self._y[self._csc.indices]
+        self._a = self._loss = self._sq = self._undo = None
 
-    def _all_rows(self, V: np.ndarray) -> np.ndarray:
-        a = self._y * (self._X @ V.reshape(-1))
-        return _loss_values(self.obj.loss_kind, a).reshape(-1, self.b)
+    def _exact(self, V: np.ndarray) -> None:
+        self._a = self._y * (self._X @ V.reshape(-1))
+        self._loss = _loss_values(self.obj.loss_kind, self._a).reshape(-1, self.b)
+        self._sq = np.add.reduce(np.square(V), axis=1)
 
-    def _some_rows(self, V: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        pos, indptr = _slices(self._X.indptr, rows)
-        sub = sp.csr_matrix((self._X.data[pos], self._X.indices[pos], indptr),
-                            shape=(len(rows), self._X.shape[1]))
-        return _loss_values(self.obj.loss_kind, self._y[rows] * (sub @ V.reshape(-1)))
-
-    def _worker_values(self, V: np.ndarray) -> np.ndarray:
-        return self._loss.mean(axis=1) + np.array([self.obj._reg_term(v) for v in V])
+    def _worker_values(self) -> np.ndarray:
+        return self._loss.mean(axis=1) + 0.5 * self.obj.reg * self._sq
 
     def reset(self, V: np.ndarray) -> np.ndarray:
         """Worker values at V, uncounted; V becomes the kept points."""
-        self._loss = self._all_rows(V)
-        return self._worker_values(V)
+        self._exact(V)
+        return self._worker_values()
 
-    def values(self, V: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    def values(self, V: np.ndarray, cols: np.ndarray | None = None,
+               before: np.ndarray | None = None) -> np.ndarray:
         """Worker values at the candidates V, charging M*b evaluations.
 
         cols lists the flat coordinates (row i, column j as i*n + j, repeats
-        allowed) where V may differ from the kept points; None means anywhere.
+        allowed) where V may differ from the kept points, and before[t] is the
+        kept value at cols[t]; cols None means V may differ anywhere.
         """
-        total = self._X.shape[0]
-        self.obj.eval_counter += total
-        rows = None
-        if cols is not None:
-            touched = self._csc.indptr[cols + 1] - self._csc.indptr[cols]
-            if touched.sum() <= total // 4:
-                hit = np.zeros(total, dtype=bool)
-                hit[self._csc.indices[_slices(self._csc.indptr, cols)[0]]] = True
-                rows = np.flatnonzero(hit)
-        if rows is None:
-            self._undo = (None, self._loss)
-            self._loss = self._all_rows(V)
-        else:
-            flat = self._loss.reshape(-1)
-            self._undo = (rows, flat[rows])
-            flat[rows] = self._some_rows(V, rows)
-        return self._worker_values(V)
+        self.obj.eval_counter += self._X.shape[0]
+        if cols is None:
+            self._undo = (self._a, self._loss, self._sq)
+            self._exact(V)
+            return self._worker_values()
+        cols, first = np.unique(cols, return_index=True)
+        old, new = before[first], V.reshape(-1)[cols]
+        pos, counts = _column_entries(self._csc.indptr, cols)
+        entry_rows = self._csc.indices[pos]
+        # each touched row once, though several changed columns may share it
+        hit = np.zeros(len(self._a), dtype=bool)
+        hit[entry_rows] = True
+        rows = np.flatnonzero(hit)
+        self._undo = (self._a.copy(), self._loss.copy(), self._sq.copy())
+        np.add.at(self._a, entry_rows, self._csc.data[pos] * np.repeat(new - old, counts))
+        self._loss.reshape(-1)[rows] = _loss_values(self.obj.loss_kind, self._a[rows])
+        self._sq += np.bincount(cols // self.n, weights=new * new - old * old,
+                                minlength=len(self._sq))
+        return self._worker_values()
 
     def keep(self, accepted: np.ndarray) -> None:
         """Keep the last candidates of the accepted workers; restore the rest."""
-        rows, old = self._undo
+        a, loss, sq = self._undo
         rejected = ~accepted
-        if rows is None:
-            self._loss[rejected] = old[rejected]
-        else:
-            back = rejected[rows // self.b]
-            self._loss.reshape(-1)[rows[back]] = old[back]
+        self._a.reshape(-1, self.b)[rejected] = a.reshape(-1, self.b)[rejected]
+        self._loss[rejected] = loss[rejected]
+        self._sq[rejected] = sq[rejected]
 
 
-def _slices(indptr: np.ndarray, majors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where the given rows (CSR) or columns (CSC) of a compressed matrix sit:
-    the positions of their entries in stored order, and the indptr of the
-    matrix made of just those slices."""
-    starts = indptr[majors]
-    lengths = indptr[majors + 1] - starts
-    sub_indptr = np.zeros(len(majors) + 1, dtype=indptr.dtype)
-    np.cumsum(lengths, out=sub_indptr[1:])
-    return np.arange(sub_indptr[-1]) + np.repeat(starts - sub_indptr[:-1], lengths), sub_indptr
+def _column_entries(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the given (nonempty list of) columns' entries in a CSC
+    matrix, column by column in stored order, and each column's entry count."""
+    starts = indptr[cols]
+    counts = indptr[cols + 1] - starts
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts), counts
 
 
 class RegularizedObjective:
@@ -233,27 +235,38 @@ class RegularizedObjective:
         self.eval_counter = 0
 
     def _reg_term(self, x: np.ndarray) -> float:
-        return 0.5 * self.reg * float(np.dot(x, x))
+        # numpy's own pairwise sum: a BLAS dot would depend on the BLAS thread count
+        return 0.5 * self.reg * float(np.add.reduce(np.square(x)))
 
     def batch(self, rows) -> BatchView:
         return BatchView(self, rows)
 
     def eval_full(self, x: np.ndarray) -> float:
         """Full-dataset objective f(x). Metric path, not counted."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dataset.n_features,):
-            raise ValueError(
-                f"x has shape {x.shape}, dataset dimension is {self.dataset.n_features}"
-            )
-        a = self.dataset.labels * (self.dataset.matrix @ x)
-        return float(np.mean(_loss_values(self.loss_kind, a))) + self._reg_term(x)
+        return self.eval_full_and_error(x)[0]
+
+    def eval_full_and_error(self, x: np.ndarray) -> tuple[float, float]:
+        """eval_full(x) and classification_error(x, dataset) from one product
+        of the data matrix with x. Metric path, not counted."""
+        x, scores = _scores(x, self.dataset)
+        a = self.dataset.labels * scores
+        return (float(np.mean(_loss_values(self.loss_kind, a))) + self._reg_term(x),
+                _error(scores, self.dataset.labels))
+
+
+def _scores(x: np.ndarray, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """x as a float64 point of the dataset's dimension, and X @ x."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (dataset.n_features,):
+        raise ValueError(f"x has shape {x.shape}, dataset dimension is {dataset.n_features}")
+    return x, dataset.matrix @ x
+
+
+def _error(scores: np.ndarray, labels: np.ndarray) -> float:
+    pred = np.where(scores >= 0.0, 1.0, -1.0)
+    return float(np.mean(pred != labels))
 
 
 def classification_error(x: np.ndarray, dataset: Dataset) -> float:
     """Fraction of examples misclassified by sign(x . z), ties predicting +1."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (dataset.n_features,):
-        raise ValueError(f"x has shape {x.shape}, dataset dimension is {dataset.n_features}")
-    margins = dataset.matrix @ x
-    pred = np.where(margins >= 0.0, 1.0, -1.0)
-    return float(np.mean(pred != dataset.labels))
+    return _error(_scores(x, dataset)[1], dataset.labels)

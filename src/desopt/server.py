@@ -192,11 +192,12 @@ def run_rounds(
     cum = 0
 
     def snapshot(wall_ms: float) -> None:
+        train_loss, train_err = obj.eval_full_and_error(x)
         record.rows.append(MetricRow(
             round=done,
             cum_evals=cum,
-            train_loss=obj.eval_full(x),
-            train_err=classification_error(x, train),
+            train_loss=train_loss,
+            train_err=train_err,
             test_err=classification_error(x, test),
             wall_ms=wall_ms if timing else 0.0,
         ))

@@ -2,10 +2,10 @@
 
 The digest pins the exact float64 output of all seven algorithm ids on the
 three losses, each run twice, plus evaluation-capped runs and odd-K runs
-with two smoothing directions (also twice). GOLDEN was recorded when the
-second run of each pair used a three-thread pool; no algorithm starts a
-thread now, and the rows are the same. A refactor of the round engine that
-changes any number, any config entry or the round count fails here.
+with two smoothing directions (also twice). A refactor of the round engine
+that changes any number, any config entry or the round count fails here.
+GOLDEN was last re-recorded when mixture rounds moved to per-round draw
+blocks and incremental margins, and squared norms to numpy's pairwise sum.
 
 The value was recorded on x86-64 (AVX-512) with numpy 2.4.6, scipy 1.17.1 and
 OpenBLAS 0.3.31. Numpy's vectorised logaddexp/tanh and BLAS dot products
@@ -41,7 +41,7 @@ from desopt import (
     synth_dataset,
 )
 
-GOLDEN = "4919c625c9cfdc9c376f8d3aa0029179080bf856220ea400c3eb566d16a7f743"
+GOLDEN = "d954287f549e3e1d423bfd8d9b99233293ad8e6e2ce41cab06a1df5c99533783"
 KERNEL_PROBE = "460ec3f1df6dfcd0b1f22d831f93ff14c8f85da764d66c7c4cc1b89b4057b927"
 
 N = 6

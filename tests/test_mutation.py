@@ -91,6 +91,23 @@ def test_gaussian_mixture_scale():
     assert vals.shape == (2,)
 
 
+@pytest.mark.parametrize("kind", MIXTURE_KINDS)
+def test_draw_terms_block(kind):
+    # a block of count samples: (count, l) indices in [0, n) and values
+    # carrying the sqrt(n/l) scale, ±scale exactly for the sign kind
+    model = MutationModel(kind, n=50, l=3)
+    idx, vals = draw_terms(model, RngStream(4, "block").gen, 4000)
+    assert idx.shape == vals.shape == (4000, 3)
+    assert np.issubdtype(idx.dtype, np.integer)
+    assert idx.min() == 0 and idx.max() == 49
+    z = vals / model.scale
+    if kind is MutationKind.MIXTURE_RADEMACHER:
+        assert set(np.unique(vals)) == {-model.scale, model.scale}
+    assert abs(z.mean()) < 0.05 and abs(z.var() - 1.0) < 0.05
+    one_idx, one_vals = draw_terms(model, RngStream(4, "block").gen, 1)
+    assert one_idx.shape == one_vals.shape == (1, 3)
+
+
 def test_collisions_accumulate():
     from helpers import ScriptedGen
 
