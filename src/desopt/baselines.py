@@ -5,7 +5,8 @@ fixed or fresh minibatches, sign-vote zeroth-order SGD, and a distributed
 All four consume exactly workers * local_iters * batch_size objective
 evaluations per round when local_iters is even (the ES population size must
 additionally divide the budget evenly; see csa_population_size). Each round
-runs its M workers one after another in the calling thread, in index order.
+runs its M workers in the calling thread: the zeroth-order baselines step all
+of them in lockstep through one StackedBatch per minibatch draw, as DES does.
 """
 from __future__ import annotations
 
@@ -16,8 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bench import RunRecord
+from .localsolver import NonFiniteObjectiveError
 from .mutation import RngStream
-from .objective import Dataset, LossKind
+from .objective import Dataset, LossKind, StackedBatch
 from .server import RoundConfig, run_rounds
 
 # Unused here, but benchmarks/tracing.py patches both through this module's __dict__.
@@ -44,21 +46,30 @@ class SmoothingConfig:
             raise ValueError(f"directions must be >= 1, got {self.directions}")
 
 
-def zo_grad_central(value_fn, x: np.ndarray, smoothing: SmoothingConfig, stream) -> np.ndarray:
-    """Central-difference Gaussian-smoothing gradient estimate.
+def _zo_grads(values_fn, X: np.ndarray, smoothing: SmoothingConfig, streams) -> np.ndarray:
+    """Central-difference Gaussian-smoothing gradient estimates at the M rows of X.
 
-    Each direction u ~ N(0,I) contributes ((f(x+mu*u) - f(x-mu*u)) / 2mu) * u
-    at the cost of two value_fn calls; multiple directions are averaged.
+    Each direction draws u_i ~ N(0,I) from streams[i], in stream order, and
+    scores all M points X + mu*U with one values_fn call, then X - mu*U with
+    another; row i gains ((f_i(x_i+mu*u_i) - f_i(x_i-mu*u_i)) / 2mu) * u_i.
+    Multiple directions are averaged. A NaN estimate raises
+    NonFiniteObjectiveError, as a NaN value does in DES.
     """
-    gen = stream.gen
-    x = np.asarray(x, dtype=np.float64)
-    total = np.zeros(x.shape[0])
+    total = np.zeros(X.shape)
     for _ in range(smoothing.directions):
-        u = gen.standard_normal(x.shape[0])
-        fp = value_fn(x + smoothing.mu * u)
-        fm = value_fn(x - smoothing.mu * u)
-        total += ((fp - fm) / (2.0 * smoothing.mu)) * u
+        U = np.stack([stream.gen.standard_normal(X.shape[1]) for stream in streams])
+        fp = values_fn(X + smoothing.mu * U)
+        fm = values_fn(X - smoothing.mu * U)
+        total += ((fp - fm) / (2.0 * smoothing.mu))[:, None] * U
+    if np.isnan(total).any():
+        raise NonFiniteObjectiveError("zeroth-order gradient estimate is NaN")
     return total / smoothing.directions
+
+
+def zo_grad_central(value_fn, x: np.ndarray, smoothing: SmoothingConfig, stream) -> np.ndarray:
+    """The one-point case of _zo_grads: two value_fn calls per direction."""
+    X = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    return _zo_grads(lambda V: np.array([value_fn(V[0])]), X, smoothing, [stream])[0]
 
 
 def sign_plus(v: np.ndarray) -> np.ndarray:
@@ -81,40 +92,33 @@ def _half_iters(cfg: BaselineConfig) -> int:
 
 
 def _run_zo(algorithm, cfg, train, test, loss_kind, reg, smoothing, timing, instance,
-            local, combine) -> RunRecord:
-    """Round skeleton of the zeroth-order baselines.
+            local) -> RunRecord:
+    """Round skeleton of the zeroth-order baselines, all M workers in lockstep.
 
-    Worker i of round t calls local(t, x, k_prime, next_view, grad): next_view()
-    slices a fresh minibatch from the worker's shard, and grad(view, point) is a
-    central-difference estimate on it. Both draw from (t, i)-keyed streams.
-    combine(t, x, worker_results) gives the next iterate.
+    Round t calls local(t, X, k_prime, next_grads), X the broadcast point tiled
+    into M rows, and local returns the next iterate. next_grads() gathers each
+    worker's next minibatch (from its (t, i, "batch") stream) into one
+    StackedBatch and returns grads, where grads(X) is each worker's estimate at
+    its row of X on that minibatch, directions from its (t, i, "smoothing") stream.
     """
     k_prime = _half_iters(cfg)
     evals = cfg.workers * k_prime * 2 * cfg.batch_size * smoothing.directions
 
     def make_round(obj, partition):
         def round_fn(t, x):
-            def worker(i):
-                batch_stream = RngStream(cfg.seed, t, i, "batch")
-                sm_stream = RngStream(cfg.seed, t, i, "smoothing")
+            batch_streams = [RngStream(cfg.seed, t, i, "batch") for i in range(cfg.workers)]
+            sm_streams = [RngStream(cfg.seed, t, i, "smoothing") for i in range(cfg.workers)]
 
-                def next_view():
-                    return obj.batch(partition.minibatch(i, batch_stream, cfg.batch_size))
+            def next_grads():
+                batch = StackedBatch(obj, [partition.minibatch(i, stream, cfg.batch_size)
+                                           for i, stream in enumerate(batch_streams)])
+                return lambda X: _zo_grads(batch.values, X, smoothing, sm_streams)
 
-                def grad(view, point):
-                    return zo_grad_central(view.value, point, smoothing, sm_stream)
-
-                return local(t, x, k_prime, next_view, grad)
-
-            return combine(t, x, [worker(i) for i in range(cfg.workers)]), evals
+            return local(t, np.tile(x, (cfg.workers, 1)), k_prime, next_grads), evals
         return round_fn
 
     return run_rounds(algorithm, cfg, train, test, loss_kind, reg, timing,
                       instance, make_round, {"mu": smoothing.mu})
-
-
-def _mean(t, x, finals):
-    return np.mean(np.asarray(finals), axis=0)
 
 
 def run_fed_zo_gd(
@@ -130,15 +134,14 @@ def run_fed_zo_gd(
     """Federated averaging over zeroth-order descent on one fixed minibatch
     per worker per round, step alpha / ((k+1) * sqrt(t+1))."""
 
-    def local(t, x, k_prime, next_view, grad):
-        view = next_view()
-        xi = x.copy()
+    def local(t, X, k_prime, next_grads):
+        grads = next_grads()
         for k in range(k_prime):
-            xi -= cfg.alpha / ((k + 1) * math.sqrt(t + 1)) * grad(view, xi)
-        return xi
+            X -= cfg.alpha / ((k + 1) * math.sqrt(t + 1)) * grads(X)
+        return np.mean(X, axis=0)
 
     return _run_zo("fed-zo-gd", cfg, train, test, loss_kind, reg, smoothing, timing,
-                   instance, local, _mean)
+                   instance, local)
 
 
 def run_fed_zo_sgd(
@@ -154,14 +157,13 @@ def run_fed_zo_sgd(
     """As run_fed_zo_gd but each local step draws a fresh minibatch and the
     step-size is alpha / sqrt((k+1) * (t+1))."""
 
-    def local(t, x, k_prime, next_view, grad):
-        xi = x.copy()
+    def local(t, X, k_prime, next_grads):
         for k in range(k_prime):
-            xi -= cfg.alpha / math.sqrt((k + 1) * (t + 1)) * grad(next_view(), xi)
-        return xi
+            X -= cfg.alpha / math.sqrt((k + 1) * (t + 1)) * next_grads()(X)
+        return np.mean(X, axis=0)
 
     return _run_zo("fed-zo-sgd", cfg, train, test, loss_kind, reg, smoothing, timing,
-                   instance, local, _mean)
+                   instance, local)
 
 
 def run_zo_signsgd(
@@ -178,17 +180,15 @@ def run_zo_signsgd(
     broadcast point (fresh minibatch each), votes with the elementwise sign,
     and the server steps along the sign of the vote sum."""
 
-    def local(t, x, k_prime, next_view, grad):
-        g_sum = np.zeros(x.shape[0])
+    def local(t, X, k_prime, next_grads):
+        g_sum = np.zeros(X.shape)
         for _ in range(k_prime):
-            g_sum += grad(next_view(), x)
-        return sign_plus(g_sum / k_prime)
-
-    def combine(t, x, votes):
-        return x - cfg.alpha / math.sqrt(t + 1) * sign_plus(np.sum(np.asarray(votes), axis=0))
+            g_sum += next_grads()(X)
+        votes = sign_plus(g_sum / k_prime)
+        return X[0] - cfg.alpha / math.sqrt(t + 1) * sign_plus(np.sum(votes, axis=0))
 
     return _run_zo("zo-signsgd", cfg, train, test, loss_kind, reg, smoothing, timing,
-                   instance, local, combine)
+                   instance, local)
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,7 @@ from .mutation import MutationKind, MutationModel, RngStream
 from .objective import Dataset, LossKind
 from .server import DesConfig, check_beta, run_des
 
-_MODEL_NAMES = {
-    "gaussian": MutationKind.STANDARD_GAUSSIAN,
-    "mixture_gaussian": MutationKind.MIXTURE_GAUSSIAN,
-    "mixture_rademacher": MutationKind.MIXTURE_RADEMACHER,
-}
+_MODEL_NAMES = {kind.value: kind for kind in MutationKind}
 _SYNTH_NAMES = {kind.value: kind for kind in SynthKind}
 _ALGO_NAMES = ("des", "fed-zo-gd", "fed-zo-sgd", "zo-signsgd", "es-csa")
 

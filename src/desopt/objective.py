@@ -7,6 +7,7 @@ an L2 regularizer. Minibatches are plain arrays of row indices into a Dataset
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,9 +98,8 @@ class BatchView:
 
     def value(self, x: np.ndarray) -> float:
         """Mean batch loss plus the L2 regularizer."""
-        a = self._margins(x)
         self.obj.eval_counter += self.b
-        return float(np.mean(_loss_values(self.obj.loss_kind, a))) + self.obj._reg_term(x)
+        return self.peek_value(x)
 
     def peek_value(self, x: np.ndarray) -> float:
         """Same as value() but without charging the counter.
@@ -119,8 +119,8 @@ class BatchView:
 
 
 class StackedBatch:
-    """The M same-size minibatch objectives of one round, evaluated together at
-    the M rows of a stacked point array V (M x n).
+    """The M same-size minibatch objectives of a DES round or a zeroth-order
+    step, evaluated together at the M rows of a stacked point array V (M x n).
 
     rows holds worker i's minibatch (row indices into obj.dataset) in row i.
     One gather of all M*b rows makes a block-diagonal CSR whose block i acts
@@ -131,13 +131,13 @@ class StackedBatch:
     operations of BatchView.value, so its values match it bit for bit. A
     sparse mixture candidate moves the margins of the rows in each changed
     column j by y_r * X_rj * delta_j (through a CSC copy whose entries are
-    scaled by y), recomputes the losses of those rows only, and moves each
-    squared norm by new^2 - old^2 over its changed coordinates. That is
-    O(l * column nnz + touched rows) arithmetic instead of a matvec over the
-    whole batch, plus copy-speed passes over the M*b cache (the saved copy
-    that keep restores rejected workers from, and the per-worker means); the
-    values equal an exact recompute up to rounding. Each worker value is
-    mean(loss row) plus the regularizer.
+    scaled by y, built on the first such candidate), recomputes the losses
+    of those rows only, and moves each squared norm by new^2 - old^2 over its
+    changed coordinates. That is O(l * column nnz + touched rows) arithmetic
+    instead of a matvec over the whole batch, plus copy-speed passes over the
+    M*b cache (the saved copy that keep restores rejected workers from, and
+    the per-worker means); the values equal an exact recompute up to
+    rounding. Each worker value is mean(loss row) plus the regularizer.
     """
 
     def __init__(self, obj: "RegularizedObjective", rows):
@@ -155,9 +155,14 @@ class StackedBatch:
         self._X = sp.csr_matrix((X.data, X.indices.astype(index, copy=False) + offsets,
                                  X.indptr.astype(index, copy=False)), shape=shape)
         self._y = obj.dataset.labels[rows]
-        self._csc = self._X.tocsc()
-        self._csc.data *= self._y[self._csc.indices]
         self._a = self._loss = self._sq = self._undo = None
+
+    @cached_property
+    def _csc(self) -> sp.csc_matrix:
+        # y-scaled CSC copy of the rows; only mixture candidates use it
+        csc = self._X.tocsc()
+        csc.data *= self._y[csc.indices]
+        return csc
 
     def _exact(self, V: np.ndarray) -> None:
         self._a = self._y * (self._X @ V.reshape(-1))

@@ -2,6 +2,8 @@
 vote aggregation, step-size adaptation dynamics, and evaluation parity."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,12 +12,15 @@ from desopt import (
     BaselineConfig,
     CsaState,
     LossKind,
+    RegularizedObjective,
     RngStream,
     SmoothingConfig,
     SynthKind,
+    classification_error,
     csa_init,
     csa_population_size,
     csa_step,
+    partition_uniform,
     run_es_csa,
     run_fed_zo_gd,
     run_fed_zo_sgd,
@@ -125,30 +130,59 @@ def test_budget_cap_stops_early():
     assert [r.cum_evals for r in record.rows] == [0, 40, 80, 120]
 
 
-def test_signsgd_server_step_matches_manual_replay():
+def replay_zo(runner, cfg, train, smoothing):
+    """The iterates of a zeroth-order baseline run one worker at a time: one
+    BatchView row gather per minibatch and one-point zo_grad_central calls on
+    BatchView.value, from the same keyed streams. Returns the iterates and the
+    evaluation ledger after each round."""
+    obj = RegularizedObjective(LossKind.LR, train)
+    partition = partition_uniform(train, cfg.workers, RngStream(cfg.seed, "partition"))
+    k_prime = cfg.local_iters // 2
+    xs, ledger = [np.zeros(train.n_features)], [0]
+    for t in range(cfg.rounds):
+        x, finals = xs[-1], []
+        for i, shard in enumerate(partition.worker_shards):
+            batch_gen = RngStream(cfg.seed, t, i, "batch").gen
+            sm_stream = RngStream(cfg.seed, t, i, "smoothing")
+            # fed-zo-gd keeps one minibatch per round; the others draw one per step
+            views = [obj.batch(shard[batch_gen.integers(0, len(shard), size=cfg.batch_size)])
+                     for _ in range(1 if runner is run_fed_zo_gd else k_prime)]
+            xi, g_sum = x.copy(), np.zeros_like(x)
+            for k in range(k_prime):
+                view = views[min(k, len(views) - 1)]
+                if runner is run_zo_signsgd:
+                    g_sum += zo_grad_central(view.value, x, smoothing, sm_stream)
+                    continue
+                g = zo_grad_central(view.value, xi, smoothing, sm_stream)
+                if runner is run_fed_zo_gd:
+                    xi -= cfg.alpha / ((k + 1) * math.sqrt(t + 1)) * g
+                else:
+                    xi -= cfg.alpha / math.sqrt((k + 1) * (t + 1)) * g
+            finals.append(sign_plus(g_sum / k_prime) if runner is run_zo_signsgd else xi)
+        if runner is run_zo_signsgd:
+            xs.append(x - cfg.alpha / math.sqrt(t + 1) * sign_plus(np.sum(finals, axis=0)))
+        else:
+            xs.append(np.mean(finals, axis=0))
+        ledger.append(obj.eval_counter)
+    return obj, xs, ledger
+
+
+@pytest.mark.parametrize("runner", [run_fed_zo_gd, run_fed_zo_sgd, run_zo_signsgd],
+                         ids=lambda runner: runner.__name__)
+def test_zo_runners_match_manual_replay(runner):
     train = synth_dataset(SynthKind.NOISY_LINEAR, 5, 60, RngStream(7, "synth"))
     test = synth_dataset(SynthKind.NOISY_LINEAR, 5, 20, RngStream(8, "synth"))
-    cfg = make_cfg(workers=3, rounds=1, local_iters=4, batch_size=6, alpha=0.25, seed=9)
-    record = run_zo_signsgd(cfg, train, test, LossKind.LR)
+    cfg = make_cfg(workers=3, rounds=2, local_iters=4, batch_size=6, alpha=0.25, seed=9)
+    smoothing = SmoothingConfig(directions=2)
+    record = runner(cfg, train, test, LossKind.LR, smoothing=smoothing)
 
-    # independent replay of round t=0 from the same keyed streams
-    from desopt import RegularizedObjective, partition_uniform
-    obj = RegularizedObjective(LossKind.LR, train)
-    partition = partition_uniform(train, 3, RngStream(9, "partition"))
-    votes = []
-    sm = SmoothingConfig()
-    for i in range(3):
-        shard = partition.worker_shards[i]
-        batch_stream = RngStream(9, 0, i, "batch")
-        sm_stream = RngStream(9, 0, i, "smoothing")
-        g_sum = np.zeros(5)
-        for _ in range(2):  # K' = 4 // 2
-            rows = shard[batch_stream.gen.integers(0, len(shard), size=6)]
-            view = obj.batch(rows)
-            g_sum += zo_grad_central(view.value, np.zeros(5), sm, sm_stream)
-        votes.append(sign_plus(g_sum / 2))
-    x1 = np.zeros(5) - 0.25 * sign_plus(np.sum(votes, axis=0))
-    npt.assert_allclose(record.rows[1].train_loss, obj.eval_full(x1), rtol=1e-15)
+    obj, xs, ledger = replay_zo(runner, cfg, train, smoothing)
+    assert [row.cum_evals for row in record.rows] == ledger
+    for row, x in zip(record.rows, xs, strict=True):
+        loss, err = obj.eval_full_and_error(x)
+        npt.assert_allclose(row.train_loss, loss, rtol=0)
+        npt.assert_allclose(row.train_err, err, rtol=0)
+        npt.assert_allclose(row.test_err, classification_error(x, test), rtol=0)
 
 
 def test_all_baselines_deterministic_and_thread_invariant():

@@ -216,6 +216,19 @@ def test_run_matrix_cell_failure_exits_2(tmp_path, capsys):
     assert {r.algorithm for r in records} == {"des"}
 
 
+def test_run_matrix_diverged_zo_cell_exits_2(tmp_path, capsys):
+    # A step of 1e300 overflows the iterate after one round; the NaN gradient
+    # estimate that follows fails the cell instead of writing nan losses.
+    spec_path = write_spec(tmp_path / "spec.json", seeds=[0],
+                           algorithms=[{"name": "fed-zo-sgd", "alpha": [1e300]}])
+    with np.errstate(all="ignore"):
+        code = main(["run", str(spec_path), "--out", str(tmp_path / "runs")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "FAILED fed-zo-sgd" in err and "NaN" in err
+    assert read_metrics_csv(tmp_path / "runs" / "metrics.csv") == []
+
+
 def test_run_spec_errors_exit_1(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run", str(missing)]) == 1

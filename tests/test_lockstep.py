@@ -1,4 +1,4 @@
-"""Lockstep DES rounds and the stacked evaluator against exact references.
+"""Lockstep rounds and the stacked evaluator against exact references.
 
 des_round advances all M workers together and scores their candidates
 through one StackedBatch. Dense candidates take the full stacked matvec, so a
@@ -7,7 +7,10 @@ every candidate with BatchView.value. Sparse mixture candidates update cached
 margins and squared norms incrementally, so their values equal an exact
 recompute only up to rounding: within TOL, relative to 1 + |value|. Whole
 mixture trajectories are therefore not compared with the reference (a
-near-tie may be decided either way); each step is checked instead.
+near-tie may be decided either way); each step is checked instead. The
+zeroth-order baselines score their dense central differences through the
+same stacked evaluator, so their stacked estimates must equal per-worker
+one-point estimates on BatchView.value bit for bit.
 """
 from __future__ import annotations
 
@@ -28,11 +31,14 @@ from desopt import (
     RngStream,
     RoundMetrics,
     ServerState,
+    SmoothingConfig,
     des_round,
     momentum_update,
     partition_uniform,
     step_size,
+    zo_grad_central,
 )
+from desopt.baselines import _zo_grads
 from desopt.mutation import draw_terms
 from desopt.objective import StackedBatch
 
@@ -226,3 +232,47 @@ def test_incremental_mixture_value_matches_exact_recompute():
     check()
     assert min(seen[k] for k in ("duplicate index", "empty column", "repeated row")) > 0, seen
 
+
+@st.composite
+def zo_steps(draw):
+    n = draw(st.integers(1, 30))
+    data, rng = dataset(draw, n, draw(st.integers(1, 40)))
+    workers = draw(st.integers(1, 5))
+    # rows drawn with replacement from up to 40 examples, so batch rows repeat
+    rows = rng.integers(0, len(data), size=(workers, draw(st.integers(1, 48))))
+    smoothing = SmoothingConfig(mu=draw(st.sampled_from([1e-6, 1e-3, 0.5])),
+                                directions=draw(st.integers(1, 3)))
+    loss = draw(st.sampled_from(list(LossKind)))
+    reg = draw(st.sampled_from([0.0, 1e-6, 0.1]))
+    X = rng.normal(size=(workers, n)) * draw(st.sampled_from([0.0, 0.5, 3.0]))
+    return data, rows, smoothing, loss, reg, X, draw(st.integers(0, 1000))
+
+
+def test_stacked_zo_grads_match_per_worker_estimates():
+    seen = Counter()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(zo_steps())
+    def check(case):
+        data, rows, smoothing, loss, reg, X, seed = case
+        obj, ref_obj = RegularizedObjective(loss, data, reg), RegularizedObjective(loss, data, reg)
+        batch, views = StackedBatch(obj, rows), [ref_obj.batch(r) for r in rows]
+        streams = [RngStream(seed, i, "smoothing") for i in range(len(rows))]
+        ref_streams = [RngStream(seed, i, "smoothing") for i in range(len(rows))]
+        # two estimates on the same minibatches, as fed-zo-gd takes its local steps
+        for step in range(2):
+            got = _zo_grads(batch.values, X, smoothing, streams)
+            want = np.array([zo_grad_central(view.value, x, smoothing, stream)
+                             for view, x, stream in zip(views, X, ref_streams)])
+            assert np.array_equal(got, want), (got, want)
+            assert obj.eval_counter == ref_obj.eval_counter
+            assert obj.eval_counter == (step + 1) * 2 * smoothing.directions * rows.size
+            X = X - 0.1 * got
+        seen["repeated row"] += any(len(np.unique(r)) < len(r) for r in rows)
+        seen["several workers"] += len(rows) > 1
+        seen["several directions"] += smoothing.directions > 1
+        seen["nonzero estimate"] += bool(np.any(got))
+
+    check()
+    assert min(seen[k] for k in ("repeated row", "several workers", "several directions",
+                                 "nonzero estimate")) > 0, seen
