@@ -11,9 +11,13 @@ import numpy as np
 
 from .mutation import MutationModel, draw_terms
 
+# The most Gaussian values a dense round draws per worker in one block
+DENSE_BLOCK = 2**16
+
 
 class NonFiniteObjectiveError(RuntimeError):
-    """The objective returned NaN; comparison-based acceptance cannot proceed."""
+    """The objective returned NaN, or a snapshot a non-finite loss; the run
+    cannot proceed."""
 
 
 @dataclass(frozen=True)
@@ -103,9 +107,10 @@ def run_lockstep_es(
     from streams[i] at the start (in worker order, cfg.iters samples each);
     their candidates are made in place and scored by
     batch.values(V, cols, before), where cols lists the changed flat
-    coordinates i*n + j and before their kept values. Dense mutations are
-    drawn per iteration, standard_normal(n) from each stream in worker order,
-    and scored by batch.values(candidates).
+    coordinates i*n + j and before their kept values. Dense mutations come in
+    per-round blocks of up to DENSE_BLOCK // n iterations, one
+    standard_normal((rows, n)) call per stream in worker order (the numbers of
+    rows standard_normal(n) calls), and are scored by batch.values(candidates).
     traces[i], if given, receives (k, step_k, v_i copy, f_i) after every
     iteration. Returns (final values, accepted counts), both of length M.
     """
@@ -123,6 +128,8 @@ def run_lockstep_es(
         # (iters, M, l): iteration k's changed flat coordinates and terms
         all_cols = np.stack(idx, axis=1) + (np.arange(len(gens)) * model.n)[:, None]
         all_terms = np.stack(terms, axis=1)
+    else:
+        chunk = min(cfg.iters, max(1, DENSE_BLOCK // model.n))
 
     for k in range(cfg.iters):
         step = cfg.step0 * (k + 1) ** -0.5
@@ -138,7 +145,11 @@ def run_lockstep_es(
             undo = np.repeat(~ok, model.l)
             flat[cols[undo]] = saved[undo]
         else:
-            candidates = V + step * np.stack([gen.standard_normal(model.n) for gen in gens])
+            if k % chunk == 0:
+                # (rows, M, n): row j holds iteration k + j's mutations
+                block = np.stack([gen.standard_normal((min(chunk, cfg.iters - k), model.n))
+                                  for gen in gens], axis=1)
+            candidates = V + step * block[k % chunk]
             f_cand = batch.values(candidates)
             ok = accept(f, f_cand)
             V[ok] = candidates[ok]

@@ -124,20 +124,20 @@ class StackedBatch:
 
     rows holds worker i's minibatch (row indices into obj.dataset) in row i.
     One gather of all M*b rows makes a block-diagonal CSR whose block i acts
-    on row i of V (columns offset by i*n). For the kept points it caches the
-    M*b signed margins a = y * (X v), their per-row losses and each worker's
-    squared norm, all computed exactly by reset. A dense candidate recomputes
-    them with the full stacked matvec and one row sum per worker, the
-    operations of BatchView.value, so its values match it bit for bit. A
-    sparse mixture candidate moves the margins of the rows in each changed
-    column j by y_r * X_rj * delta_j (through a CSC copy whose entries are
-    scaled by y, built on the first such candidate), recomputes the losses
-    of those rows only, and moves each squared norm by new^2 - old^2 over its
-    changed coordinates. That is O(l * column nnz + touched rows) arithmetic
-    instead of a matvec over the whole batch, plus copy-speed passes over the
-    M*b cache (the saved copy that keep restores rejected workers from, and
-    the per-worker means); the values equal an exact recompute up to
-    rounding. Each worker value is mean(loss row) plus the regularizer.
+    on row i of V (columns offset by i*n). A dense candidate is a pure
+    function of V, the operations of BatchView.value (the full stacked matvec
+    and one row sum per worker), so its values match it bit for bit. It drops
+    the cache below: keep after it does nothing, and a mixture candidate after
+    it needs a new reset. For mixture candidates, reset caches the kept
+    points' M*b signed margins a = y * (X v), their per-row losses and each
+    worker's squared norm, all exact. A sparse mixture candidate moves the
+    margins of the rows in each changed column j by y_r * X_rj * delta_j
+    (through a CSC copy whose entries are scaled by y, built on the first
+    such candidate), recomputes the losses of those rows only, and moves each
+    squared norm by new^2 - old^2 over its changed coordinates: O(l * column
+    nnz + touched rows) arithmetic, plus copy-speed passes over the M*b cache
+    (the undo copy that keep restores rejected workers from, and the
+    per-worker sums). Its values equal an exact recompute up to rounding.
     """
 
     def __init__(self, obj: "RegularizedObjective", rows):
@@ -164,18 +164,18 @@ class StackedBatch:
         csc.data *= self._y[csc.indices]
         return csc
 
-    def _exact(self, V: np.ndarray) -> None:
-        self._a = self._y * (self._X @ V.reshape(-1))
-        self._loss = _loss_values(self.obj.loss_kind, self._a).reshape(-1, self.b)
-        self._sq = np.add.reduce(np.square(V), axis=1)
+    def _exact(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        a = self._y * (self._X @ V.reshape(-1))
+        loss = _loss_values(self.obj.loss_kind, a).reshape(-1, self.b)
+        return a, loss, np.add.reduce(np.square(V), axis=1)
 
-    def _worker_values(self) -> np.ndarray:
-        return self._loss.mean(axis=1) + 0.5 * self.obj.reg * self._sq
+    def _worker_values(self, loss: np.ndarray, sq: np.ndarray) -> np.ndarray:
+        return np.add.reduce(loss, axis=1) / self.b + 0.5 * self.obj.reg * sq
 
     def reset(self, V: np.ndarray) -> np.ndarray:
         """Worker values at V, uncounted; V becomes the kept points."""
-        self._exact(V)
-        return self._worker_values()
+        self._a, self._loss, self._sq = self._exact(V)
+        return self._worker_values(self._loss, self._sq)
 
     def values(self, V: np.ndarray, cols: np.ndarray | None = None,
                before: np.ndarray | None = None) -> np.ndarray:
@@ -187,9 +187,10 @@ class StackedBatch:
         """
         self.obj.eval_counter += self._X.shape[0]
         if cols is None:
-            self._undo = (self._a, self._loss, self._sq)
-            self._exact(V)
-            return self._worker_values()
+            self._a = self._loss = self._sq = self._undo = None
+            return self._worker_values(*self._exact(V)[1:])
+        if self._a is None:
+            raise ValueError("mixture candidates need reset(V) first, and again after a dense one")
         cols, first = np.unique(cols, return_index=True)
         old, new = before[first], V.reshape(-1)[cols]
         pos, counts = _column_entries(self._csc.indptr, cols)
@@ -203,10 +204,12 @@ class StackedBatch:
         self._loss.reshape(-1)[rows] = _loss_values(self.obj.loss_kind, self._a[rows])
         self._sq += np.bincount(cols // self.n, weights=new * new - old * old,
                                 minlength=len(self._sq))
-        return self._worker_values()
+        return self._worker_values(self._loss, self._sq)
 
     def keep(self, accepted: np.ndarray) -> None:
-        """Keep the last candidates of the accepted workers; restore the rest."""
+        """Keep the last mixture candidates of the accepted workers; restore the rest."""
+        if self._undo is None:
+            return
         a, loss, sq = self._undo
         rejected = ~accepted
         self._a.reshape(-1, self.b)[rejected] = a.reshape(-1, self.b)[rejected]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bench import MetricRow, RunRecord
 from .dataio import PartitionPlan, partition_uniform
-from .localsolver import LocalConfig, run_lockstep_es, step_size
+from .localsolver import LocalConfig, NonFiniteObjectiveError, run_lockstep_es, step_size
 from .localsolver import run_local_es  # noqa: F401  benchmarks/tracing.py wraps it by this name
 from .mutation import MutationKind, MutationModel, RngStream
 from .objective import Dataset, LossKind, RegularizedObjective, StackedBatch, classification_error
@@ -175,8 +175,10 @@ def run_rounds(
     which advances the iterate by round t, with its M workers simulated in
     the calling thread, and reports the evaluations it spent. Row 0 snapshots
     the zero starting point; a round starts only while the evaluation total
-    is below cfg.max_evals. Wall times are recorded only when timing=True; otherwise
-    the column is a deterministic 0 so repeated runs serialize byte-identically.
+    is below cfg.max_evals. A snapshot whose train loss is not finite raises
+    NonFiniteObjectiveError, so a diverged run writes no row. Wall times are
+    recorded only when timing=True; otherwise the column is a deterministic 0
+    so repeated runs serialize byte-identically.
     """
     obj = RegularizedObjective(loss_kind, train, reg)
     partition = partition_uniform(train, cfg.workers, RngStream(cfg.seed, "partition"))
@@ -193,6 +195,9 @@ def run_rounds(
 
     def snapshot(wall_ms: float) -> None:
         train_loss, train_err = obj.eval_full_and_error(x)
+        if not math.isfinite(train_loss):
+            raise NonFiniteObjectiveError(
+                f"train loss after round {done} is {train_loss}, not a finite number (NaN or inf)")
         record.rows.append(MetricRow(
             round=done,
             cum_evals=cum,

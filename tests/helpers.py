@@ -19,6 +19,10 @@ class ScriptedGen:
         self.ints = [np.asarray(a, dtype=np.int64) for a in ints]
 
     def standard_normal(self, size=None):
+        shape = tuple(np.atleast_1d(size))
+        if len(shape) == 2 and self.normals[0].shape == shape[1:]:
+            # a (k, n) block is the next k draws of n, as a sequential stream serves it
+            return np.stack([self.normals.pop(0) for _ in range(shape[0])])
         out = self.normals.pop(0)
         if size is not None and out.shape != (np.prod(np.atleast_1d(size)),) and out.shape != tuple(np.atleast_1d(size)):
             raise AssertionError(f"scripted normal shape {out.shape} vs requested {size}")

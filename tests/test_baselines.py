@@ -12,6 +12,7 @@ from desopt import (
     BaselineConfig,
     CsaState,
     LossKind,
+    NonFiniteObjectiveError,
     RegularizedObjective,
     RngStream,
     SmoothingConfig,
@@ -49,6 +50,12 @@ def test_smoothing_validation():
 def test_zo_gradient_constant_function_is_exact_zero():
     g = zo_grad_central(lambda v: 7.25, np.ones(6), SmoothingConfig(), RngStream(0, "sm"))
     npt.assert_array_equal(g, np.zeros(6))
+
+
+def test_zo_gradient_nan_raises():
+    # inf - inf at both probe points makes the estimate NaN; no cell may step on it
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteObjectiveError, match="NaN"):
+        zo_grad_central(lambda v: np.inf, np.zeros(3), SmoothingConfig(), RngStream(0, "sm"))
 
 
 def test_zo_gradient_linear_function():

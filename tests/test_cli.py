@@ -229,6 +229,21 @@ def test_run_matrix_diverged_zo_cell_exits_2(tmp_path, capsys):
     assert read_metrics_csv(tmp_path / "runs" / "metrics.csv") == []
 
 
+def test_run_matrix_non_finite_snapshot_exits_2(tmp_path, capsys):
+    # With 16-row minibatches the one round ends on an overflowed iterate
+    # before any estimate is NaN; its snapshot fails the cell instead of
+    # writing an inf train loss.
+    spec_path = write_spec(tmp_path / "spec.json",
+                           algorithms=[{"name": "fed-zo-sgd", "alpha": [1e300]}])
+    with np.errstate(all="ignore"):
+        code = main(["run", str(spec_path), "--out", str(tmp_path / "runs"),
+                     "--set", "batch_size=16"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("FAILED fed-zo-sgd") == 2 and "train loss after round 1 is inf" in err
+    assert read_metrics_csv(tmp_path / "runs" / "metrics.csv") == []
+
+
 def test_run_spec_errors_exit_1(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run", str(missing)]) == 1

@@ -14,9 +14,11 @@ one-point estimates on BatchView.value bit for bit.
 """
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,7 @@ from desopt import (
     zo_grad_central,
 )
 from desopt.baselines import _zo_grads
+from desopt.localsolver import DENSE_BLOCK, LocalConfig, run_lockstep_es
 from desopt.mutation import draw_terms
 from desopt.objective import StackedBatch
 
@@ -172,6 +175,52 @@ def test_lockstep_round_matches_per_worker_reference():
     assert seen["dense"] > 0 and seen["mixture"] > 0 and seen["accepted"] > 0, seen
 
 
+def sparse_dataset(n, examples, seed):
+    rng = np.random.default_rng(seed)
+    features = sp.random(examples, n, density=0.01, random_state=rng, format="csr")
+    return Dataset(features, rng.choice([-1.0, 1.0], size=examples)), rng
+
+
+def test_dense_round_in_several_chunks_matches_reference():
+    # The property above has n <= 40, where a whole round is one mutation
+    # block; at n = 20000 the 8 iterations are drawn in blocks of 3, 3 and 2.
+    n = 20000
+    assert DENSE_BLOCK // n == 3
+    data, rng = sparse_dataset(n, 60, seed=5)
+    cfg = DesConfig(workers=3, rounds=1, local_iters=8, batch_size=16, alpha=0.02,
+                    model=MutationModel(MutationKind.STANDARD_GAUSSIAN, n), seed=11)
+    state = ServerState(x=rng.normal(size=n) * 0.01, m=rng.normal(size=n) * 0.01, t=1)
+    partition = partition_uniform(data, cfg.workers, RngStream(cfg.seed, "partition"))
+    obj, ref_obj = (RegularizedObjective(LossKind.LR, data, 1e-6) for _ in range(2))
+    want_state, want = reference_round(state, cfg, ref_obj, partition)
+    got_state, got = des_round(state, cfg, obj, partition)
+    assert np.array_equal(got_state.x, want_state.x)
+    assert np.array_equal(got_state.m, want_state.m)
+    assert got == want
+    assert obj.eval_counter == ref_obj.eval_counter == want.evals
+    assert 0 < sum(got.accepted) < cfg.workers * cfg.local_iters, got.accepted
+
+
+def test_dense_mutation_blocks_are_memory_bounded():
+    # One block for the whole round would hold M * K * n = 2 * 64 * 50000
+    # doubles (51.2 MB); chunked, each block holds one iteration (0.8 MB).
+    workers, iters, n = 2, 64, 50000
+    data, rng = sparse_dataset(n, 20, seed=6)
+    batch = StackedBatch(RegularizedObjective(LossKind.LR, data, 1e-6),
+                         rng.integers(0, len(data), size=(workers, 8)))
+    V = np.zeros((workers, n))
+    cfg = LocalConfig(iters=iters, model=MutationModel(MutationKind.STANDARD_GAUSSIAN, n),
+                      step0=0.1)
+    f_start = batch.reset(V)
+    tracemalloc.start()
+    try:
+        run_lockstep_es(V, cfg, batch, [RngStream(0, i) for i in range(workers)], f_start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
+
+
 @st.composite
 def kept_states(draw):
     n = draw(st.integers(1, 30))
@@ -231,6 +280,43 @@ def test_incremental_mixture_value_matches_exact_recompute():
 
     check()
     assert min(seen[k] for k in ("duplicate index", "empty column", "repeated row")) > 0, seen
+
+
+def test_dense_values_are_stateless():
+    seen = Counter()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kept_states())
+    def check(case):
+        data, rows, l, loss, reg, V, rng, calls = case
+        obj = RegularizedObjective(loss, data, reg)
+        batch = StackedBatch(obj, rows)
+        views = [obj.batch(r) for r in rows]
+        if rng.random() < 0.5:
+            batch.reset(V)
+            seen["reset first"] += 1
+        # dense candidates with random keep masks between them, as a DES
+        # round or a zeroth-order step makes them
+        for _ in range(calls + 1):
+            candidates = V + rng.normal(size=V.shape) * rng.choice([0.01, 1.0, 5.0])
+            counter = obj.eval_counter
+            got = batch.values(candidates)
+            assert obj.eval_counter - counter == rows.size
+            want = np.array([view.peek_value(v) for view, v in zip(views, candidates)])
+            assert np.array_equal(got, want), (got, want)
+            ok = rng.random(len(V)) < 0.5
+            batch.keep(ok)
+            V[ok] = candidates[ok]
+            seen["mixed keep"] += 0 < ok.sum() < len(ok)
+        # the margins cached before a dense candidate are stale after it
+        with pytest.raises(ValueError):
+            batch.values(V, *mixture_candidate(V, l, rng))
+        seen["loss " + loss.value] += 1
+        seen["reg 0" if reg == 0 else "reg > 0"] += 1
+
+    check()
+    assert min(seen[k] for k in ("reset first", "mixed keep", "loss LR", "loss NSVM",
+                                 "loss LSVM", "reg 0", "reg > 0")) > 0, seen
 
 
 @st.composite
