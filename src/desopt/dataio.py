@@ -80,6 +80,8 @@ def parse_libsvm(
                 raw_labels.append(float(tokens[0]))
             except ValueError:
                 raise LibsvmParseError(f"line {lineno}: non-numeric label {tokens[0]!r}") from None
+            if not math.isfinite(raw_labels[-1]):
+                raise LibsvmParseError(f"line {lineno}: non-finite label {tokens[0]!r}")
             prev = 0
             for tok in tokens[1:]:
                 part = tok.split(":", 1)

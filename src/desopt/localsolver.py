@@ -80,8 +80,10 @@ class CallableBatch:
     def __init__(self, value_fns: list[Callable[[np.ndarray], float]]):
         self.value_fns = value_fns
 
-    def values(self, V: np.ndarray, cols: np.ndarray | None = None,
-               before: np.ndarray | None = None) -> np.ndarray:
+    def plan(self, cols: np.ndarray) -> None:
+        pass
+
+    def values(self, V: np.ndarray, before: np.ndarray | None = None) -> np.ndarray:
         return np.array([fn(v) for fn, v in zip(self.value_fns, V)], dtype=np.float64)
 
     def keep(self, accepted: np.ndarray) -> None:
@@ -105,9 +107,10 @@ def run_lockstep_es(
     then drops the rejected candidates from any state the evaluator holds.
     Mixture mutations u_i come from one draw_terms block per worker, drawn
     from streams[i] at the start (in worker order, cfg.iters samples each);
-    their candidates are made in place and scored by
-    batch.values(V, cols, before), where cols lists the changed flat
-    coordinates i*n + j and before their kept values. Dense mutations come in
+    batch.plan(cols) then receives the round's changed flat coordinates
+    i*n + j at once, row k for iteration k. Their candidates are made in
+    place and scored by batch.values(V, before), where before holds the kept
+    values at row k's coordinates. Dense mutations come in
     per-round blocks of up to DENSE_BLOCK // n iterations, one
     standard_normal((rows, n)) call per stream in worker order (the numbers of
     rows standard_normal(n) calls), and are scored by batch.values(candidates).
@@ -128,6 +131,7 @@ def run_lockstep_es(
         # (iters, M, l): iteration k's changed flat coordinates and terms
         all_cols = np.stack(idx, axis=1) + (np.arange(len(gens)) * model.n)[:, None]
         all_terms = np.stack(terms, axis=1)
+        batch.plan(all_cols.reshape(cfg.iters, -1))
     else:
         chunk = min(cfg.iters, max(1, DENSE_BLOCK // model.n))
 
@@ -140,7 +144,7 @@ def run_lockstep_es(
             cols = all_cols[k].reshape(-1)
             saved = flat[cols]
             np.add.at(flat, cols, step * all_terms[k].reshape(-1))
-            f_cand = batch.values(V, cols, saved)
+            f_cand = batch.values(V, saved)
             ok = accept(f, f_cand)
             undo = np.repeat(~ok, model.l)
             flat[cols[undo]] = saved[undo]

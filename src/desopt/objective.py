@@ -7,10 +7,12 @@ an L2 regularizer. Minibatches are plain arrays of row indices into a Dataset
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+
+# The most CSC entries StackedBatch slices out of a plan for its mixture candidates at once
+PLAN_ENTRIES = 2**18
 
 
 class LossKind(Enum):
@@ -130,14 +132,16 @@ class StackedBatch:
     the cache below: keep after it does nothing, and a mixture candidate after
     it needs a new reset. For mixture candidates, reset caches the kept
     points' M*b signed margins a = y * (X v), their per-row losses and each
-    worker's squared norm, all exact. A sparse mixture candidate moves the
-    margins of the rows in each changed column j by y_r * X_rj * delta_j
-    (through a CSC copy whose entries are scaled by y, built on the first
-    such candidate), recomputes the losses of those rows only, and moves each
-    squared norm by new^2 - old^2 over its changed coordinates: O(l * column
-    nnz + touched rows) arithmetic, plus copy-speed passes over the M*b cache
-    (the undo copy that keep restores rejected workers from, and the
-    per-worker sums). Its values equal an exact recompute up to rounding.
+    worker's squared norm, all exact. plan(cols) takes the flat coordinates
+    that the coming mixture candidates change and makes a y-scaled CSC of only
+    those columns, sliced into each candidate's entries PLAN_ENTRIES at a
+    time. A candidate then moves the margins of the rows in each changed
+    column j by y_r * X_rj * delta_j, recomputes the losses of those rows
+    only, and moves each squared norm by new^2 - old^2 over its changed
+    coordinates: O(l * column nnz + touched rows) arithmetic, plus copy-speed
+    passes over the M*b cache (the undo copy that keep restores rejected
+    workers from, and the per-worker sums). Its values equal an exact
+    recompute up to rounding.
     """
 
     def __init__(self, obj: "RegularizedObjective", rows):
@@ -156,13 +160,7 @@ class StackedBatch:
                                  X.indptr.astype(index, copy=False)), shape=shape)
         self._y = obj.dataset.labels[rows]
         self._a = self._loss = self._sq = self._undo = None
-
-    @cached_property
-    def _csc(self) -> sp.csc_matrix:
-        # y-scaled CSC copy of the rows; only mixture candidates use it
-        csc = self._X.tocsc()
-        csc.data *= self._y[csc.indices]
-        return csc
+        self._steps = iter(())
 
     def _exact(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         a = self._y * (self._X @ V.reshape(-1))
@@ -177,30 +175,37 @@ class StackedBatch:
         self._a, self._loss, self._sq = self._exact(V)
         return self._worker_values(self._loss, self._sq)
 
-    def values(self, V: np.ndarray, cols: np.ndarray | None = None,
-               before: np.ndarray | None = None) -> np.ndarray:
+    def plan(self, cols: np.ndarray) -> None:
+        """Plan the coming mixture candidates: row k of cols (K x M*l) lists the
+        flat coordinates (row i, column j as i*n + j, repeats allowed) where
+        candidate k may differ from the kept points."""
+        # a module-level generator: one holding self would keep every round's
+        # batch alive in a reference cycle until the next garbage collection
+        self._steps = _planned(self._X, self._y, np.asarray(cols, dtype=np.int64))
+
+    def values(self, V: np.ndarray, before: np.ndarray | None = None) -> np.ndarray:
         """Worker values at the candidates V, charging M*b evaluations.
 
-        cols lists the flat coordinates (row i, column j as i*n + j, repeats
-        allowed) where V may differ from the kept points, and before[t] is the
-        kept value at cols[t]; cols None means V may differ anywhere.
+        before None means V may differ anywhere. Otherwise V is the next
+        planned candidate and before[t] is the kept value at its t-th planned
+        coordinate.
         """
         self.obj.eval_counter += self._X.shape[0]
-        if cols is None:
+        if before is None:
             self._a = self._loss = self._sq = self._undo = None
             return self._worker_values(*self._exact(V)[1:])
-        if self._a is None:
-            raise ValueError("mixture candidates need reset(V) first, and again after a dense one")
-        cols, first = np.unique(cols, return_index=True)
+        step = None if self._a is None else next(self._steps, None)
+        if step is None:
+            raise ValueError("mixture candidates need plan(cols) and reset(V) first, "
+                             "and reset again after a dense one")
+        cols, first, counts, entry_rows, data = step
         old, new = before[first], V.reshape(-1)[cols]
-        pos, counts = _column_entries(self._csc.indptr, cols)
-        entry_rows = self._csc.indices[pos]
         # each touched row once, though several changed columns may share it
         hit = np.zeros(len(self._a), dtype=bool)
         hit[entry_rows] = True
         rows = np.flatnonzero(hit)
         self._undo = (self._a.copy(), self._loss.copy(), self._sq.copy())
-        np.add.at(self._a, entry_rows, self._csc.data[pos] * np.repeat(new - old, counts))
+        np.add.at(self._a, entry_rows, data * np.repeat(new - old, counts))
         self._loss.reshape(-1)[rows] = _loss_values(self.obj.loss_kind, self._a[rows])
         self._sq += np.bincount(cols // self.n, weights=new * new - old * old,
                                 minlength=len(self._sq))
@@ -217,13 +222,43 @@ class StackedBatch:
         self._sq[rejected] = sq[rejected]
 
 
-def _column_entries(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _planned(X: sp.csr_matrix, y: np.ndarray, cols: np.ndarray):
+    """For each row of cols in turn: its sorted unique coordinates, their first
+    occurrences (what np.unique(row, return_index=True) returns), their CSC
+    entry counts, and the entries' rows and y-scaled values, column by column.
+    The entries come from a CSC of only the drawn columns of X, sliced for
+    as many rows at once as fit in PLAN_ENTRIES entries."""
+    order = np.argsort(cols, axis=1, kind="stable")
+    ordered = np.take_along_axis(cols, order, axis=1)
+    new = np.ones(cols.shape, dtype=bool)
+    new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    unique, first = ordered[new], order[new]
+    bounds = np.concatenate(([0], np.cumsum(np.add.reduce(new, axis=1))))
+    drawn, local = np.unique(unique, return_inverse=True)
+    csc = X[:, drawn].tocsc()
+    csc.data *= y[csc.indices]
+    counts = np.diff(csc.indptr)[local]
+    starts = np.concatenate(([0], np.cumsum(counts)))[bounds]  # entries before each row
+    k = 0
+    while k < len(cols):
+        # the most candidates, one at least, whose entries fit in PLAN_ENTRIES
+        stop = max(k + 1, int(np.searchsorted(starts, starts[k] + PLAN_ENTRIES, "right")) - 1)
+        pos = _column_entries(csc.indptr, local[bounds[k]:bounds[stop]])
+        rows, data = csc.indices[pos], csc.data[pos]
+        for j in range(k, stop):
+            coords = slice(bounds[j], bounds[j + 1])
+            entries = slice(starts[j] - starts[k], starts[j + 1] - starts[k])
+            yield unique[coords], first[coords], counts[coords], rows[entries], data[entries]
+        k = stop
+
+
+def _column_entries(indptr: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The positions of the given (nonempty list of) columns' entries in a CSC
-    matrix, column by column in stored order, and each column's entry count."""
+    matrix, column by column in stored order."""
     starts = indptr[cols]
     counts = indptr[cols + 1] - starts
     ends = np.cumsum(counts)
-    return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts), counts
+    return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
 
 
 class RegularizedObjective:

@@ -217,15 +217,19 @@ def test_run_matrix_cell_failure_exits_2(tmp_path, capsys):
 
 
 def test_run_matrix_diverged_zo_cell_exits_2(tmp_path, capsys):
-    # A step of 1e300 overflows the iterate after one round; the NaN gradient
-    # estimate that follows fails the cell instead of writing nan losses.
+    # A step of 1e300 overflows the iterate at round 1's first local step.
+    # local_iters=4 gives fed-zo-sgd K' = 2 local steps, so the second one
+    # estimates at the overflowed point, and its NaN gradient estimate fails
+    # the cell before the round-1 snapshot could.
     spec_path = write_spec(tmp_path / "spec.json", seeds=[0],
                            algorithms=[{"name": "fed-zo-sgd", "alpha": [1e300]}])
     with np.errstate(all="ignore"):
-        code = main(["run", str(spec_path), "--out", str(tmp_path / "runs")])
+        code = main(["run", str(spec_path), "--out", str(tmp_path / "runs"),
+                     "--set", "local_iters=4"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "FAILED fed-zo-sgd" in err and "NaN" in err
+    assert "FAILED fed-zo-sgd" in err and "zeroth-order gradient estimate is NaN" in err
+    assert "train loss after round" not in err
     assert read_metrics_csv(tmp_path / "runs" / "metrics.csv") == []
 
 
@@ -291,6 +295,11 @@ def test_parse_check_command(tmp_path, capsys):
     multi.write_text("1 1:1\n2 1:1\n", encoding="utf-8")
     assert main(["parse-check", str(multi)]) == 1  # labels need a threshold
     assert main(["parse-check", str(multi), "--label-threshold", "1.5"]) == 0
+    capsys.readouterr()
+    nan_label = tmp_path / "nan-label.txt"
+    nan_label.write_text("1 1:1\n2 1:1\nnan 1:2\n", encoding="utf-8")
+    assert main(["parse-check", str(nan_label), "--label-threshold", "1.5"]) == 1
+    assert "line 3: non-finite label" in capsys.readouterr().err
 
 
 def test_run_matrix_multiple_losses_and_instances(tmp_path):

@@ -74,11 +74,17 @@ def test_parse_errors_name_the_line():
         ("+1 1\n", "line 1"),
         ("+1 1:1\n-1 1:nan\n", "line 2"),
         ("+1 1:inf\n", "line 1"),
+        ("+1 1:1\nnan 1:2\n", "line 2: non-finite label 'nan'"),
+        ("inf 1:1\n", "line 1: non-finite label 'inf'"),
+        ("+1 1:1\n-1 1:1\n-inf 1:3\n", "line 3: non-finite label '-inf'"),
     ]
     for text, needle in cases:
         with pytest.raises(LibsvmParseError) as err:
             parse_libsvm(io.StringIO(text))
         assert needle in str(err.value)
+    # a threshold would otherwise binarize nan to -1 and inf to +1
+    with pytest.raises(LibsvmParseError, match="line 3: non-finite label 'nan'"):
+        parse_libsvm(io.StringIO("1 1:1\n2 1:1\nnan 1:2\ninf 1:3\n"), label_threshold=1.5)
 
 
 def test_parse_empty_input_rejected():

@@ -7,7 +7,9 @@ every candidate with BatchView.value. Sparse mixture candidates update cached
 margins and squared norms incrementally, so their values equal an exact
 recompute only up to rounding: within TOL, relative to 1 + |value|. Whole
 mixture trajectories are therefore not compared with the reference (a
-near-tie may be decided either way); each step is checked instead. The
+near-tie may be decided either way); each step is checked instead. Planned
+mixture rounds, which look up every candidate's entries at the start of the
+round, must equal the unplanned oracle bit for bit. The
 zeroth-order baselines score their dense central differences through the
 same stacked evaluator, so their stacked estimates must equal per-worker
 one-point estimates on BatchView.value bit for bit.
@@ -40,10 +42,12 @@ from desopt import (
     step_size,
     zo_grad_central,
 )
+from desopt import objective, server
 from desopt.baselines import _zo_grads
 from desopt.localsolver import DENSE_BLOCK, LocalConfig, run_lockstep_es
 from desopt.mutation import draw_terms
 from desopt.objective import StackedBatch
+from objective_oracles import UnplannedStackedBatch
 
 # Incremental margins drift from an exact recompute by a few ulps of the
 # largest margin per update (about 1e-14 after 1500 updates on the benchmark
@@ -263,14 +267,16 @@ def test_incremental_mixture_value_matches_exact_recompute():
         # reach a random kept state: candidates kept or restored at random
         for _ in range(warmup):
             cols, before = mixture_candidate(V, l, rng)
-            batch.values(V, cols, before)
+            batch.plan(cols[None])
+            batch.values(V, before)
             ok = rng.random(len(V)) < 0.5
             undo = np.repeat(~ok, l)
             V.reshape(-1)[cols[undo]] = before[undo]
             batch.keep(ok)
         cols, before = mixture_candidate(V, l, rng)
+        batch.plan(cols[None])
         counter = obj.eval_counter
-        got = batch.values(V, cols, before)
+        got = batch.values(V, before)
         assert obj.eval_counter - counter == rows.size
         exact = np.array([view.peek_value(v) for view, v in zip(views, V)])
         assert close(got, exact), (got, exact)
@@ -309,14 +315,122 @@ def test_dense_values_are_stateless():
             V[ok] = candidates[ok]
             seen["mixed keep"] += 0 < ok.sum() < len(ok)
         # the margins cached before a dense candidate are stale after it
+        cols, before = mixture_candidate(V, l, rng)
+        batch.plan(cols[None])
         with pytest.raises(ValueError):
-            batch.values(V, *mixture_candidate(V, l, rng))
+            batch.values(V, before)
         seen["loss " + loss.value] += 1
         seen["reg 0" if reg == 0 else "reg > 0"] += 1
 
     check()
     assert min(seen[k] for k in ("reset first", "mixed keep", "loss LR", "loss NSVM",
                                  "loss LSVM", "reg 0", "reg > 0")) > 0, seen
+
+
+def test_planned_rounds_match_unplanned_oracle(monkeypatch):
+    # The planned evaluator slices each candidate's entries out of blocks made
+    # at the start of the round; the oracle looks them up per candidate in a
+    # CSC of all rows. Both make the same floating-point operations in the
+    # same order, so two chained mixture rounds must agree bit for bit: every
+    # traced step, the server states, the round metrics and the ledger.
+    seen = Counter()
+    blocks = []
+    column_entries = objective._column_entries
+
+    def counted(indptr, cols):
+        blocks.append(len(cols))
+        return column_entries(indptr, cols)
+
+    monkeypatch.setattr(objective, "_column_entries", counted)
+
+    def run(evaluator, data, cfg, loss, reg, state, partition):
+        monkeypatch.setattr(server, "StackedBatch", evaluator)
+        obj = RegularizedObjective(loss, data, reg)
+        traced = [[] for _ in range(cfg.workers)]
+        rounds_out = []
+        for _ in range(2):
+            state, metrics = des_round(state, cfg, obj, partition,
+                                       trace_factory=lambda i: lambda *step: traced[i].append(step))
+            rounds_out.append((state, metrics))
+        return rounds_out, traced, obj.eval_counter
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(rounds().filter(lambda case: case[1].model.is_mixture),
+           st.sampled_from([1, 6, 40, objective.PLAN_ENTRIES]))
+    def check(case, cap):
+        data, cfg, loss, reg, state = case
+        monkeypatch.setattr(objective, "PLAN_ENTRIES", cap)
+        partition = partition_uniform(data, cfg.workers, RngStream(cfg.seed, "partition"))
+        del blocks[:]
+        got_rounds, got_traced, got_evals = run(StackedBatch, data, cfg, loss, reg, state,
+                                                partition)
+        planned_blocks = len(blocks)
+        want_rounds, want_traced, want_evals = run(UnplannedStackedBatch, data, cfg, loss, reg,
+                                                   state, partition)
+        for (got_state, got), (want_state, want) in zip(got_rounds, want_rounds):
+            assert np.array_equal(got_state.x, want_state.x)
+            assert np.array_equal(got_state.m, want_state.m)
+            assert got_state.t == want_state.t
+            assert got == want
+        for got_steps, want_steps in zip(got_traced, want_traced):
+            assert len(got_steps) == len(want_steps) == 2 * cfg.local_iters
+            for (k, step, v, f), want_step in zip(got_steps, want_steps):
+                assert (k, step, f) == (want_step[0], want_step[1], want_step[3])
+                assert np.array_equal(v, want_step[2])
+        assert got_evals == want_evals == 2 * cfg.workers * cfg.local_iters * cfg.batch_size
+        seen["several plan blocks"] += planned_blocks > 2
+        for i in range(cfg.workers):
+            idx = draw_terms(cfg.model, RngStream(cfg.seed, state.t, i, "mutation").gen,
+                             cfg.local_iters)[0]
+            rows = partition.minibatch(i, RngStream(cfg.seed, state.t, i, "batch"), cfg.batch_size)
+            column_nnz = np.diff(data.matrix[rows].tocsc().indptr)
+            seen["drawn empty column"] += bool((column_nnz[idx] == 0).any())
+            seen["repeated coordinate"] += bool((np.diff(np.sort(idx, axis=1), axis=1) == 0).any())
+            seen["repeated row"] += len(np.unique(rows)) < len(rows)
+        seen["accepted"] += sum(got.accepted)
+
+    check()
+    assert min(seen[k] for k in ("several plan blocks", "drawn empty column",
+                                 "repeated coordinate", "repeated row", "accepted")) > 0, seen
+
+
+def test_mixture_candidates_follow_the_plan():
+    data, rng = sparse_dataset(30, 40, seed=8)
+    batch = StackedBatch(RegularizedObjective(LossKind.LR, data, 1e-6),
+                         rng.integers(0, len(data), size=(2, 10)))
+    V = rng.normal(size=(2, 30))
+    batch.reset(V)
+    cols, before = mixture_candidate(V, 3, rng)
+    with pytest.raises(ValueError, match="plan"):
+        batch.values(V, before)  # no plan yet
+    batch.plan(cols[None])
+    batch.values(V, before)
+    with pytest.raises(ValueError, match="plan"):
+        batch.values(V, before)  # past the planned candidates
+
+
+def test_mixture_plan_blocks_are_memory_bounded():
+    # Every column of this data is dense, so a candidate of 2 workers with
+    # l = n = 40 touches about 2 * 25 columns * 100 rows = 5000 entries, and a
+    # round of 400 iterations about 2M. Planned in one block, their positions,
+    # rows and values peak at about 43 MB; in blocks of PLAN_ENTRIES (2**18)
+    # entries the round peaks at about 12 MB.
+    workers, iters, n, b = 2, 400, 40, 100
+    rng = np.random.default_rng(9)
+    data = Dataset(sp.csr_matrix(rng.normal(size=(200, n))), rng.choice([-1.0, 1.0], size=200))
+    batch = StackedBatch(RegularizedObjective(LossKind.LR, data, 1e-6),
+                         rng.integers(0, len(data), size=(workers, b)))
+    V = np.zeros((workers, n))
+    cfg = LocalConfig(iters=iters, model=MutationModel(MutationKind.MIXTURE_RADEMACHER, n, l=n),
+                      step0=0.1)
+    f_start = batch.reset(V)
+    tracemalloc.start()
+    try:
+        run_lockstep_es(V, cfg, batch, [RngStream(0, i) for i in range(workers)], f_start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak
 
 
 @st.composite
