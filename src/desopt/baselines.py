@@ -19,7 +19,7 @@ import numpy as np
 from .bench import RunRecord
 from .localsolver import NonFiniteObjectiveError
 from .mutation import RngStream
-from .objective import Dataset, LossKind, StackedBatch
+from .objective import Dataset, LossKind, StackedBatch, squared_norms
 from .server import RoundConfig, run_rounds
 
 # Unused here, but benchmarks/tracing.py patches both through this module's __dict__.
@@ -293,7 +293,7 @@ def run_es_csa(
             candidates = state.mean + state.sigma * draws
             shard_sums = [view.loss_sum_many(candidates) for view in views]
             values = np.sum(np.asarray(shard_sums), axis=0) / len(train)
-            values += 0.5 * reg * np.sum(candidates**2, axis=1)
+            values += 0.5 * reg * squared_norms(candidates)
             state = csa_step(state, draws, values)
             return state.mean.copy(), lam * len(train)
         return round_fn

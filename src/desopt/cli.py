@@ -1,12 +1,14 @@
 """Experiment runner: JSON experiment specs expanded over datasets, losses,
 algorithms, step-size grids, and seeds, with deterministic CSV outputs.
 
-Exit codes: 0 success, 1 validation or parse failure, 2 runtime failure.
+Exit codes: 0 success, 1 spec, usage or input error (a dataset that fails to
+load included), 2 runtime failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -91,7 +93,7 @@ def _check_keys(entry, allowed: set[str], where: str) -> None:
     _require(isinstance(entry, dict), where, f"expected an object, got {entry!r}")
     for key in entry:
         if key not in allowed:
-            raise ValueError(f"unknown key {key!r} in {where}")
+            raise ValueError(f"unexpected key {key!r} in {where}")
 
 
 def _integer(value, field: str, minimum: int | None = None) -> int:
@@ -103,9 +105,14 @@ def _integer(value, field: str, minimum: int | None = None) -> int:
 
 
 def _number(value, field: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), field,
-             f"must be a number, got {value!r}")
-    return float(value)
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+    _require(math.isfinite(number), field, f"must be a finite number, got {value!r}")
+    return number
 
 
 def _choice(value, options, field: str):
@@ -116,27 +123,33 @@ def _choice(value, options, field: str):
 
 def _build_dataset_spec(entry: dict, index: int) -> DatasetSpec:
     where = f"datasets[{index}]"
-    _check_keys(entry, {"name", "synthetic", "n", "examples", "path",
-                        "label_threshold", "n_features", "seed"}, where)
+    synth_keys = {"synthetic", "n", "examples"}
+    path_keys = {"path", "label_threshold", "n_features"}
+    _check_keys(entry, {"name", "seed"} | synth_keys | path_keys, where)
     _require("name" in entry, f"{where}.name", "required")
     synth = entry.get("synthetic")
     path = entry.get("path")
     _require((synth is None) != (path is None), where, "give exactly one of synthetic/path")
+    seed = _integer(entry.get("seed", DatasetSpec.seed), f"{where}.seed")
     if synth is not None:
-        _choice(synth, _SYNTH_NAMES, f"{where}.synthetic")
-        _integer(entry.get("n"), f"{where}.n", 1)
-        _integer(entry.get("examples"), f"{where}.examples", 2)
+        _check_keys(entry, {"name", "seed"} | synth_keys, f"{where} (a synthetic dataset)")
+        return DatasetSpec(
+            name=str(entry["name"]),
+            synthetic=_SYNTH_NAMES[_choice(synth, _SYNTH_NAMES, f"{where}.synthetic")],
+            n=_integer(entry.get("n"), f"{where}.n", 1),
+            examples=_integer(entry.get("examples"), f"{where}.examples", 2),
+            seed=seed,
+        )
+    _check_keys(entry, {"name", "seed"} | path_keys, f"{where} (a path dataset)")
+    _require(isinstance(path, str), f"{where}.path", f"must be a string, got {path!r}")
     threshold = entry.get("label_threshold")
     n_features = entry.get("n_features")
     return DatasetSpec(
         name=str(entry["name"]),
-        synthetic=_SYNTH_NAMES[synth] if synth is not None else None,
-        n=entry.get("n"),
-        examples=entry.get("examples"),
         path=path,
         label_threshold=None if threshold is None else _number(threshold, f"{where}.label_threshold"),
         n_features=None if n_features is None else _integer(n_features, f"{where}.n_features", 1),
-        seed=_integer(entry.get("seed", 0), f"{where}.seed"),
+        seed=seed,
     )
 
 
@@ -144,24 +157,25 @@ def _build_algo_spec(entry: dict, index: int) -> AlgoSpec:
     where = f"algorithms[{index}]"
     _check_keys(entry, {"name", "alpha", "beta", "model", "l", "allow_unsafe_beta"}, where)
     name = _choice(entry.get("name"), _ALGO_NAMES, f"{where}.name")
-    alpha = entry.get("alpha", [0.1, 1.0, 10.0])
+    if name != "des":  # only DES has momentum and a mutation model
+        _check_keys(entry, {"name", "alpha"}, f"{where} (a {name} entry)")
+    alpha = entry.get("alpha", list(AlgoSpec.alphas))
     alphas = tuple(_number(a, f"{where}.alpha") for a in (alpha if isinstance(alpha, list) else [alpha]))
     _require(len(alphas) > 0 and all(a > 0 for a in alphas), f"{where}.alpha",
              "step-sizes must be positive")
-    beta = _number(entry.get("beta", 0.5), f"{where}.beta")
-    allow_unsafe = entry.get("allow_unsafe_beta", False)
+    beta = _number(entry.get("beta", AlgoSpec.beta), f"{where}.beta")
+    allow_unsafe = entry.get("allow_unsafe_beta", AlgoSpec.allow_unsafe_beta)
     _require(isinstance(allow_unsafe, bool), f"{where}.allow_unsafe_beta", "must be true or false")
     try:
-        # only DES has momentum; the other entries just need a beta in [0,1)
-        check_beta(beta, allow_unsafe or name != "des")
+        check_beta(beta, allow_unsafe)
     except ValueError as exc:
         raise ValueError(f"field {where + '.beta'!r}: {exc}") from None
     return AlgoSpec(
         name=name,
         alphas=alphas,
         beta=beta,
-        model=_choice(entry.get("model", "gaussian"), _MODEL_NAMES, f"{where}.model"),
-        mixture_size=_integer(entry.get("l", 8), f"{where}.l", 1),
+        model=_choice(entry.get("model", AlgoSpec.model), _MODEL_NAMES, f"{where}.model"),
+        mixture_size=_integer(entry.get("l", AlgoSpec.mixture_size), f"{where}.l", 1),
         allow_unsafe_beta=allow_unsafe,
     )
 
@@ -181,18 +195,19 @@ def _build_spec(raw: dict) -> ExperimentSpec:
     _require(isinstance(loss_names, list) and loss_names, "losses", "need at least one loss")
     losses = tuple(LossKind[_choice(name, LossKind.__members__, "losses")] for name in loss_names)
 
-    workers = _integer(raw.get("workers", 10), "workers", 1)
-    batch_size = _integer(raw.get("batch_size", 1000), "batch_size", 1)
+    workers = _integer(raw.get("workers", ExperimentSpec.workers), "workers", 1)
+    batch_size = _integer(raw.get("batch_size", ExperimentSpec.batch_size), "batch_size", 1)
     for field in ("local_iters", "epochs"):  # null picks the dimension rule's value
         if raw.get(field) is not None:
             _integer(raw[field], field, 1)
-    split_fraction = _number(raw.get("split_fraction", 0.8), "split_fraction")
+    split_fraction = _number(raw.get("split_fraction", ExperimentSpec.split_fraction),
+                             "split_fraction")
     _require(0.0 < split_fraction < 1.0, "split_fraction", "must be in (0,1)")
-    reg = _number(raw.get("reg", 1e-6), "reg")
+    reg = _number(raw.get("reg", ExperimentSpec.reg), "reg")
     _require(reg >= 0.0, "reg", "must be nonnegative")
-    delta = _number(raw.get("delta", 0.1), "delta")
+    delta = _number(raw.get("delta", ExperimentSpec.delta), "delta")
     _require(0.0 < delta < 1.0, "delta", f"must be in (0,1), got {delta}")
-    seeds = raw.get("seeds", list(range(8)))
+    seeds = raw.get("seeds", list(ExperimentSpec.seeds))
     _require(isinstance(seeds, list) and seeds, "seeds", "need a nonempty list of seeds")
     seeds = tuple(_integer(s, "seeds") for s in seeds)
     _require(len(set(seeds)) == len(seeds), "seeds", "must be distinct")
@@ -201,7 +216,7 @@ def _build_spec(raw: dict) -> ExperimentSpec:
         datasets=datasets, losses=losses, algorithms=algorithms,
         workers=workers, batch_size=batch_size, local_iters=raw.get("local_iters"),
         epochs=raw.get("epochs"), split_fraction=split_fraction, reg=reg, delta=delta,
-        seeds=seeds, out_dir=str(raw.get("out_dir", "runs")),
+        seeds=seeds, out_dir=str(raw.get("out_dir", ExperimentSpec.out_dir)),
     )
 
 
@@ -274,12 +289,14 @@ def _run_cell(spec, algo: AlgoSpec, alpha: float, seed: int, train, test,
 def run_matrix(spec: ExperimentSpec, timing: bool = False) -> int:
     """Execute the full experiment cross-product and write metrics/profiles CSVs.
 
-    Per-cell failures are reported and skipped; any failure yields exit code 2.
+    Failures are reported and skipped. A dataset that fails to load is an
+    input error and yields exit code 1; otherwise a failed cell yields 2.
     """
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []
     failures: list[tuple[str, Exception]] = []
+    bad_input = False
 
     for ds in spec.datasets:
         try:
@@ -289,6 +306,7 @@ def run_matrix(spec: ExperimentSpec, timing: bool = False) -> int:
             )
         except Exception as exc:
             failures.append((f"dataset {ds.name}", exc))
+            bad_input = True
             continue
         local_iters, epochs = _dimension_rule(full.n_features, spec)
         per_round = spec.workers * local_iters * spec.batch_size
@@ -338,7 +356,7 @@ def run_matrix(spec: ExperimentSpec, timing: bool = False) -> int:
 
     for name, exc in failures:
         print(f"FAILED {name}: {exc}", file=sys.stderr)
-    return 2 if failures else 0
+    return 1 if bad_input else 2 if failures else 0
 
 
 def _cmd_run(args) -> int:
@@ -401,7 +419,10 @@ def main(argv=None) -> int:
     chk_p.add_argument("--label-threshold", type=float, default=None,
                        help="binarize labels by label > threshold when not already binary")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     commands = {"run": _cmd_run, "profile": _cmd_profile, "parse-check": _cmd_parse_check}
     try:
         return commands[args.command](args)

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mutation import RngStream
-from .objective import Dataset
+from .objective import Dataset, index_dtype
 
 
 class LibsvmParseError(ValueError):
@@ -66,6 +66,8 @@ def parse_libsvm(
     ``label_threshold`` (label > threshold becomes +1). The dimension is the
     largest index seen unless ``n_features`` overrides it.
     """
+    if label_threshold is not None and not math.isfinite(label_threshold):
+        raise ValueError(f"label_threshold must be finite, got {label_threshold}")
     fh, owned = _open_text(source)
     raw_labels: list[float] = []
     indptr = array("q", [0])
@@ -118,7 +120,7 @@ def parse_libsvm(
         raise ValueError(f"n_features={n_features} smaller than max index seen ({seen_max})")
     # merge in the index dtype csr_matrix would pick, so it keeps the arrays
     # instead of copying them, and free each chunk list once it is merged
-    idx_dtype = np.int32 if max(n, indptr[-1]) <= np.iinfo(np.int32).max else np.int64
+    idx_dtype = index_dtype(n, indptr[-1])
     cols = np.concatenate(index_chunks, dtype=idx_dtype, casting="same_kind")
     del index_chunks, indices
     data = np.concatenate(value_chunks)

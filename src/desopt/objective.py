@@ -74,63 +74,38 @@ def _loss_values(kind: LossKind, a: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 1.0 - a)
 
 
-class BatchView:
-    """The fixed-minibatch objective f_i: rows sliced once, evaluated many times.
+def _point(x, n: int) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (n,):
+        raise ValueError(f"x has shape {x.shape}, dataset dimension is {n}")
+    return x
 
-    Every value/loss evaluation charges len(rows) samples to the parent
-    objective's instrumented counter.
-    """
 
-    def __init__(self, obj: "RegularizedObjective", rows):
-        self.obj = obj
-        self.rows = np.asarray(rows, dtype=np.int64)
-        if len(self.rows) < 1:
-            raise ValueError("minibatch must contain at least one example")
-        self._X = obj.dataset.matrix[self.rows]
-        self._y = obj.dataset.labels[self.rows]
-        self.b = len(self.rows)
+def squared_norms(V: np.ndarray) -> np.ndarray:
+    """Squared norms along the last axis, by numpy's own pairwise sum: a BLAS
+    dot would depend on the BLAS thread count."""
+    return np.add.reduce(np.square(V), axis=-1)
 
-    def _margins(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.obj.dataset.n_features,):
-            raise ValueError(
-                f"x has shape {x.shape}, dataset dimension is {self.obj.dataset.n_features}"
-            )
-        return self._y * (self._X @ x)
 
-    def value(self, x: np.ndarray) -> float:
-        """Mean batch loss plus the L2 regularizer."""
-        self.obj.eval_counter += self.b
-        return self.peek_value(x)
-
-    def peek_value(self, x: np.ndarray) -> float:
-        """Same as value() but without charging the counter.
-
-        Reserved for the cached-parent evaluation at the start of a local
-        round, which sits outside the per-candidate evaluation budget.
-        """
-        a = self._margins(x)
-        return float(np.mean(_loss_values(self.obj.loss_kind, a))) + self.obj._reg_term(x)
-
-    def loss_sum_many(self, points: np.ndarray) -> np.ndarray:
-        """Unregularized loss sums for several points at once, shape (q,)."""
-        points = np.asarray(points, dtype=np.float64)
-        margins = self._y[:, None] * (self._X @ points.T)
-        self.obj.eval_counter += self.b * points.shape[0]
-        return np.sum(_loss_values(self.obj.loss_kind, margins), axis=0)
+def index_dtype(*sizes: int) -> type:
+    """The CSR index dtype scipy picks for these dimensions and entry counts;
+    passing it spares scipy its scan of the index arrays."""
+    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
 
 
 class StackedBatch:
     """The M same-size minibatch objectives of a DES round or a zeroth-order
     step, evaluated together at the M rows of a stacked point array V (M x n).
+    BatchView is its one-worker case.
 
     rows holds worker i's minibatch (row indices into obj.dataset) in row i.
-    One gather of all M*b rows makes a block-diagonal CSR whose block i acts
-    on row i of V (columns offset by i*n). A dense candidate is a pure
-    function of V, the operations of BatchView.value (the full stacked matvec
-    and one row sum per worker), so its values match it bit for bit. It drops
-    the cache below: keep after it does nothing, and a mixture candidate after
-    it needs a new reset. For mixture candidates, reset caches the kept
+    One gather of all M*b rows makes a block-diagonal CSR whose block i holds
+    the entries of dataset.matrix[rows[i]] in stored order and acts on row i
+    of V (columns offset by i*n). A dense candidate is a pure function of V:
+    the full stacked matvec, then per worker the loss sum over b plus the L2
+    term, bit for bit the mean loss plus regularizer of that worker alone. It
+    drops the cache below: keep after it does nothing, and a mixture candidate
+    after it needs a new reset. For mixture candidates, reset caches the kept
     points' M*b signed margins a = y * (X v), their per-row losses and each
     worker's squared norm, all exact. plan(cols) takes the flat coordinates
     that the coming mixture candidates change and makes a y-scaled CSC of only
@@ -152,8 +127,7 @@ class StackedBatch:
         X = obj.dataset.matrix[rows]
         self.n = obj.dataset.n_features
         shape = (workers * self.b, workers * self.n)
-        # int32 indices, the dtype scipy would pick anyway, skip its content scan
-        index = np.int32 if max(*shape, X.nnz) <= np.iinfo(np.int32).max else np.int64
+        index = index_dtype(*shape, X.nnz)
         offsets = np.repeat(np.arange(workers, dtype=index) * index(self.n),
                             np.diff(X.indptr[::self.b]))
         self._X = sp.csr_matrix((X.data, X.indices.astype(index, copy=False) + offsets,
@@ -165,7 +139,7 @@ class StackedBatch:
     def _exact(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         a = self._y * (self._X @ V.reshape(-1))
         loss = _loss_values(self.obj.loss_kind, a).reshape(-1, self.b)
-        return a, loss, np.add.reduce(np.square(V), axis=1)
+        return a, loss, squared_norms(V)
 
     def _worker_values(self, loss: np.ndarray, sq: np.ndarray) -> np.ndarray:
         return np.add.reduce(loss, axis=1) / self.b + 0.5 * self.obj.reg * sq
@@ -220,6 +194,33 @@ class StackedBatch:
         self._a.reshape(-1, self.b)[rejected] = a.reshape(-1, self.b)[rejected]
         self._loss[rejected] = loss[rejected]
         self._sq[rejected] = sq[rejected]
+
+
+class BatchView(StackedBatch):
+    """The fixed-minibatch objective f_i: the one-worker StackedBatch, its
+    rows gathered once and scored at single points. Every value/loss
+    evaluation charges len(rows) samples to the objective's counter."""
+
+    def __init__(self, obj: "RegularizedObjective", rows):
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(rows) < 1:
+            raise ValueError("minibatch must contain at least one example")
+        super().__init__(obj, rows[None])
+
+    def value(self, x: np.ndarray) -> float:
+        """Mean batch loss plus the L2 regularizer."""
+        return float(self.values(_point(x, self.n)[None])[0])
+
+    def peek_value(self, x: np.ndarray) -> float:
+        """value(x) uncounted: the parent's value at the start of a local
+        round, which sits outside the per-candidate evaluation budget."""
+        return float(self._worker_values(*self._exact(_point(x, self.n)[None])[1:])[0])
+
+    def loss_sum_many(self, points: np.ndarray) -> np.ndarray:
+        """Unregularized loss sums for several points at once, shape (q,)."""
+        margins = self._y[:, None] * (self._X @ np.asarray(points, dtype=np.float64).T)
+        self.obj.eval_counter += self.b * margins.shape[1]
+        return np.sum(_loss_values(self.obj.loss_kind, margins), axis=0)
 
 
 def _planned(X: sp.csr_matrix, y: np.ndarray, cols: np.ndarray):
@@ -278,8 +279,7 @@ class RegularizedObjective:
         self.eval_counter = 0
 
     def _reg_term(self, x: np.ndarray) -> float:
-        # numpy's own pairwise sum: a BLAS dot would depend on the BLAS thread count
-        return 0.5 * self.reg * float(np.add.reduce(np.square(x)))
+        return 0.5 * self.reg * float(squared_norms(x))
 
     def batch(self, rows) -> BatchView:
         return BatchView(self, rows)
@@ -299,9 +299,7 @@ class RegularizedObjective:
 
 def _scores(x: np.ndarray, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """x as a float64 point of the dataset's dimension, and X @ x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (dataset.n_features,):
-        raise ValueError(f"x has shape {x.shape}, dataset dimension is {dataset.n_features}")
+    x = _point(x, dataset.n_features)
     return x, dataset.matrix @ x
 
 

@@ -1,6 +1,8 @@
 """Test-suite oracles for the objectives: analytic minibatch gradients, checked
 against central differences and used as ground truth for the zeroth-order
-gradient estimates, and the stacked evaluator's unplanned mixture path."""
+gradient estimates, a standalone one-minibatch objective that the stacked
+evaluator's dense values must equal bit for bit, and the stacked evaluator's
+unplanned mixture path."""
 from __future__ import annotations
 
 from functools import cached_property
@@ -9,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from desopt.objective import BatchView, LossKind, StackedBatch, _loss_values
+from desopt.objective import LossKind, RegularizedObjective, StackedBatch, _loss_values
 
 
 def loss_margin_grad(kind: LossKind, a: np.ndarray) -> np.ndarray:
@@ -22,11 +24,58 @@ def loss_margin_grad(kind: LossKind, a: np.ndarray) -> np.ndarray:
     return np.where(a < 1.0, -1.0, 0.0)
 
 
-def batch_gradient(view: BatchView, x: np.ndarray) -> np.ndarray:
-    """Exact gradient of view's objective at x (subgradient for the hinge)."""
+def batch_gradient(view, x: np.ndarray) -> np.ndarray:
+    """Exact gradient at x (subgradient for the hinge) of the objective of a
+    one-minibatch view: a BatchView or a ReferenceBatchView."""
     x = np.asarray(x, dtype=np.float64)
-    coef = view._y * loss_margin_grad(view.obj.loss_kind, view._margins(x))
+    coef = view._y * loss_margin_grad(view.obj.loss_kind, view._y * (view._X @ x))
     return np.asarray(view._X.T @ coef) / view.b + view.obj.reg * x
+
+
+class ReferenceBatchView:
+    """The fixed-minibatch objective f_i: rows sliced once, evaluated many times.
+
+    Every value/loss evaluation charges len(rows) samples to the parent
+    objective's instrumented counter.
+    """
+
+    def __init__(self, obj: RegularizedObjective, rows):
+        self.obj = obj
+        self.rows = np.asarray(rows, dtype=np.int64)
+        if len(self.rows) < 1:
+            raise ValueError("minibatch must contain at least one example")
+        self._X = obj.dataset.matrix[self.rows]
+        self._y = obj.dataset.labels[self.rows]
+        self.b = len(self.rows)
+
+    def _margins(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.obj.dataset.n_features,):
+            raise ValueError(
+                f"x has shape {x.shape}, dataset dimension is {self.obj.dataset.n_features}"
+            )
+        return self._y * (self._X @ x)
+
+    def value(self, x: np.ndarray) -> float:
+        """Mean batch loss plus the L2 regularizer."""
+        self.obj.eval_counter += self.b
+        return self.peek_value(x)
+
+    def peek_value(self, x: np.ndarray) -> float:
+        """Same as value() but without charging the counter.
+
+        Reserved for the cached-parent evaluation at the start of a local
+        round, which sits outside the per-candidate evaluation budget.
+        """
+        a = self._margins(x)
+        return float(np.mean(_loss_values(self.obj.loss_kind, a))) + self.obj._reg_term(x)
+
+    def loss_sum_many(self, points: np.ndarray) -> np.ndarray:
+        """Unregularized loss sums for several points at once, shape (q,)."""
+        points = np.asarray(points, dtype=np.float64)
+        margins = self._y[:, None] * (self._X @ points.T)
+        self.obj.eval_counter += self.b * points.shape[0]
+        return np.sum(_loss_values(self.obj.loss_kind, margins), axis=0)
 
 
 class UnplannedStackedBatch(StackedBatch):

@@ -31,6 +31,7 @@ from desopt import (
     zo_grad_central,
 )
 from helpers import ScriptedGen, ScriptedStream
+from objective_oracles import ReferenceBatchView
 from reference_csa import reference_csa_sigma_trace
 
 
@@ -139,9 +140,9 @@ def test_budget_cap_stops_early():
 
 def replay_zo(runner, cfg, train, smoothing):
     """The iterates of a zeroth-order baseline run one worker at a time: one
-    BatchView row gather per minibatch and one-point zo_grad_central calls on
-    BatchView.value, from the same keyed streams. Returns the iterates and the
-    evaluation ledger after each round."""
+    ReferenceBatchView row gather per minibatch and one-point zo_grad_central
+    calls on ReferenceBatchView.value, from the same keyed streams. Returns the
+    iterates and the evaluation ledger after each round."""
     obj = RegularizedObjective(LossKind.LR, train)
     partition = partition_uniform(train, cfg.workers, RngStream(cfg.seed, "partition"))
     k_prime = cfg.local_iters // 2
@@ -152,7 +153,7 @@ def replay_zo(runner, cfg, train, smoothing):
             batch_gen = RngStream(cfg.seed, t, i, "batch").gen
             sm_stream = RngStream(cfg.seed, t, i, "smoothing")
             # fed-zo-gd keeps one minibatch per round; the others draw one per step
-            views = [obj.batch(shard[batch_gen.integers(0, len(shard), size=cfg.batch_size)])
+            views = [ReferenceBatchView(obj, shard[batch_gen.integers(0, len(shard), size=cfg.batch_size)])
                      for _ in range(1 if runner is run_fed_zo_gd else k_prime)]
             xi, g_sum = x.copy(), np.zeros_like(x)
             for k in range(k_prime):

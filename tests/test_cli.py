@@ -3,13 +3,17 @@ reproducibility, and command exit codes."""
 from __future__ import annotations
 
 import json
+import math
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from desopt import LossKind, load_spec, main, read_metrics_csv
-from desopt.cli import ExperimentSpec, _apply_overrides, _dimension_rule
+from desopt import BETA_LIMIT, LossKind, load_spec, main, read_metrics_csv
+from desopt.cli import AlgoSpec, ExperimentSpec, _apply_overrides, _build_spec, _dimension_rule
 
 
 def write_spec(path, **overrides):
@@ -61,6 +65,20 @@ def test_load_spec_unknown_keys(tmp_path):
         (lambda r: r.update(frobnicate=1), "frobnicate"),
         (lambda r: r["datasets"][0].update(shape=3), "shape"),
         (lambda r: r["algorithms"][0].update(momentum=0.5), "momentum"),
+        # keys that only another algorithm or another kind of dataset reads
+        (lambda r: r["algorithms"].append({"name": "fed-zo-gd", "beta": 0.9,
+                                           "allow_unsafe_beta": True}),
+         r"'beta' in algorithms\[1\]"),
+        (lambda r: r["algorithms"].append({"name": "es-csa", "model": "mixture_gaussian",
+                                           "l": 3}),
+         r"'model' in algorithms\[1\]"),
+        (lambda r: r["algorithms"].append({"name": "zo-signsgd", "l": 3}), r"'l' in algorithms"),
+        (lambda r: r["datasets"][0].update(n_features=4), "n_features"),
+        (lambda r: r["datasets"][0].update(label_threshold=0.5), "label_threshold"),
+        (lambda r: r["datasets"].append({"name": "p", "path": "x.svm", "n": 4}),
+         r"'n' in datasets"),
+        (lambda r: r["datasets"].append({"name": "p", "path": "x.svm", "examples": 9}),
+         "examples"),
     ]:
         raw = json.loads(json.dumps(base))
         mutate(raw)
@@ -68,6 +86,100 @@ def test_load_spec_unknown_keys(tmp_path):
         path.write_text(json.dumps(raw), encoding="utf-8")
         with pytest.raises(ValueError, match=needle):
             load_spec(path)
+
+
+VALID_SPEC = {
+    "datasets": [{"name": "d", "synthetic": "noisy", "n": 4, "examples": 10, "seed": 1},
+                 {"name": "p", "path": "x.svm", "label_threshold": 0.5, "n_features": 4}],
+    "losses": ["LR", "NSVM"],
+    "algorithms": [{"name": "des", "alpha": [0.5, 2.0], "beta": 0.25,
+                    "model": "mixture_gaussian", "l": 3, "allow_unsafe_beta": False},
+                   {"name": "es-csa", "alpha": 1.0}],
+    "workers": 2, "batch_size": 4, "local_iters": None, "epochs": 3,
+    "split_fraction": 0.7, "reg": 1e-4, "delta": 0.2, "seeds": [0, 5], "out_dir": "o",
+}
+TOP_KEYS = ("datasets", "losses", "algorithms", "workers", "batch_size", "local_iters",
+            "epochs", "split_fraction", "reg", "delta", "seeds", "out_dir")
+DATASET_KEYS = ("name", "synthetic", "n", "examples", "path", "label_threshold",
+                "n_features", "seed")
+ALGO_KEYS = ("name", "alpha", "beta", "model", "l", "allow_unsafe_beta")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400), 0, 1, 2, 0.5,
+                       -0.5, 0.7, 1.0, "noisy", "gaussian", "des", "x.svm"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(ALGO_KEYS + DATASET_KEYS), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def one_key_replaced(draw):
+    raw = json.loads(json.dumps(VALID_SPEC))
+    entry = draw(st.sampled_from(["top", "dataset", "algorithm"]))
+    if entry == "top":
+        node, key = raw, draw(st.sampled_from(TOP_KEYS))
+    elif entry == "dataset":
+        node, key = draw(st.sampled_from(raw["datasets"])), draw(st.sampled_from(DATASET_KEYS))
+    else:
+        node, key = draw(st.sampled_from(raw["algorithms"])), draw(st.sampled_from(ALGO_KEYS))
+    node[key] = draw(json_values)
+    return raw
+
+
+def finite(x) -> bool:
+    return isinstance(x, float) and math.isfinite(x)
+
+
+def count(x, minimum=1) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= minimum
+
+
+def test_build_spec_returns_finite_in_range_spec_or_raises():
+    seen = Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(one_key_replaced())
+    def check(raw):
+        try:
+            spec = _build_spec(raw)
+        except ValueError as exc:
+            seen["non-finite rejected"] += "finite number" in str(exc)
+            seen["misplaced rejected"] += "(a " in str(exc)
+            return
+        seen["built"] += 1
+        assert count(spec.workers) and count(spec.batch_size)
+        assert all(x is None or count(x) for x in (spec.local_iters, spec.epochs))
+        assert finite(spec.split_fraction) and 0.0 < spec.split_fraction < 1.0
+        assert finite(spec.reg) and spec.reg >= 0.0
+        assert finite(spec.delta) and 0.0 < spec.delta < 1.0
+        assert spec.seeds and all(count(s, -math.inf) for s in spec.seeds)
+        assert len(set(spec.seeds)) == len(spec.seeds)
+        assert spec.losses and all(isinstance(loss, LossKind) for loss in spec.losses)
+        for ds in spec.datasets:
+            assert count(ds.seed, -math.inf)
+            if ds.synthetic is not None:
+                assert count(ds.n) and count(ds.examples, 2)
+                assert ds.path is ds.label_threshold is ds.n_features is None
+            else:
+                assert isinstance(ds.path, str) and ds.n is ds.examples is None
+                assert ds.label_threshold is None or finite(ds.label_threshold)
+                assert ds.n_features is None or count(ds.n_features)
+        for algo in spec.algorithms:
+            assert algo.alphas and all(finite(a) and a > 0.0 for a in algo.alphas)
+            assert finite(algo.beta) and 0.0 <= algo.beta < 1.0
+            assert algo.beta < BETA_LIMIT or algo.allow_unsafe_beta
+            assert count(algo.mixture_size)
+            if algo.name != "des":
+                defaults = AlgoSpec(algo.name)
+                assert (algo.beta, algo.model, algo.mixture_size, algo.allow_unsafe_beta) == \
+                       (defaults.beta, defaults.model, defaults.mixture_size,
+                        defaults.allow_unsafe_beta)
+
+    assert _build_spec(json.loads(json.dumps(VALID_SPEC))).algorithms[0].mixture_size == 3
+    check()
+    assert min(seen[k] for k in ("built", "non-finite rejected", "misplaced rejected")) > 0, seen
 
 
 def test_load_spec_field_validation(tmp_path):
@@ -94,6 +206,15 @@ def test_load_spec_field_validation(tmp_path):
         ({"datasets": [5]}, "datasets"),
         ({"workers": 2.7}, "workers"),
         ({"algorithms": [{"name": "des", "l": 2.5}]}, r"\.l'"),
+        # non-finite numbers, which Python's json reads from NaN and Infinity
+        ({"algorithms": [{"name": "des", "alpha": [float("inf")]}]}, "alpha"),
+        ({"algorithms": [{"name": "des", "beta": float("nan")}]}, "beta"),
+        ({"reg": float("inf")}, "reg"),
+        ({"delta": float("nan")}, "delta"),
+        ({"split_fraction": float("nan")}, "split_fraction"),
+        ({"datasets": [{"name": "d", "path": "x.svm", "label_threshold": float("nan")}]},
+         "label_threshold"),
+        ({"reg": 10**400}, "reg"),
     ]
     for override, needle in cases:
         raw = dict(base, **override)
@@ -267,6 +388,31 @@ def test_run_spec_errors_exit_1(tmp_path, capsys):
         assert main(["run", str(spec_path), "--threads", threads,
                      "--out", str(tmp_path / "r")]) == 1
         assert "--threads" in capsys.readouterr().err
+    # usage errors: argparse's own exit code would be 2, a runtime failure
+    for argv in (["run", str(spec_path), "--bogus", "1"], ["run"], [], ["frobnicate"],
+                 ["run", str(spec_path), "--threads", "two"]):
+        assert main(argv) == 1, argv
+        assert "usage:" in capsys.readouterr().err
+    for argv in (["--help"], ["run", "--help"]):
+        assert main(argv) == 0, argv
+        assert "usage:" in capsys.readouterr().out
+    for override in ("reg=Infinity", "algorithms.0.alpha=[NaN]", "delta=-Infinity"):
+        assert main(["run", str(spec_path), "--set", override,
+                     "--out", str(tmp_path / "r")]) == 1, override
+        assert "finite number" in capsys.readouterr().err
+    # a dataset that fails to load is an input error; the other datasets' cells still run
+    bad = tmp_path / "bad.svm"
+    bad.write_text("+1 1:1\n-1 0:2\n", encoding="utf-8")
+    inputs = write_spec(tmp_path / "inputs.json", datasets=[
+        {"name": "missing", "path": str(tmp_path / "missing.svm")},
+        {"name": "bad", "path": str(bad)},
+        {"name": "tiny", "synthetic": "separable", "n": 6, "examples": 80, "seed": 3},
+    ])
+    assert main(["run", str(inputs), "--out", str(tmp_path / "inputs")]) == 1
+    err = capsys.readouterr().err
+    assert "FAILED dataset missing" in err and "FAILED dataset bad: line 2" in err
+    records = read_metrics_csv(tmp_path / "inputs" / "metrics.csv")
+    assert {r.instance for r in records} == {"tiny/LR"} and len(records) == 4
 
 
 def test_profile_command(tmp_path, capsys):
@@ -300,6 +446,9 @@ def test_parse_check_command(tmp_path, capsys):
     nan_label.write_text("1 1:1\n2 1:1\nnan 1:2\n", encoding="utf-8")
     assert main(["parse-check", str(nan_label), "--label-threshold", "1.5"]) == 1
     assert "line 3: non-finite label" in capsys.readouterr().err
+    for threshold in ("nan", "inf", "-inf"):
+        assert main(["parse-check", str(multi), f"--label-threshold={threshold}"]) == 1
+        assert "label_threshold must be finite" in capsys.readouterr().err
 
 
 def test_run_matrix_multiple_losses_and_instances(tmp_path):

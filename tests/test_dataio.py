@@ -62,6 +62,9 @@ def test_parse_other_labels_need_threshold():
         parse_libsvm(io.StringIO(text))
     ds = parse_libsvm(io.StringIO(text), label_threshold=1.5)
     npt.assert_array_equal(ds.labels, [-1.0, 1.0, 1.0])
+    for threshold in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="label_threshold must be finite"):
+            parse_libsvm(io.StringIO(text), label_threshold=threshold)
 
 
 def test_parse_errors_name_the_line():

@@ -3,8 +3,9 @@
 des_round advances all M workers together and scores their candidates
 through one StackedBatch. Dense candidates take the full stacked matvec, so a
 dense round must equal, bit for bit, the per-worker (1+1)-ES that evaluates
-every candidate with BatchView.value. Sparse mixture candidates update cached
-margins and squared norms incrementally, so their values equal an exact
+every candidate with the standalone ReferenceBatchView.value. Sparse mixture
+candidates update cached margins and squared norms incrementally, so their
+values equal an exact
 recompute only up to rounding: within TOL, relative to 1 + |value|. Whole
 mixture trajectories are therefore not compared with the reference (a
 near-tie may be decided either way); each step is checked instead. Planned
@@ -12,7 +13,7 @@ mixture rounds, which look up every candidate's entries at the start of the
 round, must equal the unplanned oracle bit for bit. The
 zeroth-order baselines score their dense central differences through the
 same stacked evaluator, so their stacked estimates must equal per-worker
-one-point estimates on BatchView.value bit for bit.
+one-point estimates on ReferenceBatchView.value bit for bit.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ from desopt.baselines import _zo_grads
 from desopt.localsolver import DENSE_BLOCK, LocalConfig, run_lockstep_es
 from desopt.mutation import draw_terms
 from desopt.objective import StackedBatch
-from objective_oracles import UnplannedStackedBatch
+from objective_oracles import ReferenceBatchView, UnplannedStackedBatch
 
 # Incremental margins drift from an exact recompute by a few ulps of the
 # largest margin per update (about 1e-14 after 1500 updates on the benchmark
@@ -60,13 +61,13 @@ def close(got, exact) -> bool:
 
 
 def worker_views(state, cfg, obj, partition):
-    return [obj.batch(partition.minibatch(i, RngStream(cfg.seed, state.t, i, "batch"),
-                                          cfg.batch_size)) for i in range(cfg.workers)]
+    return [ReferenceBatchView(obj, partition.minibatch(i, RngStream(cfg.seed, state.t, i, "batch"),
+                                                        cfg.batch_size)) for i in range(cfg.workers)]
 
 
 def reference_round(state, cfg, obj, partition):
     """One dense DES round with each worker run on its own, one
-    BatchView.value call per candidate."""
+    ReferenceBatchView.value call per candidate."""
     step0 = step_size(cfg.alpha, state.t, 0)
     finals, accepted, values = [], [], []
     for i, view in enumerate(worker_views(state, cfg, obj, partition)):
@@ -262,7 +263,7 @@ def test_incremental_mixture_value_matches_exact_recompute():
         data, rows, l, loss, reg, V, rng, warmup = case
         obj = RegularizedObjective(loss, data, reg)
         batch = StackedBatch(obj, rows)
-        views = [obj.batch(r) for r in rows]
+        views = [ReferenceBatchView(obj, r) for r in rows]
         batch.reset(V)
         # reach a random kept state: candidates kept or restored at random
         for _ in range(warmup):
@@ -297,7 +298,7 @@ def test_dense_values_are_stateless():
         data, rows, l, loss, reg, V, rng, calls = case
         obj = RegularizedObjective(loss, data, reg)
         batch = StackedBatch(obj, rows)
-        views = [obj.batch(r) for r in rows]
+        views = [ReferenceBatchView(obj, r) for r in rows]
         if rng.random() < 0.5:
             batch.reset(V)
             seen["reset first"] += 1
@@ -456,7 +457,7 @@ def test_stacked_zo_grads_match_per_worker_estimates():
     def check(case):
         data, rows, smoothing, loss, reg, X, seed = case
         obj, ref_obj = RegularizedObjective(loss, data, reg), RegularizedObjective(loss, data, reg)
-        batch, views = StackedBatch(obj, rows), [ref_obj.batch(r) for r in rows]
+        batch, views = StackedBatch(obj, rows), [ReferenceBatchView(ref_obj, r) for r in rows]
         streams = [RngStream(seed, i, "smoothing") for i in range(len(rows))]
         ref_streams = [RngStream(seed, i, "smoothing") for i in range(len(rows))]
         # two estimates on the same minibatches, as fed-zo-gd takes its local steps

@@ -4,15 +4,19 @@ from __future__ import annotations
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desopt import (
+    BatchView,
     Dataset,
     LossKind,
     RegularizedObjective,
     classification_error,
 )
 from helpers import dataset_from_dense
-from objective_oracles import batch_gradient
+from objective_oracles import ReferenceBatchView, batch_gradient
 
 RNG = np.random.default_rng(90210)
 
@@ -140,6 +144,30 @@ def test_classification_error_tie_predicts_positive():
     ds = dataset_from_dense([[0.0, 1.0], [0.0, 1.0]], [1.0, -1.0])
     x = np.array([5.0, 0.0])  # both margins exactly zero
     assert classification_error(x, ds) == 0.5
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 30), st.integers(1, 40), st.sampled_from([0.05, 0.3, 1.0]),
+       st.sampled_from(list(LossKind)), st.sampled_from([0.0, 1e-6, 0.1]),
+       st.integers(0, 2**32 - 1))
+def test_batch_view_equals_standalone_reference(n, b, density, kind, reg, seed):
+    # BatchView is the one-worker StackedBatch; its values must be the
+    # standalone row-gather-and-mean objective's, bit for bit, ledger included
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(12, n)) * (rng.random((12, n)) < density)
+    ds = Dataset(sp.csr_matrix(features), rng.choice([-1.0, 1.0], size=12))
+    rows = rng.integers(0, 12, size=b)  # repeats allowed
+    obj, ref_obj = RegularizedObjective(kind, ds, reg), RegularizedObjective(kind, ds, reg)
+    view, ref = obj.batch(rows), ReferenceBatchView(ref_obj, rows)
+    assert isinstance(view, BatchView)
+    for scale in (0.0, 1.0, 30.0):
+        x = rng.normal(size=n) * scale
+        assert view.value(x) == ref.value(x)
+        assert view.peek_value(x) == ref.peek_value(x)
+        points = rng.normal(size=(3, n)) * scale
+        assert np.array_equal(view.loss_sum_many(points), ref.loss_sum_many(points))
+        assert obj.eval_counter == ref_obj.eval_counter
+    assert np.array_equal(batch_gradient(view, x), batch_gradient(ref, x))
 
 
 def test_eval_counter_semantics():
