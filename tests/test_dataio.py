@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import gzip
 import io
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desopt import (
     Dataset,
@@ -25,6 +29,8 @@ from desopt import (
     synth_dataset_with_truth,
     write_libsvm,
 )
+from desopt import dataio
+from desopt.objective import index_dtype
 
 SAMPLE = """+1 1:0.5 3:-2
 -1 2:1.25
@@ -80,6 +86,8 @@ def test_parse_errors_name_the_line():
         ("+1 1:1\nnan 1:2\n", "line 2: non-finite label 'nan'"),
         ("inf 1:1\n", "line 1: non-finite label 'inf'"),
         ("+1 1:1\n-1 1:1\n-inf 1:3\n", "line 3: non-finite label '-inf'"),
+        ("+1 99999999999999999999:1\n", "line 1: index 99999999999999999999 out of range"),
+        ("+1 9223372036854775808:1\n", "line 1: index 9223372036854775808 out of range"),
     ]
     for text, needle in cases:
         with pytest.raises(LibsvmParseError) as err:
@@ -124,6 +132,154 @@ def test_write_round_trip_file(tmp_path):
     path = tmp_path / "out.txt"
     write_libsvm(ds, path)
     assert parse_libsvm(path, n_features=4) == ds
+
+
+# label spellings by the threshold their mix needs: {-1,+1}, {0,1}, anything
+LABELS = [(None, ("+1", "-1", "1", "-1.0", "+1e0", "01")),
+          (None, ("0", "1", "0.0", "1.", "-0", "+0")),
+          (0.5, ("2", "-7", "3.5", "1_0", "0"))]
+ODD_VALUES = ["", "1.", ".5", "-.5e-3", "1E5", "1_000.5", "007", "0e0", "-0.0", "-0",
+              "4.9406564584124654e-324", "1e-400", "1e400", "+1e+308"]
+# one byte of damage: separators, line ends, digits and signs, and what only the
+# line loop accepts or rejects (underscores, nan, inf, non-ASCII and other whitespace)
+DAMAGE = list(":x\r\n \t-+.eE0915_naif\x00\x0b\x0c\x1c\x1f\x85\xa0\u2028\xe9")
+
+
+@st.composite
+def index_tokens(draw, i):
+    digits = str(i)
+    spellings = ["00" + digits, "+" + digits]
+    if len(digits) > 1:
+        spellings.append(digits[0] + "_" + digits[1:])
+    return draw(st.sampled_from(spellings))
+
+
+floats = st.floats(allow_nan=False, allow_infinity=False)
+odd_values = st.one_of(
+    floats.flatmap(lambda v: st.sampled_from([f"{v:e}", f"{v:+g}"])),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(ODD_VALUES),
+)
+
+
+@st.composite
+def libsvm_texts(draw):
+    """LIBSVM text in the spellings write_libsvm uses, with none, a few or many
+    tokens spelled in other ways the line loop accepts, and one byte of damage in
+    a third of the cases. Returns the text and its label_threshold."""
+    threshold, labels = draw(st.sampled_from(LABELS))
+    odd = draw(st.sampled_from([0, 1, 5]))  # in ten tokens
+
+    def spell(plain, other):
+        return draw(other) if draw(st.integers(0, 9)) < odd else plain
+
+    gap = st.sampled_from([" ", "  ", "\t", " \t"])
+    big = st.sampled_from([10**15, 10**17, 10**18, 2**63 - 1])
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(spell("", st.sampled_from([" ", "\t "])))  # a blank line
+        tokens = [spell(labels[0], st.sampled_from(labels))]
+        indices = sorted(draw(st.lists(st.integers(0, 40) | st.integers(1, 10**9) | big,
+                                       unique=True, max_size=5)))
+        if indices and draw(st.integers(0, 5)) == 0:
+            indices.append(draw(st.sampled_from(indices)))  # repeated or decreasing
+        for i in indices:
+            value = repr(draw(floats))
+            tokens.append(spell(str(i), index_tokens(i)) + ":" + spell(value, odd_values))
+        line = spell("", st.just(" ")) + "".join(
+            token + spell(" ", gap) for token in tokens[:-1]) + tokens[-1]
+        lines.append(line + spell("", st.sampled_from([" ", "\t"])))
+    text = "".join(line + spell("\n", st.just("\r\n")) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if draw(st.integers(0, 2)) == 0:
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.sampled_from([0, 1]))
+        text = text[:at] + draw(st.sampled_from(DAMAGE + [""])) + text[at + cut:]
+    return text, threshold
+
+
+def _bits(ds):
+    X = ds.matrix
+    return (X.shape, X.indptr.dtype, X.indptr.tolist(), X.indices.dtype, X.indices.tolist(),
+            X.data.dtype, X.data.view(np.int64).tolist(), ds.labels.view(np.int64).tolist())
+
+
+def _outcome(source, **kwargs):
+    """What parse_libsvm makes of a source: bit patterns and dtypes, or the error."""
+    try:
+        return _bits(parse_libsvm(source, **kwargs))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_parse_equals_line_loop_over_whole_source(tmp_path):
+    """The vectorised sections, at any chunk size, against the line loop alone."""
+    seen = Counter()
+    path = tmp_path / "data.svm"
+    vectorised = dataio._parse_section
+
+    def counted(section):
+        parsed = vectorised(section)
+        seen["vectorised" if parsed is not None else "line loop"] += 1
+        return parsed
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(libsvm_texts(), st.integers(1, 48), st.booleans())
+    def check(case, chunk, from_path):
+        text, threshold = case
+        if from_path:
+            path.write_text(text, encoding="utf-8", newline="")
+        source = (lambda: path) if from_path else (lambda: io.StringIO(text))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "_parse_section", lambda section: None)
+            mp.setattr(dataio, "PARSE_CHUNK", len(text) + 1)  # one piece
+            expected = _outcome(source(), label_threshold=threshold)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "_parse_section", counted)
+            mp.setattr(dataio, "PARSE_CHUNK", chunk)
+            assert _outcome(source(), label_threshold=threshold) == expected
+        seen["parsed" if len(expected) > 2 else "rejected"] += 1
+
+    check()
+    assert min(seen.values()) >= 50, seen
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.sampled_from([1, 9, 2**31 - 1, 2**31]))
+    column = st.integers(0, min(n, 9) - 1) | st.integers(max(0, n - 3), n - 1)
+    value = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [-0.0, 5e-324, -2.2250738585072014e-308, 1e-310])
+    rows = draw(st.lists(st.lists(column, unique=True, max_size=4), min_size=1, max_size=6))
+    cols = np.array([c for row in rows for c in sorted(row)], dtype=np.int64)
+    data = np.array([draw(value) for _ in cols], dtype=np.float64)
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    labels = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(rows), max_size=len(rows)))
+    index = index_dtype(n, len(cols))
+    matrix = sp.csr_matrix((data, cols.astype(index), indptr.astype(index)), shape=(len(rows), n))
+    return Dataset(matrix, labels)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(datasets(), st.integers(1, 64))
+def test_write_parse_round_trip_bit_for_bit(ds, chunk):
+    """write_libsvm's text parses back bit for bit, every section vectorised."""
+    buf = io.StringIO()
+    write_libsvm(ds, buf)
+    vectorised = dataio._parse_section
+
+    def vouched(section):
+        parsed = vectorised(section)
+        assert parsed is not None, section
+        return parsed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_parse_section", vouched)
+        mp.setattr(dataio, "PARSE_CHUNK", chunk)
+        back = parse_libsvm(io.StringIO(buf.getvalue()), n_features=ds.n_features)
+    assert _bits(back) == _bits(ds)  # Dataset.__eq__ takes -0.0 for 0.0
 
 
 def test_split_sizes_and_disjointness():
