@@ -4,9 +4,11 @@ fixed or fresh minibatches, sign-vote zeroth-order SGD, and a distributed
 
 All four consume exactly workers * local_iters * batch_size objective
 evaluations per round when local_iters is even (the ES population size must
-additionally divide the budget evenly; see csa_population_size). Each round
-runs its M workers in the calling thread: the zeroth-order baselines step all
-of them in lockstep through one StackedBatch per minibatch draw, as DES does.
+additionally divide the budget evenly; see csa_population_size). Each is a
+generator of rounds that server.run_rounds drives from the zero point, as DES
+is. Each round runs its M workers in the calling thread: the zeroth-order
+baselines step all of them in lockstep through one StackedBatch per minibatch
+draw, as DES does.
 """
 from __future__ import annotations
 
@@ -104,8 +106,8 @@ def _run_zo(algorithm, cfg, train, test, loss_kind, reg, smoothing, timing, inst
     k_prime = _half_iters(cfg)
     evals = cfg.workers * k_prime * 2 * cfg.batch_size * smoothing.directions
 
-    def make_round(obj, partition):
-        def round_fn(t, x):
+    def rounds(obj, partition, x):
+        for t in range(cfg.rounds):
             batch_streams = [RngStream(cfg.seed, t, i, "batch") for i in range(cfg.workers)]
             sm_streams = [RngStream(cfg.seed, t, i, "smoothing") for i in range(cfg.workers)]
 
@@ -114,11 +116,11 @@ def _run_zo(algorithm, cfg, train, test, loss_kind, reg, smoothing, timing, inst
                                            for i, stream in enumerate(batch_streams)])
                 return lambda X: _zo_grads(batch.values, X, smoothing, sm_streams)
 
-            return local(t, np.tile(x, (cfg.workers, 1)), k_prime, next_grads), evals
-        return round_fn
+            x = local(t, np.tile(x, (cfg.workers, 1)), k_prime, next_grads)
+            yield x, evals
 
     return run_rounds(algorithm, cfg, train, test, loss_kind, reg, timing,
-                      instance, make_round, {"mu": smoothing.mu})
+                      instance, rounds, {"mu": smoothing.mu})
 
 
 def run_fed_zo_gd(
@@ -283,20 +285,17 @@ def run_es_csa(
     objective values, selects, recombines, and adapts sigma."""
     lam = csa_population_size(cfg.workers, cfg.local_iters, cfg.batch_size, len(train))
 
-    def make_round(obj, partition):
+    def rounds(obj, partition, x0):
         views = [obj.batch(shard) for shard in partition.worker_shards]
-        state = csa_init(np.zeros(train.n_features), lam, sigma0=cfg.alpha)
-
-        def round_fn(t, x):
-            nonlocal state
+        state = csa_init(x0, lam, sigma0=cfg.alpha)
+        for t in range(cfg.rounds):
             draws = RngStream(cfg.seed, t, "csa").gen.standard_normal((lam, train.n_features))
             candidates = state.mean + state.sigma * draws
             shard_sums = [view.loss_sum_many(candidates) for view in views]
             values = np.sum(np.asarray(shard_sums), axis=0) / len(train)
             values += 0.5 * reg * squared_norms(candidates)
             state = csa_step(state, draws, values)
-            return state.mean.copy(), lam * len(train)
-        return round_fn
+            yield state.mean, lam * len(train)
 
     return run_rounds("es-csa", cfg, train, test, loss_kind, reg, timing,
-                      instance, make_round, {"lambda": lam})
+                      instance, rounds, {"lambda": lam})

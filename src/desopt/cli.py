@@ -37,7 +37,7 @@ from .dataio import (
 )
 from .mutation import MutationKind, MutationModel, RngStream
 from .objective import Dataset, LossKind
-from .server import DesConfig, check_beta, run_des
+from .server import DesConfig, _algo_id, check_beta, run_des
 
 _MODEL_NAMES = {kind.value: kind for kind in MutationKind}
 _SYNTH_NAMES = {kind.value: kind for kind in SynthKind}
@@ -180,6 +180,23 @@ def _build_algo_spec(entry: dict, index: int) -> AlgoSpec:
     )
 
 
+def _run_id(algo: AlgoSpec, alpha: float) -> str:
+    """The algorithm column of a cell's records: DES is named by its mutation
+    model, and an entry with more than one step-size tags each cell with it."""
+    name = _algo_id(_MODEL_NAMES[algo.model]) if algo.name == "des" else algo.name
+    return f"{name}@a={alpha:g}" if len(algo.alphas) > 1 else name
+
+
+def _require_distinct(field: str, keyed) -> None:
+    """Each (key, where) pair names one part of a run key (algo, instance, seed);
+    two entries with one key would write their rows as seeds of one run."""
+    first: dict[str, str] = {}
+    for key, where in keyed:
+        _require(key not in first, field,
+                 f"{first.get(key)} and {where} share the run key part {key!r}")
+        first[key] = where
+
+
 def _build_spec(raw: dict) -> ExperimentSpec:
     _check_keys(raw, {"datasets", "losses", "algorithms", "workers", "batch_size",
                       "local_iters", "epochs", "split_fraction", "reg", "delta",
@@ -194,6 +211,10 @@ def _build_spec(raw: dict) -> ExperimentSpec:
     loss_names = raw.get("losses", ["LR"])
     _require(isinstance(loss_names, list) and loss_names, "losses", "need at least one loss")
     losses = tuple(LossKind[_choice(name, LossKind.__members__, "losses")] for name in loss_names)
+    _require_distinct("datasets", ((ds.name, f"datasets[{i}]") for i, ds in enumerate(datasets)))
+    _require_distinct("losses", ((loss.value, f"losses[{i}]") for i, loss in enumerate(losses)))
+    _require_distinct("algorithms", ((_run_id(algo, alpha), f"algorithms[{i}] alpha {alpha!r}")
+                                     for i, algo in enumerate(algorithms) for alpha in algo.alphas))
 
     workers = _integer(raw.get("workers", ExperimentSpec.workers), "workers", 1)
     batch_size = _integer(raw.get("batch_size", ExperimentSpec.batch_size), "batch_size", 1)
@@ -329,8 +350,7 @@ def run_matrix(spec: ExperimentSpec, timing: bool = False) -> int:
                                 (f"{algo.name} alpha={alpha:g} on {instance} seed {seed}", exc)
                             )
                             continue
-                        if len(algo.alphas) > 1:
-                            rec.algorithm = f"{rec.algorithm}@a={alpha:g}"
+                        rec.algorithm = _run_id(algo, alpha)
                         records.append(rec)
 
     metrics_path = out / "metrics.csv"

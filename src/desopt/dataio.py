@@ -198,7 +198,8 @@ def parse_libsvm(
 
     Labels in {-1,+1} are kept; {0,1} maps to {-1,+1}; anything else requires
     ``label_threshold`` (label > threshold becomes +1). The dimension is the
-    largest index seen unless ``n_features`` overrides it.
+    largest index seen unless ``n_features`` overrides it; a source whose rows
+    are all label-only needs ``n_features``.
     """
     if label_threshold is not None and not math.isfinite(label_threshold):
         raise ValueError(f"label_threshold must be finite, got {label_threshold}")
@@ -234,6 +235,9 @@ def _parse_pieces(pieces, colons, newlines, n_features, label_threshold) -> Data
     if not rows:
         raise LibsvmParseError("no examples found")
     labels = _map_labels(raw_labels[:rows].tolist(), label_threshold)
+    if not nnz and n_features is None:
+        raise LibsvmParseError("no row has a feature index, so the dimension is unknown; "
+                               "pass n_features")
     seen_max = int(cols[:nnz].max()) + 1 if nnz else 0
     n = seen_max if n_features is None else int(n_features)
     if n < max(seen_max, 1):

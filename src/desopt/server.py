@@ -1,8 +1,10 @@
 """Synchronous distributed-ES orchestration: broadcast the incumbent, run the
 workers' local solvers in lockstep for one round, average the returned points,
 and advance the incumbent through a momentum-damped delayed step. Also home to the
-round driver and config checks that DES and the baselines share. Every
-algorithm simulates its M workers in the calling thread; none starts a thread.
+config checks that DES and the baselines share and to their one round driver,
+run_rounds: each algorithm is a generator of rounds, which run_rounds starts at
+the zero point and pulls one round at a time. Every algorithm simulates its M
+workers in the calling thread; none starts a thread.
 """
 from __future__ import annotations
 
@@ -149,12 +151,12 @@ def des_round(
     return new_state, metrics
 
 
-def _algo_id(model: MutationModel) -> str:
+def _algo_id(kind: MutationKind) -> str:
     return {
         MutationKind.STANDARD_GAUSSIAN: "des",
         MutationKind.MIXTURE_GAUSSIAN: "des-mg",
         MutationKind.MIXTURE_RADEMACHER: "des-mr",
-    }[model.kind]
+    }[kind]
 
 
 def run_rounds(
@@ -166,23 +168,25 @@ def run_rounds(
     reg: float,
     timing: bool,
     instance: str,
-    make_round,
+    rounds,
     config_extra: dict,
 ) -> RunRecord:
     """The round loop every algorithm runs through.
 
-    make_round(obj, partition) returns round_fn(t, x) -> (x_next, evals),
-    which advances the iterate by round t, with its M workers simulated in
-    the calling thread, and reports the evaluations it spent. Row 0 snapshots
-    the zero starting point; a round starts only while the evaluation total
-    is below cfg.max_evals. A snapshot whose train loss is not finite raises
-    NonFiniteObjectiveError, so a diverged run writes no row. Wall times are
-    recorded only when timing=True; otherwise the column is a deterministic 0
-    so repeated runs serialize byte-identically.
+    rounds(obj, partition, x0) is a generator that starts from x0: each next()
+    on it runs one round, its M workers simulated in the calling thread, and
+    yields (x, evals), the new iterate and the evaluations the round spent. It
+    must not write into x0, the zero point that row 0 snapshots before any
+    round runs. A round is pulled only while fewer than cfg.rounds have run and
+    the evaluation total is below cfg.max_evals. An exception raised in the
+    generator propagates unchanged, so the cell fails and writes no record; a
+    snapshot whose train loss is not finite raises NonFiniteObjectiveError to
+    the same effect, so a diverged run writes no row. Wall times are recorded
+    only when timing=True; otherwise the column is a deterministic 0 so
+    repeated runs serialize byte-identically.
     """
     obj = RegularizedObjective(loss_kind, train, reg)
     partition = partition_uniform(train, cfg.workers, RngStream(cfg.seed, "partition"))
-    round_fn = make_round(obj, partition)
     record = RunRecord(algorithm=algorithm, instance=instance, seed=cfg.seed, config={
         "workers": cfg.workers, "rounds": cfg.rounds, "local_iters": cfg.local_iters,
         "batch_size": cfg.batch_size, "alpha": cfg.alpha, "loss": loss_kind.value,
@@ -190,6 +194,7 @@ def run_rounds(
     })
 
     x = np.zeros(train.n_features)
+    steps = rounds(obj, partition, x)
     done = 0
     cum = 0
 
@@ -208,11 +213,9 @@ def run_rounds(
         ))
 
     snapshot(0.0)
-    for t in range(cfg.rounds):
-        if cfg.max_evals is not None and cum >= cfg.max_evals:
-            break
+    while done < cfg.rounds and (cfg.max_evals is None or cum < cfg.max_evals):
         start = time.perf_counter()
-        x, evals = round_fn(t, x)
+        x, evals = next(steps)
         cum += evals
         done += 1
         snapshot((time.perf_counter() - start) * 1e3)
@@ -240,15 +243,12 @@ def run_des(
     calling thread); it stays only for existing callers.
     """
 
-    def make_round(obj, partition):
-        state = ServerState.initial(train.n_features)
-
-        def round_fn(t, x):
-            nonlocal state
+    def rounds(obj, partition, x0):
+        state = ServerState(x=x0, m=np.zeros_like(x0))
+        for _ in range(cfg.rounds):
             state, metrics = des_round(state, cfg, obj, partition)
-            return state.x, metrics.evals
-        return round_fn
+            yield state.x, metrics.evals
 
-    return run_rounds(_algo_id(cfg.model), cfg, train, test, loss_kind, reg, timing,
-                      instance, make_round, {"beta": cfg.beta, "model": cfg.model.kind.value,
-                                             "mixture_size": cfg.model.l})
+    return run_rounds(_algo_id(cfg.model.kind), cfg, train, test, loss_kind, reg, timing,
+                      instance, rounds, {"beta": cfg.beta, "model": cfg.model.kind.value,
+                                         "mixture_size": cfg.model.l})

@@ -215,6 +215,16 @@ def test_load_spec_field_validation(tmp_path):
         ({"datasets": [{"name": "d", "path": "x.svm", "label_threshold": float("nan")}]},
          "label_threshold"),
         ({"reg": 10**400}, "reg"),
+        # two cells that would write their rows under one (algo, instance, seed) key
+        ({"algorithms": [{"name": "des", "alpha": [1.0], "beta": 0.5},
+                         {"name": "des", "alpha": [1.0], "beta": 0.3}]},
+         r"algorithms\[0\] alpha 1\.0 and algorithms\[1\] alpha 1\.0 share .* 'des'"),
+        ({"datasets": [{"name": "d", "synthetic": "noisy", "n": 4, "examples": 10},
+                       {"name": "d", "synthetic": "separable", "n": 4, "examples": 10}]},
+         r"datasets\[0\] and datasets\[1\] share .* 'd'"),
+        ({"losses": ["LR", "LR"]}, r"losses\[0\] and losses\[1\] share .* 'LR'"),
+        ({"algorithms": [{"name": "des", "alpha": [1.0, 1.0000001]}]},
+         r"alpha 1\.0 and algorithms\[0\] alpha 1\.0000001 share .* 'des@a=1'"),
     ]
     for override, needle in cases:
         raw = dict(base, **override)

@@ -103,6 +103,14 @@ def test_parse_empty_input_rejected():
         parse_libsvm(io.StringIO("\n\n"))
 
 
+def test_parse_label_only_rows_need_n_features():
+    with pytest.raises(LibsvmParseError, match="no row has a feature index.*n_features"):
+        parse_libsvm(io.StringIO("+1\n-1\n"))
+    ds = parse_libsvm(io.StringIO("+1\n-1\n"), n_features=3)
+    assert ds.n_features == 3 and ds.matrix.nnz == 0
+    npt.assert_array_equal(ds.labels, [1.0, -1.0])
+
+
 def test_parse_gzip_path(tmp_path):
     path = tmp_path / "data.txt.gz"
     with gzip.open(path, "wt", encoding="utf-8") as fh:

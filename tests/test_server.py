@@ -254,3 +254,48 @@ def test_state_initial():
     npt.assert_array_equal(s.x, np.zeros(3))
     npt.assert_array_equal(s.m, np.zeros(3))
     assert s.t == 0
+
+
+def test_run_rounds_drives_a_round_generator(monkeypatch):
+    # A stub round generator: row 0 must be snapshotted at x0 before the first
+    # next(), exactly as many rounds pulled as rows follow it, and a raise in a
+    # round must reach the caller as raised.
+    import desopt.server as server
+
+    train = synth_dataset(SynthKind.SEPARABLE_LINEAR, 4, 40, RngStream(3, "synth"))
+    test = synth_dataset(SynthKind.SEPARABLE_LINEAR, 4, 10, RngStream(4, "synth"))
+    events = []
+    snapshot_error = server.classification_error
+    monkeypatch.setattr(server, "classification_error",
+                        lambda x, data: events.append("snapshot") or snapshot_error(x, data))
+    broke = RuntimeError("round 2 broke")
+
+    def run(expected, fail_at=None, **kw):
+        cfg = server.RoundConfig(workers=2, local_iters=1, batch_size=5, alpha=1.0, seed=0, **kw)
+
+        def rounds(obj, partition, x0):
+            assert not x0.any() and x0.shape == (4,)
+            for t in range(expected + 1):
+                assert t < expected, "pulled one round too many"
+                if t == fail_at:
+                    raise broke
+                events.append("round")
+                obj.eval_counter += 7
+                yield x0 + (t + 1), 7
+
+        events.clear()
+        return server.run_rounds("stub", cfg, train, test, LossKind.LR, 0.0, False, "tiny",
+                                 rounds, {})
+
+    record = run(3, rounds=3)
+    assert events == ["snapshot"] + ["round", "snapshot"] * 3
+    assert record.rows[0].train_loss == np.log(2.0)  # LR at the zero point
+    assert [r.cum_evals for r in record.rows] == [0, 7, 14, 21]
+    record = run(3, rounds=10, max_evals=20)  # 14 < 20 pulls a third round, 21 stops
+    assert [r.cum_evals for r in record.rows] == [0, 7, 14, 21]
+    record = run(0, rounds=0)
+    assert len(record.rows) == 1 and events == ["snapshot"]
+    with pytest.raises(RuntimeError) as info:
+        run(3, fail_at=2, rounds=3)
+    assert info.value is broke and str(info.value) == "round 2 broke"
+    assert events == ["snapshot"] + ["round", "snapshot"] * 2
