@@ -240,7 +240,9 @@ def _parse_pieces(pieces, colons, newlines, n_features, label_threshold) -> Data
                                "pass n_features")
     seen_max = int(cols[:nnz].max()) + 1 if nnz else 0
     n = seen_max if n_features is None else int(n_features)
-    if n < max(seen_max, 1):
+    if n < 1:
+        raise ValueError(f"n_features must be at least 1, got {n_features}")
+    if n < seen_max:
         raise ValueError(f"n_features={n_features} smaller than max index seen ({seen_max})")
     # cast to the index dtype csr_matrix would pick, so it keeps the arrays
     idx_dtype = index_dtype(n, nnz)

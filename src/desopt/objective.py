@@ -67,8 +67,11 @@ class Dataset:
 def _loss_values(kind: LossKind, a: np.ndarray) -> np.ndarray:
     """Per-example loss from the signed margin a = y * (x . z)."""
     if kind is LossKind.LR:
-        # log(1 + exp(-a)) computed without overflow for large |a|
-        return np.logaddexp(0.0, -a)
+        # log(1 + exp(-a)) as log1p(exp(-|a|)) + max(-a, 0): no overflow for
+        # large |a|, and the same identity np.logaddexp(0, -a) uses, but on
+        # numpy's vectorised exp and log1p loops (logaddexp is a scalar loop,
+        # about 5x slower); values agree with it to a few ulp
+        return np.log1p(np.exp(-np.abs(a))) + np.maximum(-a, 0.0)
     if kind is LossKind.NSVM:
         return 1.0 - np.tanh(a)
     return np.maximum(0.0, 1.0 - a)
@@ -304,8 +307,9 @@ def _scores(x: np.ndarray, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _error(scores: np.ndarray, labels: np.ndarray) -> float:
-    pred = np.where(scores >= 0.0, 1.0, -1.0)
-    return float(np.mean(pred != labels))
+    """Misclassified fraction under ±1 labels: a score >= 0 predicts +1, any
+    other score (NaN included) predicts -1."""
+    return int(np.count_nonzero((scores >= 0.0) != (labels > 0.0))) / len(labels)
 
 
 def classification_error(x: np.ndarray, dataset: Dataset) -> float:

@@ -88,10 +88,6 @@ class ServerState:
     m: np.ndarray
     t: int = 0
 
-    @classmethod
-    def initial(cls, n: int) -> "ServerState":
-        return cls(x=np.zeros(n), m=np.zeros(n), t=0)
-
 
 def momentum_update(m: np.ndarray, d: np.ndarray, beta: float) -> np.ndarray:
     """Exponential averaging of the descent step: beta*m + (1-beta)*d."""

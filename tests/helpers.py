@@ -4,7 +4,12 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from desopt import Dataset
+from desopt import Dataset, ServerState
+
+
+def initial_state(n: int) -> ServerState:
+    """The server state before round 1: x and m at zero."""
+    return ServerState(x=np.zeros(n), m=np.zeros(n), t=0)
 
 
 def dataset_from_dense(features: np.ndarray, labels) -> Dataset:

@@ -24,7 +24,6 @@ from desopt import (
     RegularizedObjective,
     RngStream,
     RunRecord,
-    ServerState,
     SmoothingConfig,
     SplitSpec,
     SynthKind,
@@ -46,6 +45,7 @@ from desopt import (
 )
 from desopt.localsolver import LocalConfig
 from desopt.mutation import draw_terms
+from helpers import initial_state
 from mutation_oracles import empirical_moments, fourth_moment_closed_form
 from objective_oracles import batch_gradient
 
@@ -167,7 +167,7 @@ def test_criterion_03_budget_parity():
         cfg = DesConfig(workers=2, rounds=3, local_iters=4, batch_size=10, alpha=1.0,
                         model=MutationModel(MutationKind.STANDARD_GAUSSIAN, 6), seed=0)
         partition = partition_uniform(train, 2, RngStream(0, "partition"))
-        state = ServerState.initial(6)
+        state = initial_state(6)
         for r in range(3):
             state, metrics = des_round(state, cfg, obj, partition)
             assert metrics.evals == per_round

@@ -53,8 +53,11 @@ def test_parse_n_features_override_and_blank_lines():
     ds = parse_libsvm(io.StringIO(text), n_features=10)
     assert ds.n_features == 10
     assert len(ds) == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"n_features=1 smaller than max index seen \(2\)"):
         parse_libsvm(io.StringIO(text), n_features=1)
+    for data, n in (("+1\n", 0), ("+1\n", -2), (text, 0)):
+        with pytest.raises(ValueError, match=f"n_features must be at least 1, got {n}"):
+            parse_libsvm(io.StringIO(data), n_features=n)
 
 
 def test_parse_zero_one_labels_map():

@@ -1,6 +1,8 @@
 """Loss values and gradients, evaluation accounting, and dataset invariants."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,6 +17,7 @@ from desopt import (
     RegularizedObjective,
     classification_error,
 )
+from desopt.objective import _loss_values
 from helpers import dataset_from_dense
 from objective_oracles import ReferenceBatchView, batch_gradient
 
@@ -83,6 +86,29 @@ def test_logistic_extreme_margins_stable():
     npt.assert_allclose(big, 5e3, rtol=1e-12)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=70))
+def test_logistic_loss_within_4_ulp_of_logaddexp(margins):
+    # the vectorised softplus against numpy's scalar logaddexp, over the
+    # whole finite float64 range (arrays long enough for the SIMD loops)
+    a = np.array(margins)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss = _loss_values(LossKind.LR, a)
+    ref = np.logaddexp(0.0, -a)
+    # both are >= 0, so their bit patterns as integers count ulps apart
+    assert np.all(np.abs(loss.view(np.int64) - ref.view(np.int64)) <= 4)
+
+
+def test_logistic_loss_at_inf_and_nan():
+    a = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0] * 4)
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        loss = _loss_values(LossKind.LR, a)
+    # logaddexp(0, -a) is 0 at +inf and inf at -inf; NaN propagates
+    npt.assert_array_equal(loss, [0.0, np.inf, np.nan, np.log(2.0), np.log(2.0)] * 4)
+
+
 def test_gradient_closed_forms_at_zero():
     # Single example z = e1, label +1, x = 0: LR gradient is -0.5 e1 and the
     # sigmoid-style SVM gradient is -1 e1 (reg term vanishes at zero).
@@ -144,6 +170,10 @@ def test_classification_error_tie_predicts_positive():
     ds = dataset_from_dense([[0.0, 1.0], [0.0, 1.0]], [1.0, -1.0])
     x = np.array([5.0, 0.0])  # both margins exactly zero
     assert classification_error(x, ds) == 0.5
+    # one label alone tells +1 from -1 at a tie; a NaN score predicts -1
+    assert classification_error(x, dataset_from_dense([[0.0, 1.0]], [1.0])) == 0.0
+    assert classification_error(x, dataset_from_dense([[0.0, 1.0]], [-1.0])) == 1.0
+    assert classification_error(np.array([np.nan, 0.0]), dataset_from_dense([[1.0, 0.0]], [-1.0])) == 0.0
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -28,6 +28,7 @@ from desopt import (
     synth_dataset,
 )
 from desopt.objective import StackedBatch
+from helpers import initial_state
 
 GAUSS = MutationModel(MutationKind.STANDARD_GAUSSIAN, 4)
 
@@ -111,7 +112,7 @@ def test_des_round_all_rejected_is_fixed_point():
     obj = RegularizedObjective(LossKind.LR, train, reg=1e6)
     cfg = make_cfg(workers=2, beta=0.5)
     partition = partition_uniform(train, 2, RngStream(0, "partition"))
-    state = ServerState.initial(4)
+    state = initial_state(4)
     new_state, metrics = des_round(state, cfg, obj, partition)
     npt.assert_array_equal(new_state.x, state.x)
     npt.assert_array_equal(new_state.m, np.zeros(4))
@@ -131,7 +132,7 @@ def test_des_round_schedule_is_exact():
         obj = RegularizedObjective(LossKind.LR, train)
         from desopt import partition_uniform
         partition = partition_uniform(train, 2, RngStream(cfg.seed, "partition"))
-        state = ServerState.initial(4)
+        state = initial_state(4)
         state.t = t
         steps: dict[int, list[float]] = {0: [], 1: []}
         des_round(state, cfg, obj, partition,
@@ -157,7 +158,7 @@ def test_des_round_nan_candidate_raises(monkeypatch):
     partition = partition_uniform(train, 2, RngStream(0, "partition"))
     monkeypatch.setattr(StackedBatch, "values", lambda self, V, cols=None: np.full(len(V), np.nan))
     with pytest.raises(NonFiniteObjectiveError, match="candidate"):
-        des_round(ServerState.initial(4), make_cfg(), obj, partition)
+        des_round(initial_state(4), make_cfg(), obj, partition)
 
 
 def test_round_and_run_eval_accounting():
@@ -250,7 +251,7 @@ def test_algo_ids_by_model():
 
 
 def test_state_initial():
-    s = ServerState.initial(3)
+    s = initial_state(3)
     npt.assert_array_equal(s.x, np.zeros(3))
     npt.assert_array_equal(s.m, np.zeros(3))
     assert s.t == 0
