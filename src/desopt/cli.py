@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -284,74 +286,184 @@ def _dimension_rule(n: int, spec: ExperimentSpec) -> tuple[int, int]:
     return local_iters, epochs
 
 
-def _run_cell(spec, algo: AlgoSpec, alpha: float, seed: int, train, test,
-              loss: LossKind, local_iters: int, rounds: int, timing: bool, instance: str):
+@dataclass(frozen=True)
+class _Cell:
+    """One independent, seeded run of the matrix."""
+
+    algo: AlgoSpec
+    alpha: float
+    seed: int
+    train: Dataset
+    test: Dataset
+    loss: LossKind
+    local_iters: int
+    rounds: int
+    instance: str
+
+
+@dataclass(frozen=True)
+class _Outcome:
+    """What one step of the run left, in a form that pickles: its warnings as
+    (category, message, filename, lineno), its result, and its failure message."""
+
+    warnings: tuple
+    result: object = None
+    failure: str | None = None
+
+
+def _run_cell(spec: ExperimentSpec, cell: _Cell, timing: bool):
+    algo = cell.algo
     if algo.name == "des":
-        model = MutationModel(_MODEL_NAMES[algo.model], train.n_features, l=algo.mixture_size)
+        model = MutationModel(_MODEL_NAMES[algo.model], cell.train.n_features, l=algo.mixture_size)
         cfg = DesConfig(
-            workers=spec.workers, rounds=rounds, local_iters=local_iters,
-            batch_size=spec.batch_size, alpha=alpha, model=model, seed=seed,
+            workers=spec.workers, rounds=cell.rounds, local_iters=cell.local_iters,
+            batch_size=spec.batch_size, alpha=cell.alpha, model=model, seed=cell.seed,
             beta=algo.beta, allow_unsafe_beta=algo.allow_unsafe_beta,
         )
-        return run_des(cfg, train, test, loss, reg=spec.reg, timing=timing, instance=instance)
-    cfg = BaselineConfig(
-        workers=spec.workers, rounds=rounds, local_iters=local_iters,
-        batch_size=spec.batch_size, alpha=alpha, seed=seed,
-    )
-    runner = {
-        "fed-zo-gd": run_fed_zo_gd,
-        "fed-zo-sgd": run_fed_zo_sgd,
-        "zo-signsgd": run_zo_signsgd,
-        "es-csa": run_es_csa,
-    }[algo.name]
-    return runner(cfg, train, test, loss, reg=spec.reg, timing=timing, instance=instance)
+        runner = run_des
+    else:
+        cfg = BaselineConfig(
+            workers=spec.workers, rounds=cell.rounds, local_iters=cell.local_iters,
+            batch_size=spec.batch_size, alpha=cell.alpha, seed=cell.seed,
+        )
+        runner = {
+            "fed-zo-gd": run_fed_zo_gd,
+            "fed-zo-sgd": run_fed_zo_sgd,
+            "zo-signsgd": run_zo_signsgd,
+            "es-csa": run_es_csa,
+        }[algo.name]
+    return runner(cfg, cell.train, cell.test, cell.loss, reg=spec.reg, timing=timing,
+                  instance=cell.instance)
 
 
-def run_matrix(spec: ExperimentSpec, timing: bool = False) -> int:
+def _recorded(step) -> _Outcome:
+    """Call step() with its warnings recorded and an exception kept as its message.
+
+    The filters in force still apply, so a warning turned into an error fails the step.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            result, failure = step(), None
+        except Exception as exc:
+            result, failure = None, str(exc)
+    return _Outcome(tuple((w.category, str(w.message), w.filename, w.lineno) for w in caught),
+                    result, failure)
+
+
+def _run_cells(spec: ExperimentSpec, cells: list, timing: bool) -> list:
+    return [_recorded(lambda: _run_cell(spec, cell, timing)) for cell in cells]
+
+
+def _worker(writer, spec: ExperimentSpec, cells: list, timing: bool) -> None:
+    writer.send(_run_cells(spec, cells, timing))
+    writer.close()
+
+
+def _run_dealt(spec: ExperimentSpec, cells: list, timing: bool, threads: int) -> list:
+    """Every cell's outcome, in cell order, from up to `threads` processes.
+
+    Worker k runs cells k, k+P, k+2P, ... for P processes. Worker 0 is the
+    calling process; the others are forked children that send their share's
+    outcomes back over a one-way pipe once it is done. A child that exits
+    without reporting, or with a nonzero code, fails each cell of its share.
+    No child outlives this call.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    procs = max(1, min(threads, len(cells), cpus or 1))
+    outcomes: list = [None] * len(cells)
+    children = []
+    context = multiprocessing.get_context("fork") if procs > 1 else None
+    try:
+        for k in range(1, procs):
+            reader, writer = context.Pipe(duplex=False)
+            child = context.Process(target=_worker, args=(writer, spec, cells[k::procs], timing),
+                                    daemon=True)
+            child.start()
+            children.append((k, child, reader))
+            writer.close()  # else the pipe never reads EOF if the child dies
+        outcomes[::procs] = _run_cells(spec, cells[::procs], timing)
+        for k, child, reader in children:
+            try:
+                share = reader.recv()
+            except (EOFError, OSError):
+                share = None
+            child.join()
+            if share is None or child.exitcode != 0:
+                lost = _Outcome((), failure=f"worker process {k} exited with code "
+                                            f"{child.exitcode} before reporting its cells")
+                share = [lost] * len(cells[k::procs])
+            outcomes[k::procs] = share
+    finally:
+        for _, child, reader in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+            reader.close()
+    return outcomes
+
+
+def _load_split(ds: DatasetSpec, spec: ExperimentSpec):
+    """A dataset's train/test split, local iteration count and round count."""
+    full = _load_dataset(ds)
+    train, test = split_train_test(full, SplitSpec(spec.split_fraction, RngStream(ds.seed, "split")))
+    local_iters, epochs = _dimension_rule(full.n_features, spec)
+    per_round = spec.workers * local_iters * spec.batch_size
+    rounds = (epochs * len(train)) // per_round
+    if rounds == 0:
+        warnings.warn(
+            f"dataset {ds.name}: budget {epochs}x{len(train)} is below one round "
+            f"({per_round} evaluations); emitting round-0 snapshots only"
+        )
+    return train, test, local_iters, rounds
+
+
+def run_matrix(spec: ExperimentSpec, timing: bool = False, threads: int = 1) -> int:
     """Execute the full experiment cross-product and write metrics/profiles CSVs.
+
+    The datasets load in the calling process. Their cells then run `threads`
+    at a time (capped at the cell and CPU counts), dealt round-robin in spec
+    order to the calling process and to forked worker processes. Each cell's
+    warnings and failure are recorded where it ran and reissued here in spec
+    order, so the CSVs, stdout and the FAILED lines do not depend on `threads`.
 
     Failures are reported and skipped. A dataset that fails to load is an
     input error and yields exit code 1; otherwise a failed cell yields 2.
     """
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = []
-    failures: list[tuple[str, Exception]] = []
-    bad_input = False
-
+    steps = []  # spec order: (name, a dataset's outcome) or (name, a cell)
+    cells = []
     for ds in spec.datasets:
-        try:
-            full = _load_dataset(ds)
-            train, test = split_train_test(
-                full, SplitSpec(spec.split_fraction, RngStream(ds.seed, "split"))
-            )
-        except Exception as exc:
-            failures.append((f"dataset {ds.name}", exc))
-            bad_input = True
+        loaded = _recorded(lambda: _load_split(ds, spec))
+        steps.append((f"dataset {ds.name}", loaded))
+        if loaded.failure is not None:
             continue
-        local_iters, epochs = _dimension_rule(full.n_features, spec)
-        per_round = spec.workers * local_iters * spec.batch_size
-        rounds = (epochs * len(train)) // per_round
-        if rounds == 0:
-            warnings.warn(
-                f"dataset {ds.name}: budget {epochs}x{len(train)} is below one round "
-                f"({per_round} evaluations); emitting round-0 snapshots only"
-            )
+        train, test, local_iters, rounds = loaded.result
         for loss in spec.losses:
             instance = f"{ds.name}/{loss.value}"
             for algo in spec.algorithms:
                 for alpha in algo.alphas:
                     for seed in spec.seeds:
-                        try:
-                            rec = _run_cell(spec, algo, alpha, seed, train, test, loss,
-                                            local_iters, rounds, timing, instance)
-                        except Exception as exc:
-                            failures.append(
-                                (f"{algo.name} alpha={alpha:g} on {instance} seed {seed}", exc)
-                            )
-                            continue
-                        rec.algorithm = _run_id(algo, alpha)
-                        records.append(rec)
+                        name = f"{algo.name} alpha={alpha:g} on {instance} seed {seed}"
+                        cells.append(_Cell(algo, alpha, seed, train, test, loss,
+                                           local_iters, rounds, instance))
+                        steps.append((name, cells[-1]))
+
+    cell_outcomes = iter(_run_dealt(spec, cells, timing, threads))
+    records = []
+    failures: list[tuple[str, str]] = []
+    bad_input = False
+    registry: dict = {}  # one "default" warning per text and place, as a single process shows
+    for name, step in steps:
+        outcome = next(cell_outcomes) if isinstance(step, _Cell) else step
+        for category, message, filename, lineno in outcome.warnings:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+        if outcome.failure is not None:
+            failures.append((name, outcome.failure))
+            bad_input = bad_input or not isinstance(step, _Cell)
+        elif isinstance(step, _Cell):
+            outcome.result.algorithm = _run_id(step.algo, step.alpha)
+            records.append(outcome.result)
 
     metrics_path = out / "metrics.csv"
     write_metrics_csv(records, metrics_path)
@@ -374,8 +486,8 @@ def run_matrix(spec: ExperimentSpec, timing: bool = False) -> int:
             agg = aggregate_runs(cell)
             print(f"{algo_id:24} {instance:20} {agg.train_loss_median[-1]:.6g}")
 
-    for name, exc in failures:
-        print(f"FAILED {name}: {exc}", file=sys.stderr)
+    for name, message in failures:
+        print(f"FAILED {name}: {message}", file=sys.stderr)
     return 1 if bad_input else 2 if failures else 0
 
 
@@ -387,7 +499,7 @@ def _cmd_run(args) -> int:
     raw = _apply_overrides(raw, args.overrides)
     if args.out is not None:
         raw["out_dir"] = args.out
-    return run_matrix(_build_spec(raw), timing=args.timing)
+    return run_matrix(_build_spec(raw), timing=args.timing, threads=args.threads or 1)
 
 
 def _cmd_profile(args) -> int:
@@ -424,8 +536,8 @@ def main(argv=None) -> int:
                        metavar="KEY=VALUE", help="override a spec entry (dotted paths)")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--threads", type=int, default=None,
-                       help="ignored, but must be at least 1 if given: every algorithm "
-                            "runs its workers in the calling thread")
+                       help="run up to N cells at a time in forked processes (default 1; "
+                            "capped at the cell and CPU counts); outputs do not depend on N")
     run_p.add_argument("--timing", action="store_true",
                        help="record wall-clock times (breaks byte-reproducibility of CSVs)")
 

@@ -2,9 +2,14 @@
 reproducibility, and command exit codes."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import multiprocessing
+import os
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -12,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desopt import BETA_LIMIT, LossKind, load_spec, main, read_metrics_csv
+from desopt import BETA_LIMIT, LossKind, cli, load_spec, main, read_metrics_csv
 from desopt.cli import AlgoSpec, ExperimentSpec, _apply_overrides, _build_spec, _dimension_rule
 
 
@@ -300,7 +305,8 @@ def test_run_matrix_byte_identical_reruns_and_threads(tmp_path):
 
 
 def test_run_matrix_starts_no_thread(tmp_path, monkeypatch):
-    # Every algorithm simulates its workers in the calling thread, whatever --threads says.
+    # Every algorithm simulates its workers in the calling thread; --threads
+    # runs cells in forked processes, which start no thread either.
     def refuse(thread):
         raise AssertionError(f"thread {thread.name} started")
 
@@ -333,50 +339,148 @@ def test_run_matrix_zero_round_warning(tmp_path):
     assert all(len(rec.rows) == 1 for rec in records)
 
 
-def test_run_matrix_cell_failure_exits_2(tmp_path, capsys):
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let --threads 2 fork a worker process even on a one-CPU machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def failed_run(spec_path, out_dir, threads, *extra):
+    """Exit code, FAILED lines and metrics.csv bytes of a run that may fail cells."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", str(spec_path), "--out", str(out_dir), "--threads", threads, *extra])
+    failed = [line for line in err.getvalue().splitlines() if line.startswith("FAILED")]
+    return code, failed, (out_dir / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_matrix_cell_failure_exits_2(tmp_path, threads, two_cpus):
     # es-csa needs population >= 2 but the budget allows 16/64 < 0.5: that
     # cell fails while the DES cells complete.
     spec_path = write_spec(tmp_path / "spec.json",
                            algorithms=[{"name": "des", "alpha": [1.0], "beta": 0.0},
                                        {"name": "es-csa", "alpha": [1.0]}])
-    code = main(["run", str(spec_path), "--out", str(tmp_path / "runs"), "--threads", "1"])
+    code, failed, blob = failed_run(spec_path, tmp_path / "runs", threads)
     assert code == 2
-    err = capsys.readouterr().err
-    assert "FAILED" in err and "es-csa" in err
+    assert [line.split(":")[0] for line in failed] == [
+        "FAILED es-csa alpha=1 on tiny/LR seed 0", "FAILED es-csa alpha=1 on tiny/LR seed 1"]
     records = read_metrics_csv(tmp_path / "runs" / "metrics.csv")
     assert {r.algorithm for r in records} == {"des"}
+    assert (code, failed, blob) == failed_run(spec_path, tmp_path / "serial", "1")
 
 
-def test_run_matrix_diverged_zo_cell_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_matrix_diverged_zo_cell_exits_2(tmp_path, threads, two_cpus):
     # A step of 1e300 overflows the iterate at round 1's first local step.
     # local_iters=4 gives fed-zo-sgd K' = 2 local steps, so the second one
     # estimates at the overflowed point, and its NaN gradient estimate fails
-    # the cell before the round-1 snapshot could.
-    spec_path = write_spec(tmp_path / "spec.json", seeds=[0],
+    # the cell before the round-1 snapshot could. Two seeds, so that under
+    # --threads 2 one cell fails in a worker process.
+    spec_path = write_spec(tmp_path / "spec.json",
                            algorithms=[{"name": "fed-zo-sgd", "alpha": [1e300]}])
     with np.errstate(all="ignore"):
-        code = main(["run", str(spec_path), "--out", str(tmp_path / "runs"),
-                     "--set", "local_iters=4"])
+        code, failed, blob = failed_run(spec_path, tmp_path / "runs", threads,
+                                        "--set", "local_iters=4")
+        serial = failed_run(spec_path, tmp_path / "serial", "1", "--set", "local_iters=4")
     assert code == 2
-    err = capsys.readouterr().err
-    assert "FAILED fed-zo-sgd" in err and "zeroth-order gradient estimate is NaN" in err
-    assert "train loss after round" not in err
+    assert failed == [f"FAILED fed-zo-sgd alpha=1e+300 on tiny/LR seed {seed}: "
+                      "zeroth-order gradient estimate is NaN" for seed in (0, 1)]
     assert read_metrics_csv(tmp_path / "runs" / "metrics.csv") == []
+    assert (code, failed, blob) == serial
 
 
-def test_run_matrix_non_finite_snapshot_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_matrix_non_finite_snapshot_exits_2(tmp_path, threads, two_cpus):
     # With 16-row minibatches the one round ends on an overflowed iterate
     # before any estimate is NaN; its snapshot fails the cell instead of
     # writing an inf train loss.
     spec_path = write_spec(tmp_path / "spec.json",
                            algorithms=[{"name": "fed-zo-sgd", "alpha": [1e300]}])
     with np.errstate(all="ignore"):
-        code = main(["run", str(spec_path), "--out", str(tmp_path / "runs"),
-                     "--set", "batch_size=16"])
+        code, failed, blob = failed_run(spec_path, tmp_path / "runs", threads,
+                                        "--set", "batch_size=16")
+        serial = failed_run(spec_path, tmp_path / "serial", "1", "--set", "batch_size=16")
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.count("FAILED fed-zo-sgd") == 2 and "train loss after round 1 is inf" in err
+    assert [line.split(":")[0] for line in failed] == [
+        f"FAILED fed-zo-sgd alpha=1e+300 on tiny/LR seed {seed}" for seed in (0, 1)]
+    assert all("train loss after round 1 is inf" in line for line in failed)
     assert read_metrics_csv(tmp_path / "runs" / "metrics.csv") == []
+    assert (code, failed, blob) == serial
+
+
+def test_run_matrix_dead_worker_fails_its_cells(tmp_path, monkeypatch, two_cpus):
+    # The worker process dies without reporting: each cell of its share
+    # (cells 1 and 3 of four) fails, the calling process's cells are written.
+    parent, run_cell = os.getpid(), cli._run_cell
+
+    def die_in_child(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return run_cell(*args)
+
+    monkeypatch.setattr(cli, "_run_cell", die_in_child)
+    spec_path = write_spec(tmp_path / "spec.json")
+    code, failed, _ = failed_run(spec_path, tmp_path / "runs", "2")
+    assert code == 2
+    assert failed == [f"FAILED {name} alpha=1 on tiny/LR seed 1: worker process 1 exited "
+                      "with code 1 before reporting its cells" for name in ("des", "fed-zo-gd")]
+    records = read_metrics_csv(tmp_path / "runs" / "metrics.csv")
+    assert sorted((r.algorithm, r.seed) for r in records) == [("des", 0), ("fed-zo-gd", 0)]
+    assert multiprocessing.active_children() == []
+
+
+def test_run_matrix_leaves_no_worker_on_raise(tmp_path, monkeypatch, two_cpus):
+    # An exception that escapes the calling process's share still ends the
+    # worker process, which would otherwise sleep on.
+    class Stop(BaseException):
+        pass
+
+    parent = os.getpid()
+
+    def stop_or_sleep(*args):
+        if os.getpid() == parent:
+            raise Stop
+        time.sleep(30)
+
+    monkeypatch.setattr(cli, "_run_cell", stop_or_sleep)
+    spec_path = write_spec(tmp_path / "spec.json")
+    start = time.monotonic()
+    with pytest.raises(Stop):
+        main(["run", str(spec_path), "--out", str(tmp_path / "runs"), "--threads", "2"])
+    assert time.monotonic() - start < 20
+    assert multiprocessing.active_children() == []
+
+
+def test_run_matrix_relays_worker_warnings(tmp_path, two_cpus):
+    # Cell 1 (fed-zo-gd, odd local_iters) runs in the worker process under
+    # --threads 2; its warning is reissued in the calling process.
+    spec_path = write_spec(tmp_path / "spec.json", seeds=[0], local_iters=3)
+    with pytest.warns(UserWarning, match="odd local_iters") as caught:
+        code = main(["run", str(spec_path), "--out", str(tmp_path / "runs"), "--threads", "2"])
+    assert code == 0
+    assert [str(w.message) for w in caught] == [
+        "odd local_iters=3: forfeiting 4 evaluations per worker per round to keep estimates paired"]
+
+
+def test_run_matrix_caps_worker_processes(tmp_path, monkeypatch):
+    # Three cells on 64 CPUs: --threads 1000000 starts two worker processes.
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    spec_path = write_spec(tmp_path / "spec.json", seeds=[0, 1, 2],
+                           algorithms=[{"name": "des", "alpha": [1.0], "beta": 0.0}])
+    assert main(["run", str(spec_path), "--out", str(tmp_path / "runs"),
+                 "--threads", "1000000"]) == 0
+    assert len(started) == 2
+    assert len(read_metrics_csv(tmp_path / "runs" / "metrics.csv")) == 3
+    assert multiprocessing.active_children() == []
 
 
 def test_run_spec_errors_exit_1(tmp_path, capsys):
