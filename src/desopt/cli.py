@@ -9,8 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
-import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -39,6 +37,7 @@ from .dataio import (
 )
 from .mutation import MutationKind, MutationModel, RngStream
 from .objective import Dataset, LossKind
+from .processes import forked, process_count
 from .server import DesConfig, _algo_id, check_beta, run_des
 
 _MODEL_NAMES = {kind.value: kind for kind in MutationKind}
@@ -354,11 +353,6 @@ def _run_cells(spec: ExperimentSpec, cells: list, timing: bool) -> list:
     return [_recorded(lambda: _run_cell(spec, cell, timing)) for cell in cells]
 
 
-def _worker(writer, spec: ExperimentSpec, cells: list, timing: bool) -> None:
-    writer.send(_run_cells(spec, cells, timing))
-    writer.close()
-
-
 def _run_dealt(spec: ExperimentSpec, cells: list, timing: bool, threads: int) -> list:
     """Every cell's outcome, in cell order, from up to `threads` processes.
 
@@ -368,21 +362,15 @@ def _run_dealt(spec: ExperimentSpec, cells: list, timing: bool, threads: int) ->
     without reporting, or with a nonzero code, fails each cell of its share.
     No child outlives this call.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    procs = max(1, min(threads, len(cells), cpus or 1))
+    procs = process_count(min(threads, len(cells)))
     outcomes: list = [None] * len(cells)
-    children = []
-    context = multiprocessing.get_context("fork") if procs > 1 else None
-    try:
-        for k in range(1, procs):
-            reader, writer = context.Pipe(duplex=False)
-            child = context.Process(target=_worker, args=(writer, spec, cells[k::procs], timing),
-                                    daemon=True)
-            child.start()
-            children.append((k, child, reader))
-            writer.close()  # else the pipe never reads EOF if the child dies
+
+    def work(k, writer):
+        writer.send(_run_cells(spec, cells[k::procs], timing))
+
+    with forked(procs - 1, work) as children:
         outcomes[::procs] = _run_cells(spec, cells[::procs], timing)
-        for k, child, reader in children:
+        for k, (child, reader) in enumerate(children, 1):
             try:
                 share = reader.recv()
             except (EOFError, OSError):
@@ -393,12 +381,6 @@ def _run_dealt(spec: ExperimentSpec, cells: list, timing: bool, threads: int) ->
                                             f"{child.exitcode} before reporting its cells")
                 share = [lost] * len(cells[k::procs])
             outcomes[k::procs] = share
-    finally:
-        for _, child, reader in children:
-            if child.is_alive():
-                child.terminate()
-            child.join()
-            reader.close()
     return outcomes
 
 

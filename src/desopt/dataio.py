@@ -10,13 +10,21 @@ parsed by whole-array numpy passes. Any other section, and any section that
 fails one of their checks, goes through the token-by-token line loop: it is the
 reference for what Python's int and float accept, and it words every error,
 naming the line.
+
+A plain file is cut into byte ranges, one per usable CPU, each cut just after a
+newline. The calling process parses the first range and a forked child each
+other one; a .gz file, an open file object and a small file are one range,
+parsed in the calling process. A range a child could not parse is parsed again
+in the calling process, so every error and line number is the one-range parse's.
 """
 from __future__ import annotations
 
+import codecs
 import gzip
 import io
 import math
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -27,17 +35,11 @@ import scipy.sparse as sp
 
 from .mutation import RngStream
 from .objective import Dataset, index_dtype
+from .processes import forked, process_count
 
 
 class LibsvmParseError(ValueError):
     """Malformed LIBSVM input; the message names the offending line."""
-
-
-def _open_text(path) -> io.TextIOBase:
-    path = Path(path)
-    if path.suffix == ".gz":
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
 
 
 def _map_labels(raw: list[float], threshold: float | None) -> list[int]:
@@ -62,7 +64,13 @@ def _map_labels(raw: list[float], threshold: float | None) -> list[int]:
 # at 97 MB standalone RSS against 78.5 MB preallocated, with equal tracemalloc
 # peaks: the difference is heap fragmentation. Sections of 256 KB were the
 # fastest there.
+# A plain file's byte ranges hold at least RANGE_SECTIONS sections each, so a
+# small file never forks. Each child counts its range and sends the counts
+# first; the calling process then allocates the final arrays, parses its own
+# range into them, and receives each child's arrays straight into their slices
+# in messages of at most PARSE_CHUNK bytes, so it never holds a second copy.
 PARSE_CHUNK = 1 << 18
+RANGE_SECTIONS = 4
 # The bytes a section may hold for the vectorised parse to vouch for it: digits,
 # signs, points, exponent letters, colons, and the three whitespace bytes it
 # splits at. Anything else (a carriage return, an underscore, nan, non-ASCII
@@ -206,39 +214,20 @@ def parse_libsvm(
     if hasattr(source, "read"):
         # the file's own line iteration says where its lines end
         text = "".join(line.rstrip("\r\n") + "\n" for line in source)
-        pieces = (text[i:i + PARSE_CHUNK] for i in range(0, len(text), PARSE_CHUNK))
-        return _parse_pieces(pieces, text.count(":"), text.count("\n"), n_features, label_threshold)
-    colons = newlines = 0
-    with _open_text(source) as fh:
-        for piece in iter(partial(fh.read, PARSE_CHUNK), ""):
-            colons += piece.count(":")
-            newlines += piece.count("\n")
-    with _open_text(source) as fh:
-        return _parse_pieces(iter(partial(fh.read, PARSE_CHUNK), ""), colons, newlines,
-                             n_features, label_threshold)
-
-
-def _parse_pieces(pieces, colons, newlines, n_features, label_threshold) -> Dataset:
-    """parse_libsvm on text pieces that hold `colons` colons and `newlines` newlines."""
-    cols, data = np.empty(colons, np.int64), np.empty(colons)
-    raw_labels, indptr = np.empty(newlines + 1), np.zeros(newlines + 2, np.int64)
-    rows = nnz = 0
-    lineno = 1
-    for section in _sections(pieces):
-        labels, lengths, indices, values = _parse_section(section) or _parse_lines(section, lineno)
-        end, stop = rows + len(labels), nnz + len(indices)
-        raw_labels[rows:end] = labels
-        indptr[rows + 1:end + 1] = nnz + np.cumsum(lengths, dtype=np.int64)
-        cols[nnz:stop], data[nnz:stop] = indices, values
-        rows, nnz = end, stop
-        lineno += section.count("\n")
+        read_range, cuts = partial(_text_range, text), [0, len(text)]
+    else:
+        path = Path(source)
+        read_range = partial(_file_range, path)
+        cuts = [0, None] if path.suffix == ".gz" else _cuts(path)
+    raw_labels, indptr, cols, data = _parse_ranges(read_range, cuts)
+    rows, nnz = len(raw_labels), len(cols)
     if not rows:
         raise LibsvmParseError("no examples found")
-    labels = _map_labels(raw_labels[:rows].tolist(), label_threshold)
+    labels = _map_labels(raw_labels.tolist(), label_threshold)
     if not nnz and n_features is None:
         raise LibsvmParseError("no row has a feature index, so the dimension is unknown; "
                                "pass n_features")
-    seen_max = int(cols[:nnz].max()) + 1 if nnz else 0
+    seen_max = int(cols.max()) + 1 if nnz else 0
     n = seen_max if n_features is None else int(n_features)
     if n < 1:
         raise ValueError(f"n_features must be at least 1, got {n_features}")
@@ -247,11 +236,177 @@ def _parse_pieces(pieces, colons, newlines, n_features, label_threshold) -> Data
     # cast to the index dtype csr_matrix would pick, so it keeps the arrays
     idx_dtype = index_dtype(n, nnz)
     matrix = sp.csr_matrix(
-        (data[:nnz], cols[:nnz].astype(idx_dtype, copy=False),
-         indptr[:rows + 1].astype(idx_dtype, copy=False)),
+        (data, cols.astype(idx_dtype, copy=False), indptr.astype(idx_dtype, copy=False)),
         shape=(rows, n),
     )
     return Dataset(matrix, labels)
+
+
+@contextmanager
+def _text_range(text: str, start: int, stop: int, lineno: int):
+    """text[start:stop] in pieces."""
+    yield (text[i:min(i + PARSE_CHUNK, stop)] for i in range(start, stop, PARSE_CHUNK))
+
+
+@contextmanager
+def _file_range(path: Path, start: int, stop: int | None, lineno: int):
+    """The text of bytes [start, stop) of a file (to its end when stop is None;
+    a .gz file decompressed), in pieces, as open() in text mode reads it."""
+    with (gzip.open if path.suffix == ".gz" else open)(path, "rb") as fh:
+        fh.seek(start)
+        yield _decoded(fh, None if stop is None else stop - start, lineno)
+
+
+def _decoded(fh, size: int | None, lineno: int) -> Iterator[str]:
+    """The next `size` bytes of a binary file (all of them when size is None)
+    decoded as UTF-8 with universal newlines, in pieces. A byte that is not
+    UTF-8 raises LibsvmParseError, naming its line counted from `lineno`."""
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
+    while True:
+        data = fh.read(PARSE_CHUNK if size is None else min(PARSE_CHUNK, size))
+        if size is not None:
+            size -= len(data)
+        try:
+            text = decoder.decode(data, final=not data)
+        except UnicodeDecodeError as exc:
+            # a failed decode leaves the decoder as it was; exc.start counts its held bytes too
+            held = len(decoder.getstate()[0])
+            lineno += decoder.decode(data[:max(0, exc.start - held)]).count("\n")
+            lineno += decoder.getstate()[1] & 1  # a carriage return it holds back
+            raise LibsvmParseError(f"line {lineno}: {exc.object[exc.start:exc.end]!r} is not "
+                                   f"UTF-8 text ({exc.reason})") from None
+        lineno += text.count("\n")
+        if text:
+            yield text
+        if not data:
+            return
+
+
+def _cuts(path: Path) -> list[int]:
+    """Byte offsets that cut a plain file into ranges, one per process."""
+    size = path.stat().st_size
+    procs = process_count(size // (RANGE_SECTIONS * PARSE_CHUNK))
+    cuts = [0]
+    with open(path, "rb") as fh:
+        for k in range(1, procs):
+            at = max(cuts[-1], k * size // procs - 1)
+            fh.seek(at)
+            while (block := fh.read(PARSE_CHUNK)) and b"\n" not in block:
+                at += len(block)
+            if not block:
+                break
+            cut = at + block.index(b"\n") + 1
+            if cut == size:
+                break
+            cuts.append(cut)
+    return cuts + [size]
+
+
+def _count(read_range, start, stop, lineno: int) -> tuple[int, int]:
+    """The colons and newlines in a range's text."""
+    colons = newlines = 0
+    with read_range(start, stop, lineno) as pieces:
+        for piece in pieces:
+            colons += piece.count(":")
+            newlines += piece.count("\n")
+    return colons, newlines
+
+
+def _parse_range(read_range, start, stop, lineno: int, labels, indptr, cols, data):
+    """Parse a range into the fronts of the given arrays, naming lines from
+    `lineno` on: the labels, each row's end counted in entries from 0 (at
+    indptr[1:]), and the entries' columns and values. Returns the rows and
+    entries written."""
+    rows = nnz = 0
+    with read_range(start, stop, lineno) as pieces:
+        for section in _sections(pieces):
+            parsed = _parse_section(section) or _parse_lines(section, lineno)
+            section_labels, lengths, indices, values = parsed
+            row_end, nnz_end = rows + len(section_labels), nnz + len(indices)
+            labels[rows:row_end] = section_labels
+            indptr[rows + 1:row_end + 1] = nnz + np.cumsum(lengths, dtype=np.int64)
+            cols[nnz:nnz_end], data[nnz:nnz_end] = indices, values
+            rows, nnz = row_end, nnz_end
+            lineno += section.count("\n")
+    return rows, nnz
+
+
+def _range_arrays(colons, newlines):
+    """Labels, indptr, columns and values for the parse of text with these
+    counts: a row per newline, and one more for a last row without one; an
+    entry per colon."""
+    return (np.empty(newlines + 1), np.zeros(newlines + 2, np.int64),
+            np.empty(colons, np.int64), np.empty(colons))
+
+
+def _parse_child(writer, read_range, start, stop) -> None:
+    """A forked child's share: its range's counts, then its parse, each sent as
+    soon as it is known. Lines are numbered from 1, so on any failure the child
+    sends None instead, and the parent parses the range itself."""
+    try:
+        counts = _count(read_range, start, stop, 1)
+        writer.send(counts)
+        arrays = _range_arrays(*counts)
+        rows, nnz = _parse_range(read_range, start, stop, 1, *arrays)
+    except Exception:
+        writer.send(None)
+        return
+    writer.send((rows, nnz))
+    labels, indptr, cols, data = arrays
+    for part in (labels[:rows], indptr[1:rows + 1], cols[:nnz], data[:nnz]):
+        view = memoryview(part).cast("B")
+        for at in range(0, len(view), PARSE_CHUNK):
+            writer.send_bytes(view[at:at + PARSE_CHUNK])
+
+
+def _received(reader, labels, indptr, cols, data) -> tuple[int, int] | None:
+    """A child's parse, received straight into the fronts of the given arrays
+    a message at a time; None if the child failed or died first."""
+    try:
+        sent = reader.recv()
+        if sent is None:
+            return None
+        rows, nnz = sent
+        for part in (labels[:rows], indptr[1:rows + 1], cols[:nnz], data[:nnz]):
+            view = memoryview(part).cast("B")
+            for at in range(0, len(view), PARSE_CHUNK):
+                reader.recv_bytes_into(view[at:at + PARSE_CHUNK])
+    except (EOFError, OSError):
+        return None
+    return rows, nnz
+
+
+def _parse_ranges(read_range, cuts: list):
+    """The labels, indptr, columns and values of the text cut into ranges at
+    `cuts`: the calling process parses the first range, a forked child each
+    other one. A range that a child fails to count or parse is counted or
+    parsed again here, in file order, so the first error in the file is raised
+    with the line numbers of a one-range parse."""
+    ranges = list(zip(cuts, cuts[1:]))
+    with forked(len(ranges) - 1,
+                lambda k, writer: _parse_child(writer, read_range, *ranges[k])) as children:
+        counts = [_count(read_range, *ranges[0], 1)]
+        reporting = [False]
+        for (start, stop), (_, reader) in zip(ranges[1:], children):
+            try:
+                counted = reader.recv()
+            except (EOFError, OSError):
+                counted = None
+            reporting.append(counted is not None)
+            lineno = 1 + sum(newlines for _, newlines in counts)
+            counts.append(counted or _count(read_range, start, stop, lineno))
+        labels, indptr, cols, data = _range_arrays(*np.sum(counts, axis=0))
+        rows = nnz = 0
+        lineno = 1
+        for k, (start, stop) in enumerate(ranges):
+            into = labels[rows:], indptr[rows:], cols[nnz:], data[nnz:]
+            parsed = reporting[k] and _received(children[k - 1][1], *into)
+            if not parsed:
+                parsed = _parse_range(read_range, start, stop, lineno, *into)
+            indptr[rows + 1:rows + parsed[0] + 1] += nnz
+            rows, nnz = rows + parsed[0], nnz + parsed[1]
+            lineno += counts[k][1]
+    return labels[:rows], indptr[:rows + 1], cols[:nnz], data[:nnz]
 
 
 def write_libsvm(dataset: Dataset, target) -> None:

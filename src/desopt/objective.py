@@ -25,8 +25,9 @@ class Dataset:
     """Immutable sparse dataset: a CSR matrix of features and ±1 labels."""
 
     def __init__(self, matrix: sp.csr_matrix, labels: np.ndarray):
-        matrix = sp.csr_matrix(matrix)
-        matrix.sort_indices()
+        matrix = sp.csr_matrix(matrix)  # may share the caller's arrays
+        if not matrix.has_sorted_indices:
+            matrix = matrix.sorted_indices()
         labels = np.asarray(labels, dtype=np.float64)
         if matrix.shape[0] == 0:
             raise ValueError("dataset must be nonempty")

@@ -3,6 +3,10 @@ from __future__ import annotations
 
 import gzip
 import io
+import multiprocessing
+import os
+import re
+import time
 from collections import Counter
 
 import numpy as np
@@ -255,6 +259,180 @@ def test_parse_equals_line_loop_over_whole_source(tmp_path):
 
     check()
     assert min(seen.values()) >= 50, seen
+
+
+def _cpus(mp, count):
+    """Stub the usable CPU count, so that a path parses in up to `count` processes."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@st.composite
+def ranged_texts(draw):
+    """A libsvm_texts case written up to four times over, after blank lines
+    that move it into later ranges."""
+    text, threshold = draw(libsvm_texts())
+    blanks = draw(st.lists(st.sampled_from(["\n", "\r\n", " " * 99 + "\n", "\t" * 99 + "\r"]),
+                           max_size=16))
+    return "".join(blanks) + "\n".join([text] * draw(st.integers(1, 4))), threshold
+
+
+def test_parse_in_ranges_equals_one_process(tmp_path):
+    """A path cut into 2 or 3 ranges parses as it does in one process."""
+    seen = Counter()
+    path = tmp_path / "data.svm"
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(ranged_texts(), st.integers(1, 12), st.sampled_from([2, 3]))
+    def check(case, chunk, procs):
+        text, threshold = case
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "PARSE_CHUNK", chunk)
+            _cpus(mp, 1)
+            expected = _outcome(path, label_threshold=threshold)
+            _cpus(mp, procs)
+            cuts = dataio._cuts(path)
+            assert _outcome(path, label_threshold=threshold) == expected
+        assert multiprocessing.active_children() == []
+        seen[f"{len(cuts) - 1} ranges"] += 1
+        first = path.read_bytes()[:cuts[1]].decode().replace("\r\n", "\n").replace("\r", "\n")
+        named = re.match(r"line (\d+):", expected[1]) if len(expected) == 2 else None
+        if len(expected) > 2:
+            seen["parsed"] += 1
+        elif named and int(named[1]) > first.count("\n") and len(cuts) > 2:
+            seen["named past the first range"] += 1
+
+    check()
+    assert min(seen[key] for key in ("2 ranges", "3 ranges", "parsed",
+                                     "named past the first range")) >= 10, seen
+
+
+FILLER = "+1 1:0.5 3:-2e-3\n"
+
+
+@pytest.mark.parametrize("special", ["-1 2:1\r\n", "-1 2:1\r", "\n", "\r\n", " \t\r\n",
+                                     "-1\n", "-1\r\n", "0\r"])
+def test_parse_line_ends_at_range_cuts(tmp_path, monkeypatch, special):
+    """CRLF, lone CR, blank and label-only lines just before and just after a cut."""
+    path = tmp_path / "data.svm"
+    monkeypatch.setattr(dataio, "PARSE_CHUNK", 8)
+    cut_at = set()
+    for pad in range(2 * len(FILLER)):  # leading blanks move the special line past the cut
+        text = " " * pad + FILLER * 5 + special + FILLER * 6
+        path.write_bytes(text.encode())
+        _cpus(monkeypatch, 2)
+        cuts = dataio._cuts(path)
+        assert len(cuts) == 3 and text.encode()[cuts[1] - 1] == ord("\n")
+        start = pad + len(FILLER) * 5
+        where = {start: "start", start + len(special): "end"}.get(cuts[1])
+        if where is None:
+            continue
+        cut_at.add(where)
+        parsed = _outcome(path)
+        _cpus(monkeypatch, 1)
+        assert parsed == _outcome(path)
+        assert len(parsed) > 2 and len(parsed[-1]) == 12 - (not special.strip())
+    assert cut_at == ({"start", "end"} if special.endswith("\n") else {"start"})
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("damage, message", [
+    (b"+1 1:x", "line 151: non-numeric token '1:x'"),
+    (b"+1 1:\xff", "line 151: b'\\xff' is not UTF-8 text (invalid start byte)"),
+])
+def test_parse_error_in_child_range_names_its_line(tmp_path, monkeypatch, damage, message):
+    """The first damaged line in file order is named by its line in the file."""
+    lines = [b"+1 1:%d" % i for i in range(240)]
+    lines[150] = damage
+    lines[200] = b"+1 1:y"  # a later error in the last range does not win
+    path = tmp_path / "data.svm"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    monkeypatch.setattr(dataio, "PARSE_CHUNK", 64)
+    _cpus(monkeypatch, 1)
+    assert _outcome(path) == (LibsvmParseError, message)
+    _cpus(monkeypatch, 3)
+    cuts = dataio._cuts(path)
+    assert len(cuts) == 4 and cuts[1] < len(b"\n".join(lines[:150])) < cuts[2]
+    assert _outcome(path) == (LibsvmParseError, message)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("raw, bad", [
+    (b"+1 1:2\r\n-1 1:3\r\xff 1:1\n", "b'\\xff' is not UTF-8 text (invalid start byte)"),
+    ("+1 1:2\n-1 1:\u00e9\n".encode() + b"+1 \xe2\x28\n",
+     "b'\\xe2' is not UTF-8 text (invalid continuation byte)"),
+    (b"+1 1:2\n-1 1:3\r\n\xc3", "b'\\xc3' is not UTF-8 text (unexpected end of data)"),
+])
+def test_parse_names_the_line_of_a_byte_not_utf8(tmp_path, monkeypatch, raw, bad):
+    """At every piece size: pieces may split a CRLF, hold back a CR or cut a character."""
+    plain, packed = tmp_path / "data.svm", tmp_path / "data.svm.gz"
+    plain.write_bytes(raw)
+    packed.write_bytes(gzip.compress(raw))
+    for chunk in range(1, len(raw) + 2):
+        monkeypatch.setattr(dataio, "PARSE_CHUNK", chunk)
+        assert _outcome(plain) == _outcome(packed) == (LibsvmParseError, "line 3: " + bad)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("stage", ["_count", "_parse_section"])
+def test_parse_dead_child_range_parsed_in_process(tmp_path, monkeypatch, stage):
+    """A child that dies while counting or parsing leaves its range to the caller."""
+    path = tmp_path / "data.svm"
+    path.write_text("".join(f"{(-1) ** i:+d} {i % 7 + 1}:{i}.5\n" for i in range(300)))
+    monkeypatch.setattr(dataio, "PARSE_CHUNK", 64)
+    _cpus(monkeypatch, 1)
+    expected = _outcome(path)
+    parent, live = os.getpid(), getattr(dataio, stage)
+
+    def die_in_child(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return live(*args)
+
+    monkeypatch.setattr(dataio, stage, die_in_child)
+    _cpus(monkeypatch, 2)
+    assert len(dataio._cuts(path)) == 3
+    assert _outcome(path) == expected and len(expected) > 2
+    assert multiprocessing.active_children() == []
+
+
+def test_parse_leaves_no_child_on_raise(tmp_path, monkeypatch):
+    """An exception in the caller's range ends the child, which would sleep on."""
+    class Stop(BaseException):
+        pass
+
+    parent = os.getpid()
+
+    def stop_or_sleep(section):
+        if os.getpid() == parent:
+            raise Stop
+        time.sleep(30)
+
+    path = tmp_path / "data.svm"
+    path.write_text(FILLER * 100)
+    monkeypatch.setattr(dataio, "PARSE_CHUNK", 64)
+    monkeypatch.setattr(dataio, "_parse_section", stop_or_sleep)
+    _cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(Stop):
+        parse_libsvm(path)
+    assert time.monotonic() - start < 20
+    assert multiprocessing.active_children() == []
+
+
+def test_parse_in_pool_worker(tmp_path, monkeypatch):
+    """A daemonic process may not fork, so a pool worker parses in one range."""
+    path = tmp_path / "data.svm"
+    path.write_text(FILLER * 100)
+    monkeypatch.setattr(dataio, "PARSE_CHUNK", 64)
+    _cpus(monkeypatch, 2)
+    expected = _outcome(path)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got = pool.apply(_outcome, (path,))
+        pool.close()
+        pool.join()
+    assert got == expected and len(expected) > 2
+    assert multiprocessing.active_children() == []
 
 
 @st.composite

@@ -252,6 +252,15 @@ def test_dataset_validation():
         RegularizedObjective(LossKind.LR, random_dense_dataset(), reg=-1.0)
 
 
+def test_dataset_leaves_callers_matrix_unsorted():
+    # csr_matrix(m) shares m's arrays; sorting them in place reordered the caller's row
+    m = sp.csr_matrix((np.array([2.0, 3.0]), np.array([1, 0]), np.array([0, 2])), shape=(1, 2))
+    ds = Dataset(m, [1.0])
+    assert m.indices.tolist() == [1, 0] and m.data.tolist() == [2.0, 3.0]
+    assert ds.matrix.indices.tolist() == [0, 1] and ds.matrix.data.tolist() == [3.0, 2.0]
+    assert ds.matrix.has_sorted_indices
+
+
 def test_subset_and_equality():
     ds = random_dense_dataset(8, 4)
     sub = ds.subset([0, 3, 3])
