@@ -80,7 +80,7 @@ class CallableBatch:
     def __init__(self, value_fns: list[Callable[[np.ndarray], float]]):
         self.value_fns = value_fns
 
-    def plan(self, cols: np.ndarray) -> None:
+    def plan(self, cols: np.ndarray, blocks=None) -> None:
         pass
 
     def values(self, V: np.ndarray, before: np.ndarray | None = None) -> np.ndarray:
@@ -90,13 +90,24 @@ class CallableBatch:
         pass
 
 
+def mixture_draws(model: MutationModel, gens: list, iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """A round's mixture mutations for the workers whose generators are gens:
+    one draw_terms block of iters samples per worker, in worker order. Returns
+    (cols, terms), both iters x M*l: row k holds iteration k's changed flat
+    coordinates i*n + j, worker by worker, and their scaled terms."""
+    idx, terms = zip(*(draw_terms(model, gen, iters) for gen in gens))
+    cols = np.stack(idx, axis=1) + (np.arange(len(gens)) * model.n)[:, None]
+    return cols.reshape(iters, -1), np.stack(terms, axis=1).reshape(iters, -1)
+
+
 def run_lockstep_es(
     V: np.ndarray,
     cfg: LocalConfig,
     batch,
-    streams: list,
+    streams: list | None,
     f_start,
     traces: list[Callable[[int, float, np.ndarray, float], None]] | None = None,
+    planned: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run cfg.iters (1+1)-ES iterations on every row of V at once, in place.
 
@@ -105,10 +116,11 @@ def run_lockstep_es(
     step_k = step0 / sqrt(k+1) are evaluated by one batch.values call, and
     each worker keeps its candidate on ties or improvement; batch.keep(accepted)
     then drops the rejected candidates from any state the evaluator holds.
-    Mixture mutations u_i come from one draw_terms block per worker, drawn
-    from streams[i] at the start (in worker order, cfg.iters samples each);
-    batch.plan(cols) then receives the round's changed flat coordinates
-    i*n + j at once, row k for iteration k. Their candidates are made in
+    Mixture mutations u_i are mixture_draws from streams at the start, and
+    batch.plan(cols, blocks) receives the round's changed flat coordinates
+    i*n + j at once, row k for iteration k; planned, if given, is
+    (cols, terms, blocks) prepared ahead (streams is then unused), else the
+    draws are made here and blocks is None. Their candidates are made in
     place and scored by batch.values(V, before), where before holds the kept
     values at row k's coordinates. Dense mutations come in
     per-round blocks of up to DENSE_BLOCK // n iterations, one
@@ -122,17 +134,17 @@ def run_lockstep_es(
     f = np.array(f_start, dtype=np.float64)
     if np.isnan(f).any():
         raise NonFiniteObjectiveError(f"objective returned NaN at the start point ({f!r})")
-    gens = [stream.gen for stream in streams]
     model = cfg.model
     flat = V.reshape(-1)
-    accepted = np.zeros(len(gens), dtype=np.int64)
+    accepted = np.zeros(len(V), dtype=np.int64)
     if model.is_mixture:
-        idx, terms = zip(*(draw_terms(model, gen, cfg.iters) for gen in gens))
-        # (iters, M, l): iteration k's changed flat coordinates and terms
-        all_cols = np.stack(idx, axis=1) + (np.arange(len(gens)) * model.n)[:, None]
-        all_terms = np.stack(terms, axis=1)
-        batch.plan(all_cols.reshape(cfg.iters, -1))
+        if planned is None:
+            planned = (*mixture_draws(model, [stream.gen for stream in streams], cfg.iters), None)
+        all_cols, all_terms, blocks = planned
+        batch.plan(all_cols, blocks)
+        owner = np.repeat(np.arange(len(V)), model.l)  # the worker of each changed slot
     else:
+        gens = [stream.gen for stream in streams]
         chunk = min(cfg.iters, max(1, DENSE_BLOCK // model.n))
 
     for k in range(cfg.iters):
@@ -141,12 +153,12 @@ def run_lockstep_es(
             # Sparse candidates: perturb in place, then put back the saved
             # slots of rejected workers. Duplicate indices accumulate in draw
             # order and restore to the value saved before any of them.
-            cols = all_cols[k].reshape(-1)
+            cols = all_cols[k]
             saved = flat[cols]
-            np.add.at(flat, cols, step * all_terms[k].reshape(-1))
+            np.add.at(flat, cols, step * all_terms[k])
             f_cand = batch.values(V, saved)
             ok = accept(f, f_cand)
-            undo = np.repeat(~ok, model.l)
+            undo = (~ok)[owner]
             flat[cols[undo]] = saved[undo]
         else:
             if k % chunk == 0:

@@ -6,7 +6,10 @@ an L2 regularizer. Minibatches are plain arrays of row indices into a Dataset
 """
 from __future__ import annotations
 
+import functools
+import math
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -103,42 +106,62 @@ class StackedBatch:
     BatchView is its one-worker case.
 
     rows holds worker i's minibatch (row indices into obj.dataset) in row i.
-    One gather of all M*b rows makes a block-diagonal CSR whose block i holds
-    the entries of dataset.matrix[rows[i]] in stored order and acts on row i
-    of V (columns offset by i*n). A dense candidate is a pure function of V:
-    the full stacked matvec, then per worker the loss sum over b plus the L2
+    One gather of all M*b rows, made on first use (a prepared mixture round
+    never needs it), makes a block-diagonal CSR whose block i holds the
+    entries of dataset.matrix[rows[i]] in stored order and acts on row i of V
+    (columns offset by i*n). A dense candidate is a pure function of V: the
+    full stacked matvec, then per worker the loss sum over b plus the L2
     term, bit for bit the mean loss plus regularizer of that worker alone. It
-    drops the cache below: keep after it does nothing, and a mixture candidate
-    after it needs a new reset. For mixture candidates, reset caches the kept
-    points' M*b signed margins a = y * (X v), their per-row losses and each
-    worker's squared norm, all exact. plan(cols) takes the flat coordinates
-    that the coming mixture candidates change and makes a y-scaled CSC of only
-    those columns, sliced into each candidate's entries PLAN_ENTRIES at a
-    time. A candidate then moves the margins of the rows in each changed
-    column j by y_r * X_rj * delta_j, recomputes the losses of those rows
-    only, and moves each squared norm by new^2 - old^2 over its changed
-    coordinates: O(l * column nnz + touched rows) arithmetic, plus copy-speed
-    passes over the M*b cache (the undo copy that keep restores rejected
-    workers from, and the per-worker sums). Its values equal an exact
-    recompute up to rounding.
+    drops the cache below: keep after it does nothing, and a mixture
+    candidate after it needs a new reset.
+
+    For mixture candidates, reset caches the kept points' M*b signed margins
+    a = y * (X v), their per-row losses, each worker's loss sum and squared
+    norm, all exact; given the rows' products (the training-set scores of the
+    round's start point), it needs no gather and no product. plan(cols) takes
+    the flat coordinates that the coming mixture candidates change and cuts
+    them into plan blocks of at most PLAN_ENTRIES CSC entries (blocks(cols)).
+    A block hands each candidate its unique coordinates, their owners and
+    entry counts, its entries' rows and y-scaled values, and, unless the
+    block has more entries than DENSE_TOUCH of its rows, each entry's
+    coordinate and the candidate's sorted touched rows. A candidate moves the margins
+    of the rows in each changed column j by y_r * X_rj * delta_j, recomputes
+    the losses of the touched rows only, and moves each worker's squared norm
+    by new^2 - old^2 over its changed coordinates and its loss sum by new -
+    old over its touched rows: O(l * column nnz + touched rows) arithmetic,
+    and keep puts back only the rejected workers' touched rows: no pass over
+    the M*b cache. In a block whose entries exceed DENSE_TOUCH of its rows,
+    where such row lists would cost more than whole rows, a candidate instead
+    copies the margins, scores every row and takes its sums over all of them
+    (an untouched row adds exactly 0, so the values are the same), and keep
+    restores rejected workers' whole rows. Values equal an exact recompute
+    up to rounding.
     """
 
     def __init__(self, obj: "RegularizedObjective", rows):
         rows = np.asarray(rows, dtype=np.int64)
         self.obj = obj
-        workers, self.b = rows.shape
-        rows = rows.reshape(-1)
-        X = obj.dataset.matrix[rows]
+        self.workers, self.b = rows.shape
+        self.rows = rows.reshape(-1)
         self.n = obj.dataset.n_features
-        shape = (workers * self.b, workers * self.n)
-        index = index_dtype(*shape, X.nnz)
-        offsets = np.repeat(np.arange(workers, dtype=index) * index(self.n),
-                            np.diff(X.indptr[::self.b]))
-        self._X = sp.csr_matrix((X.data, X.indices.astype(index, copy=False) + offsets,
-                                 X.indptr.astype(index, copy=False)), shape=shape)
-        self._y = obj.dataset.labels[rows]
-        self._a = self._loss = self._sq = self._undo = None
+        self._y = obj.dataset.labels[self.rows]
+        self._a = self._loss = self._sums = self._sq = self._undo = None
         self._steps = iter(())
+
+    @functools.cached_property
+    def _X(self) -> sp.csr_matrix:
+        X = self.obj.dataset.matrix[self.rows]
+        shape = (len(self.rows), self.workers * self.n)
+        index = index_dtype(*shape, X.nnz)
+        indices = X.indices.astype(index)  # a copy, offset in place: worker i's j is i*n + j
+        ends = X.indptr[::self.b]
+        for i in range(1, self.workers):
+            indices[ends[i]:ends[i + 1]] += i * self.n
+        return sp.csr_matrix((X.data, indices, X.indptr.astype(index, copy=False)), shape=shape)
+
+    @functools.cached_property
+    def _owners(self) -> np.ndarray:
+        return np.repeat(np.arange(self.workers), self.b)
 
     def _exact(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         a = self._y * (self._X @ V.reshape(-1))
@@ -148,18 +171,33 @@ class StackedBatch:
     def _worker_values(self, loss: np.ndarray, sq: np.ndarray) -> np.ndarray:
         return np.add.reduce(loss, axis=1) / self.b + 0.5 * self.obj.reg * sq
 
-    def reset(self, V: np.ndarray) -> np.ndarray:
-        """Worker values at V, uncounted; V becomes the kept points."""
-        self._a, self._loss, self._sq = self._exact(V)
-        return self._worker_values(self._loss, self._sq)
+    def reset(self, V: np.ndarray, scores: np.ndarray | None = None) -> np.ndarray:
+        """Worker values at V, uncounted; V becomes the kept points. scores,
+        if given, are the stacked rows' products X v, which spares the gather
+        and the product."""
+        if scores is None:
+            self._a, loss, self._sq = self._exact(V)
+        else:
+            self._a = self._y * scores
+            loss = _loss_values(self.obj.loss_kind, self._a).reshape(-1, self.b)
+            self._sq = squared_norms(V)
+        self._loss = loss.reshape(-1)
+        self._sums = np.add.reduce(loss, axis=1)
+        self._undo = None
+        return self._sums / self.b + 0.5 * self.obj.reg * self._sq
 
-    def plan(self, cols: np.ndarray) -> None:
-        """Plan the coming mixture candidates: row k of cols (K x M*l) lists the
-        flat coordinates (row i, column j as i*n + j, repeats allowed) where
-        candidate k may differ from the kept points."""
+    def blocks(self, cols: np.ndarray):
+        """The PlanBlocks of cols (see plan), made one at a time."""
         # a module-level generator: one holding self would keep every round's
         # batch alive in a reference cycle until the next garbage collection
-        self._steps = _planned(self._X, self._y, np.asarray(cols, dtype=np.int64))
+        return _plan_blocks(self._X, self._y, np.asarray(cols, dtype=np.int64), self.n, self.b)
+
+    def plan(self, cols: np.ndarray, blocks=None) -> None:
+        """Plan the coming mixture candidates: row k of cols (K x M*l) lists the
+        flat coordinates (row i, column j as i*n + j, repeats allowed) where
+        candidate k may differ from the kept points. blocks, if given, are
+        blocks(cols) as made elsewhere (by a process that prepared the round)."""
+        self._steps = _plan_steps(self.blocks(cols) if blocks is None else blocks)
 
     def values(self, V: np.ndarray, before: np.ndarray | None = None) -> np.ndarray:
         """Worker values at the candidates V, charging M*b evaluations.
@@ -168,35 +206,55 @@ class StackedBatch:
         planned candidate and before[t] is the kept value at its t-th planned
         coordinate.
         """
-        self.obj.eval_counter += self._X.shape[0]
+        self.obj.eval_counter += len(self.rows)
         if before is None:
-            self._a = self._loss = self._sq = self._undo = None
+            self._a = self._loss = self._sums = self._sq = self._undo = None
             return self._worker_values(*self._exact(V)[1:])
         step = None if self._a is None else next(self._steps, None)
         if step is None:
             raise ValueError("mixture candidates need plan(cols) and reset(V) first, "
                              "and reset again after a dense one")
-        cols, first, counts, entry_rows, data = step
+        cols, first, owner, counts, coord, entry_rows, data, touched, touched_owner = step
         old, new = before[first], V.reshape(-1)[cols]
-        # each touched row once, though several changed columns may share it
-        hit = np.zeros(len(self._a), dtype=bool)
-        hit[entry_rows] = True
-        rows = np.flatnonzero(hit)
-        self._undo = (self._a.copy(), self._loss.copy(), self._sq.copy())
-        np.add.at(self._a, entry_rows, data * np.repeat(new - old, counts))
-        self._loss.reshape(-1)[rows] = _loss_values(self.obj.loss_kind, self._a[rows])
-        self._sq += np.bincount(cols // self.n, weights=new * new - old * old,
-                                minlength=len(self._sq))
-        return self._worker_values(self._loss, self._sq)
+        a, loss = self._a, self._loss
+        if touched is None:
+            # a block that touches most rows: save the whole cache and score
+            # every row; an untouched row's loss comes out as it was, so it
+            # adds exactly 0 to its worker's sum
+            self._undo = (None, None, a.copy(), loss, self._sums, self._sq)
+            np.add.at(a, entry_rows, data * np.repeat(new - old, counts))
+            self._loss = fresh = _loss_values(self.obj.loss_kind, a)
+            saved, touched_owner = loss, self._owners
+        else:
+            saved = loss[touched]
+            self._undo = (touched, touched_owner, a[touched], saved, self._sums, self._sq)
+            np.add.at(a, entry_rows, data * (new - old)[coord])
+            fresh = _loss_values(self.obj.loss_kind, a[touched])
+            loss[touched] = fresh
+        self._sums = self._sums + np.bincount(touched_owner, weights=fresh - saved,
+                                              minlength=self.workers)
+        if not math.isfinite(np.add.reduce(self._sums)):
+            # a sum that overflowed cannot come back by differences: sum afresh
+            self._sums = np.add.reduce(self._loss.reshape(-1, self.b), axis=1)
+        self._sq = self._sq + np.bincount(owner, weights=new * new - old * old,
+                                          minlength=self.workers)
+        return self._sums / self.b + 0.5 * self.obj.reg * self._sq
 
     def keep(self, accepted: np.ndarray) -> None:
         """Keep the last mixture candidates of the accepted workers; restore the rest."""
         if self._undo is None:
             return
-        a, loss, sq = self._undo
+        touched, touched_owner, a, loss, sums, sq = self._undo
+        self._undo = None
         rejected = ~accepted
-        self._a.reshape(-1, self.b)[rejected] = a.reshape(-1, self.b)[rejected]
-        self._loss[rejected] = loss[rejected]
+        if touched is None:
+            self._a.reshape(-1, self.b)[rejected] = a.reshape(-1, self.b)[rejected]
+            self._loss.reshape(-1, self.b)[rejected] = loss.reshape(-1, self.b)[rejected]
+        else:
+            back = rejected[touched_owner]
+            self._a[touched[back]] = a[back]
+            self._loss[touched[back]] = loss[back]
+        self._sums[rejected] = sums[rejected]
         self._sq[rejected] = sq[rejected]
 
 
@@ -227,12 +285,42 @@ class BatchView(StackedBatch):
         return np.sum(_loss_values(self.obj.loss_kind, margins), axis=0)
 
 
-def _planned(X: sp.csr_matrix, y: np.ndarray, cols: np.ndarray):
-    """For each row of cols in turn: its sorted unique coordinates, their first
-    occurrences (what np.unique(row, return_index=True) returns), their CSC
-    entry counts, and the entries' rows and y-scaled values, column by column.
-    The entries come from a CSC of only the drawn columns of X, sliced for
-    as many rows at once as fit in PLAN_ENTRIES entries."""
+# A plan block whose candidates average more CSC entries than this share of
+# the M*b stacked rows (so that most rows may be touched) lists no touched
+# rows: its candidates copy and score whole cache rows instead
+DENSE_TOUCH = 0.25
+
+
+class PlanBlock(NamedTuple):
+    """The plan of consecutive mixture candidates. Candidate s changes the
+    sorted unique coordinates unique[bounds[s]:bounds[s+1]], whose first
+    occurrences in its row of cols are in first (what np.unique(row,
+    return_index=True) returns), whose workers are in owner and whose CSC
+    entry counts are in counts. Its entries are entry_rows and
+    data[starts[s]:starts[s+1]], column by column. In a block with no more
+    entries than DENSE_TOUCH of its rows, coord holds each entry's
+    coordinate, as an index among the candidate's, and the candidate
+    touches the sorted rows touched[tbounds[s]:tbounds[s+1]], of the
+    workers touched_owner; in a denser block those four are None."""
+
+    bounds: np.ndarray
+    unique: np.ndarray
+    first: np.ndarray
+    owner: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+    entry_rows: np.ndarray
+    data: np.ndarray
+    coord: np.ndarray | None
+    tbounds: np.ndarray | None
+    touched: np.ndarray | None
+    touched_owner: np.ndarray | None
+
+
+def _plan_blocks(X: sp.csr_matrix, y: np.ndarray, cols: np.ndarray, n: int, b: int):
+    """PlanBlocks for the rows of cols (one candidate each), as many
+    candidates per block as fit in PLAN_ENTRIES entries of a y-scaled CSC of
+    only the drawn columns of X, one at least."""
     order = np.argsort(cols, axis=1, kind="stable")
     ordered = np.take_along_axis(cols, order, axis=1)
     new = np.ones(cols.shape, dtype=bool)
@@ -244,17 +332,53 @@ def _planned(X: sp.csr_matrix, y: np.ndarray, cols: np.ndarray):
     csc.data *= y[csc.indices]
     counts = np.diff(csc.indptr)[local]
     starts = np.concatenate(([0], np.cumsum(counts)))[bounds]  # entries before each row
+    rows = X.shape[0]
     k = 0
     while k < len(cols):
         # the most candidates, one at least, whose entries fit in PLAN_ENTRIES
         stop = max(k + 1, int(np.searchsorted(starts, starts[k] + PLAN_ENTRIES, "right")) - 1)
-        pos = _column_entries(csc.indptr, local[bounds[k]:bounds[stop]])
-        rows, data = csc.indices[pos], csc.data[pos]
-        for j in range(k, stop):
-            coords = slice(bounds[j], bounds[j + 1])
-            entries = slice(starts[j] - starts[k], starts[j + 1] - starts[k])
-            yield unique[coords], first[coords], counts[coords], rows[entries], data[entries]
+        coords = slice(bounds[k], bounds[stop])
+        pos = _column_entries(csc.indptr, local[coords])
+        block_bounds, block_starts = bounds[k:stop + 1] - bounds[k], starts[k:stop + 1] - starts[k]
+        steps = np.arange(stop - k)
+        entry_rows = csc.indices[pos]
+        sparse = None, None, None, None
+        if block_starts[-1] <= DENSE_TOUCH * rows * len(steps):
+            entry_rows = entry_rows.astype(np.int64)  # int32 indices cost a cast at each use
+            coord = np.repeat(np.arange(block_bounds[-1]) - np.repeat(block_bounds[:-1],
+                                                                      np.diff(block_bounds)),
+                              counts[coords])
+            # each candidate's touched rows once: sort (candidate, row) keys
+            # and drop repeats (np.unique would hash them, several times slower)
+            key = (np.repeat(steps * rows, np.diff(block_starts))
+                   + entry_rows).astype(index_dtype(rows * len(steps)))
+            key.sort()
+            once = np.ones(len(key), dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=once[1:])
+            key = key[once].astype(np.int64)
+            tbounds = np.searchsorted(key, np.arange(stop - k + 1) * rows)
+            touched = key - np.repeat(steps * rows, np.diff(tbounds))
+            sparse = coord, tbounds, touched, touched // b
+        yield PlanBlock(block_bounds, unique[coords], first[coords], unique[coords] // n,
+                        counts[coords], block_starts, entry_rows, csc.data[pos], *sparse)
         k = stop
+
+
+def _plan_steps(blocks):
+    """Each candidate's (unique, first, owner, counts, coord, entry_rows,
+    data, touched, touched_owner) from a sequence of PlanBlocks."""
+    for block in blocks:
+        bounds, starts, tbounds = block.bounds, block.starts, block.tbounds
+        for s in range(len(bounds) - 1):
+            coords, entries = slice(bounds[s], bounds[s + 1]), slice(starts[s], starts[s + 1])
+            coord = touched = touched_owner = None
+            if tbounds is not None:
+                rows = slice(tbounds[s], tbounds[s + 1])
+                coord, touched = block.coord[entries], block.touched[rows]
+                touched_owner = block.touched_owner[rows]
+            yield (block.unique[coords], block.first[coords], block.owner[coords],
+                   block.counts[coords], coord, block.entry_rows[entries], block.data[entries],
+                   touched, touched_owner)
 
 
 def _column_entries(indptr: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -281,6 +405,7 @@ class RegularizedObjective:
         self.dataset = dataset
         self.reg = float(reg)
         self.eval_counter = 0
+        self._kept = None
 
     def _reg_term(self, x: np.ndarray) -> float:
         return 0.5 * self.reg * float(squared_norms(x))
@@ -296,9 +421,18 @@ class RegularizedObjective:
         """eval_full(x) and classification_error(x, dataset) from one product
         of the data matrix with x. Metric path, not counted."""
         x, scores = _scores(x, self.dataset)
+        self._kept = (x.copy(), scores)
         a = self.dataset.labels * scores
         return (float(np.mean(_loss_values(self.loss_kind, a))) + self._reg_term(x),
                 _error(scores, self.dataset.labels))
+
+    def kept_scores(self, x: np.ndarray) -> np.ndarray | None:
+        """The training-set scores X @ x of the last eval_full_and_error, if it
+        was at x, else None. Each is its row's own dot product in stored
+        order, so it equals a product over any gather of those rows bit for bit."""
+        if self._kept is None or not np.array_equal(x, self._kept[0]):
+            return None
+        return self._kept[1]
 
 
 def _scores(x: np.ndarray, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -80,11 +80,12 @@ class ReferenceBatchView:
 
 class UnplannedStackedBatch(StackedBatch):
     """StackedBatch scoring each mixture candidate on its own: a y-scaled CSC
-    copy of all M*b rows, and every candidate's unique coordinates and CSC
-    entries looked up at its values call. plan only queues the candidates'
-    coordinates. The planned evaluator must equal it bit for bit."""
+    copy of all M*b rows, and every candidate's unique coordinates, CSC
+    entries and touched rows (np.unique) looked up at its values call. plan
+    only queues the candidates' coordinates. The planned evaluator, in every
+    plan block of either kind, must equal it bit for bit."""
 
-    def plan(self, cols: np.ndarray) -> None:
+    def plan(self, cols: np.ndarray, blocks=None) -> None:
         self._queued = iter(np.asarray(cols, dtype=np.int64))
 
     @cached_property
@@ -96,22 +97,26 @@ class UnplannedStackedBatch(StackedBatch):
     def values(self, V: np.ndarray, before: np.ndarray | None = None) -> np.ndarray:
         if before is None:
             return super().values(V)
-        self.obj.eval_counter += self._X.shape[0]
+        self.obj.eval_counter += len(self.rows)
         if self._a is None:
             raise ValueError("mixture candidates need reset(V) first, and again after a dense one")
         cols, first = np.unique(next(self._queued), return_index=True)
         old, new = before[first], V.reshape(-1)[cols]
         pos, counts = column_entries(self._csc.indptr, cols)
         entry_rows = self._csc.indices[pos]
-        hit = np.zeros(len(self._a), dtype=bool)
-        hit[entry_rows] = True
-        rows = np.flatnonzero(hit)
-        self._undo = (self._a.copy(), self._loss.copy(), self._sq.copy())
+        touched = np.unique(entry_rows)
+        self._undo = (touched, touched // self.b, self._a[touched], self._loss[touched],
+                      self._sums, self._sq)
         np.add.at(self._a, entry_rows, self._csc.data[pos] * np.repeat(new - old, counts))
-        self._loss.reshape(-1)[rows] = _loss_values(self.obj.loss_kind, self._a[rows])
-        self._sq += np.bincount(cols // self.n, weights=new * new - old * old,
-                                minlength=len(self._sq))
-        return self._worker_values(self._loss, self._sq)
+        fresh = _loss_values(self.obj.loss_kind, self._a[touched])
+        self._sums = self._sums + np.bincount(touched // self.b, weights=fresh - self._undo[3],
+                                              minlength=self.workers)
+        self._loss[touched] = fresh
+        if not np.isfinite(self._sums).all():
+            self._sums = np.add.reduce(self._loss.reshape(-1, self.b), axis=1)
+        self._sq = self._sq + np.bincount(cols // self.n, weights=new * new - old * old,
+                                          minlength=self.workers)
+        return self._sums / self.b + 0.5 * self.obj.reg * self._sq
 
 
 def column_entries(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

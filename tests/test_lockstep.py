@@ -48,7 +48,7 @@ from desopt.baselines import _zo_grads
 from desopt.localsolver import DENSE_BLOCK, LocalConfig, run_lockstep_es
 from desopt.mutation import draw_terms
 from desopt.objective import StackedBatch
-from objective_oracles import ReferenceBatchView, UnplannedStackedBatch
+from objective_oracles import ReferenceBatchView, UnplannedStackedBatch, column_entries
 
 # Incremental margins drift from an exact recompute by a few ulps of the
 # largest margin per update (about 1e-14 after 1500 updates on the benchmark
@@ -254,39 +254,167 @@ def mixture_candidate(V, l, rng):
     return cols, before
 
 
-def test_incremental_mixture_value_matches_exact_recompute():
+def test_incremental_mixture_value_matches_exact_recompute(monkeypatch):
+    # A round's worth of candidates, planned at once in blocks of a random
+    # cap: every value stays within TOL of an exact recompute through many
+    # keep and restore steps, in both kinds of plan block, while the ledger,
+    # the points' restored coordinates and a rejected worker's cached state
+    # (margins, loss sum, squared norm) come back exact.
     seen = Counter()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(kept_states())
-    def check(case):
+    @given(kept_states(), st.sampled_from([1, 40, 300, objective.PLAN_ENTRIES]))
+    def check(case, cap):
         data, rows, l, loss, reg, V, rng, warmup = case
+        monkeypatch.setattr(objective, "PLAN_ENTRIES", cap)
         obj = RegularizedObjective(loss, data, reg)
         batch = StackedBatch(obj, rows)
         views = [ReferenceBatchView(obj, r) for r in rows]
+        workers, n = V.shape
+        steps = 1 + 10 * warmup
+        cols = (rng.integers(0, n, size=(steps, workers, l))
+                + (np.arange(workers) * n)[:, None]).reshape(steps, -1)
+        for block in batch.blocks(cols):
+            seen["block touching most rows" if block.touched is None else "touched-row block"] += 1
         batch.reset(V)
-        # reach a random kept state: candidates kept or restored at random
-        for _ in range(warmup):
-            cols, before = mixture_candidate(V, l, rng)
-            batch.plan(cols[None])
-            batch.values(V, before)
-            ok = rng.random(len(V)) < 0.5
+        batch.plan(cols)
+        for k in range(steps):
+            kept = V.copy()
+            cached = [batch._a.reshape(workers, -1).copy(), batch._sums.copy(), batch._sq.copy()]
+            before = V.reshape(-1)[cols[k]]
+            np.add.at(V.reshape(-1), cols[k],
+                      rng.normal(size=cols[k].size) * rng.choice([0.01, 1.0, 5.0]))
+            counter = obj.eval_counter
+            got = batch.values(V, before)
+            assert obj.eval_counter - counter == rows.size
+            exact = np.array([view.peek_value(v) for view, v in zip(views, V)])
+            assert close(got, exact), (k, got, exact)
+            ok = rng.random(workers) < 0.5
             undo = np.repeat(~ok, l)
-            V.reshape(-1)[cols[undo]] = before[undo]
+            V.reshape(-1)[cols[k][undo]] = before[undo]
             batch.keep(ok)
-        cols, before = mixture_candidate(V, l, rng)
-        batch.plan(cols[None])
-        counter = obj.eval_counter
-        got = batch.values(V, before)
-        assert obj.eval_counter - counter == rows.size
-        exact = np.array([view.peek_value(v) for view, v in zip(views, V)])
-        assert close(got, exact), (got, exact)
-        seen["duplicate index"] += len(np.unique(cols)) < len(cols)
-        seen["empty column"] += (np.diff(data.matrix.tocsc().indptr)[cols % V.shape[1]] == 0).any()
+            assert np.array_equal(V[~ok], kept[~ok])
+            assert np.array_equal(batch._a.reshape(workers, -1)[~ok], cached[0][~ok])
+            assert np.array_equal(batch._sums[~ok], cached[1][~ok])
+            assert np.array_equal(batch._sq[~ok], cached[2][~ok])
+            seen["mixed keep"] += 0 < ok.sum() < workers
+        seen["duplicate index"] += any(len(np.unique(c)) < len(c) for c in cols)
+        seen["empty column"] += (np.diff(data.matrix.tocsc().indptr)[cols % n] == 0).any()
         seen["repeated row"] += any(len(np.unique(r)) < len(r) for r in rows)
+        seen["20 steps or more"] += steps >= 20
 
     check()
-    assert min(seen[k] for k in ("duplicate index", "empty column", "repeated row")) > 0, seen
+    assert min(seen[k] for k in ("duplicate index", "empty column", "repeated row", "mixed keep",
+                                 "block touching most rows", "touched-row block",
+                                 "20 steps or more")) > 0, seen
+
+
+def test_plan_blocks_hand_out_each_candidates_entries_and_touched_rows(monkeypatch):
+    # Against a per-candidate lookup in a CSC of all rows: each candidate's
+    # unique coordinates, first occurrences, owners and entry counts, its
+    # entries' rows and y-scaled values, and (in a block that does not touch
+    # most rows) each entry's coordinate and the candidate's touched rows,
+    # which must be np.unique of its entry rows.
+    seen = Counter()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kept_states(), st.integers(1, 12), st.sampled_from([1, 6, 40, objective.PLAN_ENTRIES]))
+    def check(case, steps, cap):
+        data, rows, l, loss, reg, V, rng, _ = case
+        monkeypatch.setattr(objective, "PLAN_ENTRIES", cap)
+        batch = StackedBatch(RegularizedObjective(loss, data, reg), rows)
+        workers, n = V.shape
+        cols = (rng.integers(0, n, size=(steps, workers, l))
+                + (np.arange(workers) * n)[:, None]).reshape(steps, -1)
+        csc = batch._X.tocsc()
+        csc.data *= batch._y[csc.indices]
+        planned = list(objective._plan_steps(batch.blocks(cols)))
+        assert len(planned) == steps
+        for row, (unique, first, owner, counts, coord, entry_rows, data_, touched,
+                  touched_owner) in zip(cols, planned):
+            want, want_first = np.unique(row, return_index=True)
+            assert np.array_equal(unique, want) and np.array_equal(first, want_first)
+            assert np.array_equal(owner, want // n)
+            pos, want_counts = column_entries(csc.indptr, want)
+            assert np.array_equal(counts, want_counts)
+            assert np.array_equal(entry_rows, csc.indices[pos])
+            assert np.array_equal(data_, csc.data[pos])
+            if touched is None:
+                assert coord is None and touched_owner is None
+                seen["block touching most rows"] += 1
+                continue
+            assert np.array_equal(unique[coord], np.repeat(want, counts))
+            assert np.array_equal(touched, np.unique(entry_rows))
+            assert np.array_equal(touched_owner, touched // batch.b)
+            seen["touched-row block"] += 1
+            seen["a row touched twice"] += len(touched) < len(entry_rows)
+            seen["no row touched"] += len(touched) == 0
+
+    check()
+    assert min(seen[k] for k in ("block touching most rows", "touched-row block",
+                                 "a row touched twice", "no row touched")) > 0, seen
+
+
+def test_reset_from_the_snapshots_scores_equals_the_product():
+    # A round that starts where the last snapshot was taken takes its start
+    # margins from the snapshot's training-set scores: bit for bit the
+    # stacked product's, with no gather made. Another point, or the point
+    # written over in place after the snapshot, gets no scores.
+    seen = Counter()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(kept_states())
+    def check(case):
+        data, rows, l, loss, reg, V, rng, _ = case
+        obj = RegularizedObjective(loss, data, reg)
+        x = V[0].copy()
+        V[:] = x
+        assert obj.kept_scores(x) is None
+        obj.eval_full_and_error(x)
+        scores = obj.kept_scores(x.copy())
+        planned, exact = StackedBatch(obj, rows), StackedBatch(obj, rows)
+        assert np.array_equal(planned.reset(V, scores[planned.rows]), exact.reset(V))
+        assert "_X" not in vars(planned)
+        assert np.array_equal(planned._a, exact._a)
+        assert np.array_equal(planned._sums, exact._sums)
+        moved = x.copy()
+        moved[rng.integers(0, len(x))] += 1.0
+        assert obj.kept_scores(moved) is None
+        x[:] = moved
+        assert obj.kept_scores(x) is None
+        seen["x = 0" if not V.any() else "x != 0"] += 1
+
+    check()
+    assert min(seen[k] for k in ("x = 0", "x != 0")) > 0, seen
+
+
+@pytest.mark.parametrize("loss", [LossKind.LR, LossKind.LSVM])
+@pytest.mark.parametrize("rows", [range(40), range(2)], ids=["touched rows", "most rows"])
+def test_mixture_value_after_an_overflowed_loss_sum(loss, rows):
+    # Rows 0 and 1 have entries of 1e300 in column 0, so at x0 = -1e8 each
+    # loses about 1e308 and their worker's loss sum overflows to inf. Moving
+    # x0 back to 0 brings both margins back to 0 exactly, but an inf sum
+    # cannot come back by differences: it is taken afresh, and the value
+    # equals an exact recompute in both kinds of plan block.
+    features = np.zeros((40, 2))
+    features[:2, 0], features[2:, 1] = 1e300, 1.0
+    data = Dataset(sp.csr_matrix(features), np.ones(40))
+    obj = RegularizedObjective(loss, data, 1e-6)
+    batch, view = StackedBatch(obj, [list(rows)]), ReferenceBatchView(obj, list(rows))
+    cols = np.zeros((2, 1), dtype=np.int64)
+    (block,) = batch.blocks(cols)
+    assert (block.touched is None) == (len(rows) == 2)
+    V = np.zeros((1, 2))
+    batch.reset(V)
+    batch.plan(cols)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, then inf - inf
+        V[0, 0] = -1e8
+        assert np.isinf(batch.values(V, np.zeros(1))).all()
+        batch.keep(np.array([True]))
+        V[0, 0] = 0.0
+        got = batch.values(V, np.array([-1e8]))
+    assert np.array_equal(batch._a, np.zeros(len(rows)))
+    assert close(got, view.peek_value(V[0])), (got, view.peek_value(V[0]))
 
 
 def test_dense_values_are_stateless():
@@ -331,8 +459,9 @@ def test_dense_values_are_stateless():
 def test_planned_rounds_match_unplanned_oracle(monkeypatch):
     # The planned evaluator slices each candidate's entries out of blocks made
     # at the start of the round; the oracle looks them up per candidate in a
-    # CSC of all rows. Both make the same floating-point operations in the
-    # same order, so two chained mixture rounds must agree bit for bit: every
+    # CSC of all rows, with np.unique for its touched rows. Both make the same
+    # floating-point operations in the same order, whatever the kind of plan
+    # block, so two chained mixture rounds must agree bit for bit: every
     # traced step, the server states, the round metrics and the ledger.
     seen = Counter()
     blocks = []
@@ -343,6 +472,14 @@ def test_planned_rounds_match_unplanned_oracle(monkeypatch):
         return column_entries(indptr, cols)
 
     monkeypatch.setattr(objective, "_column_entries", counted)
+    plan_blocks = objective._plan_blocks
+
+    def kinds(*args):
+        for block in plan_blocks(*args):
+            seen["block touching most rows" if block.touched is None else "touched-row block"] += 1
+            yield block
+
+    monkeypatch.setattr(objective, "_plan_blocks", kinds)
 
     def run(evaluator, data, cfg, loss, reg, state, partition):
         monkeypatch.setattr(server, "StackedBatch", evaluator)
@@ -392,7 +529,8 @@ def test_planned_rounds_match_unplanned_oracle(monkeypatch):
 
     check()
     assert min(seen[k] for k in ("several plan blocks", "drawn empty column",
-                                 "repeated coordinate", "repeated row", "accepted")) > 0, seen
+                                 "repeated coordinate", "repeated row", "accepted",
+                                 "block touching most rows", "touched-row block")) > 0, seen
 
 
 def test_mixture_candidates_follow_the_plan():

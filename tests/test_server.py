@@ -2,12 +2,21 @@
 scheduling independence, and end-to-end descent."""
 from __future__ import annotations
 
+import fcntl
+import multiprocessing
+import os
+import sys
+import time
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from desopt import (
     BETA_LIMIT,
+    Dataset,
     DesConfig,
     LossKind,
     MutationKind,
@@ -27,7 +36,9 @@ from desopt import (
     step_size,
     synth_dataset,
 )
+from desopt import objective, server
 from desopt.objective import StackedBatch
+from desopt.processes import PIPE_BYTES, forked, recv_arrays, send_arrays
 from helpers import initial_state
 
 GAUSS = MutationModel(MutationKind.STANDARD_GAUSSIAN, 4)
@@ -221,6 +232,208 @@ def test_thread_count_does_not_change_results():
         rows[threads] = [(r.round, r.cum_evals, r.train_loss, r.train_err, r.test_err, r.wall_ms)
                          for r in rec.rows]
     assert rows[None] == rows[2] == rows[4]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let threads=2 fork the round-prep helper even on a one-CPU machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def sparse_split(seed: int):
+    """A sparse train/test pair whose mixture candidates make plan blocks of
+    both kinds: some touch most of a round's rows, others few."""
+    rng = np.random.default_rng(seed)
+    features = sp.random(240, 30, density=0.1, random_state=rng, format="csr")
+    full = Dataset(features, rng.choice([-1.0, 1.0], size=240))
+    return split_train_test(full, SplitSpec(0.75, RngStream(seed, "split")))
+
+
+def mixture_cfg(kind=MutationKind.MIXTURE_GAUSSIAN, **kw):
+    return make_cfg(**{"workers": 3, "rounds": 5, "local_iters": 6, "batch_size": 8,
+                       "model": MutationModel(kind, 30, 2), **kw})
+
+
+def metric_rows(record):
+    return [(r.round, r.cum_evals, r.train_loss, r.train_err, r.test_err) for r in record.rows]
+
+
+def count_helpers(monkeypatch) -> list:
+    """Record the process count of every forked() block run_des opens."""
+    forks = []
+    forked = server.forked
+    monkeypatch.setattr(server, "forked", lambda count, *args, **kw: forks.append(count)
+                        or forked(count, *args, **kw))
+    return forks
+
+
+def test_helper_pipe_carries_arrays_as_sent():
+    # send_arrays/recv_arrays over a forked() pipe of PIPE_BYTES:
+    # dtypes, values (NaN, -0.0 and inf included) and None survive, each
+    # array arrives flattened, and the reader sees EOF once the child is done
+    arrays = [np.arange(5), None, np.array([[1.5, -0.0, np.inf], [np.nan, 2.0, -3.0]]),
+              np.zeros(0, dtype=np.int32), np.array([True, False, True]),
+              np.arange(3, dtype=np.int32), np.zeros(0)]
+
+    def work(k, writer):
+        with writer:
+            send_arrays(writer, arrays)
+
+    with forked(1, work) as [(_, reader)]:
+        if sys.platform == "linux":
+            assert fcntl.fcntl(reader.fileno(), fcntl.F_GETPIPE_SZ) == PIPE_BYTES
+        got = recv_arrays(reader)
+        with pytest.raises(EOFError):
+            recv_arrays(reader)
+    assert len(got) == len(arrays) and got[1] is None
+    for want, have in zip(arrays, got):
+        if want is not None:
+            assert have.dtype == want.dtype and have.shape == (want.size,)
+            assert np.array_equal(have, want.reshape(-1), equal_nan=want.dtype.kind == "f")
+            assert np.array_equal(np.signbit(have), np.signbit(want.reshape(-1)))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("kind", [MutationKind.MIXTURE_GAUSSIAN, MutationKind.MIXTURE_RADEMACHER])
+def test_mixture_thread_count_does_not_change_results(kind, monkeypatch, two_cpus):
+    # threads > 1 forks one helper that prepares rounds 1.. ahead; a small
+    # PLAN_ENTRIES cuts each of its rounds into several plan blocks (messages)
+    train, test = sparse_split(14)
+    monkeypatch.setattr(objective, "PLAN_ENTRIES", 20)
+    kinds = Counter()
+    plan_blocks = objective._plan_blocks
+
+    def counted(*args):
+        for block in plan_blocks(*args):
+            kinds["most rows" if block.touched is None else "touched rows"] += 1
+            yield block
+
+    monkeypatch.setattr(objective, "_plan_blocks", counted)
+    forks = count_helpers(monkeypatch)
+    rows = {threads: metric_rows(run_des(mixture_cfg(kind), train, test, LossKind.LR,
+                                         threads=threads))
+            for threads in (None, 1, 2, 4)}
+    assert rows[None] == rows[1] == rows[2] == rows[4]
+    assert forks == [1, 1]
+    assert kinds["most rows"] > 0 and kinds["touched rows"] > 0, kinds
+    assert multiprocessing.active_children() == []
+
+
+def test_no_helper_on_one_cpu_for_dense_models_or_one_round(monkeypatch):
+    train, test = sparse_split(15)
+    forks = count_helpers(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    run_des(mixture_cfg(), train, test, LossKind.LR, threads=2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    run_des(mixture_cfg(model=MutationModel(MutationKind.STANDARD_GAUSSIAN, 30)), train, test,
+            LossKind.LR, threads=2)
+    run_des(mixture_cfg(rounds=1), train, test, LossKind.LR, threads=2)
+    assert forks == []
+
+
+def _pool_rows(threads):
+    train, test = sparse_split(16)
+    return metric_rows(run_des(mixture_cfg(), train, test, LossKind.LR, threads=threads))
+
+
+def test_run_des_in_pool_worker(two_cpus):
+    # a daemonic process may not fork, so a pool worker runs with no helper
+    expected = _pool_rows(None)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got = pool.apply(_pool_rows, (2,))
+        pool.close()
+        pool.join()
+    assert got == expected
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("threads", [0, -1, -8])
+def test_run_des_rejects_thread_counts_below_one(threads):
+    train, test = sparse_split(17)
+    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        run_des(mixture_cfg(), train, test, LossKind.LR, threads=threads)
+
+
+@pytest.mark.parametrize("death", ["exits after round 1", "exits mid-round 1", "raises in round 2"])
+def test_dead_helper_rounds_prepared_in_process(death, monkeypatch, two_cpus):
+    # The helper dies (os._exit) or fails (an exception) part-way; the caller
+    # reads EOF and prepares the rest itself, from the first plan block it did
+    # not receive, so the rows equal a run without a helper.
+    train, test = sparse_split(18)
+    monkeypatch.setattr(objective, "PLAN_ENTRIES", 20)
+    expected = metric_rows(run_des(mixture_cfg(), train, test, LossKind.LR))
+    caller = os.getpid()
+    sent = Counter()
+    send, prepare = server.send_arrays, server.prepare_round
+
+    def sending(writer, arrays):  # only the helper sends
+        sent["headers" if len(arrays) == 3 else "blocks"] += 1
+        if death == "exits after round 1" and sent["headers"] == 2:
+            os._exit(1)
+        if death == "exits mid-round 1" and sent["blocks"] == 2:
+            os._exit(1)
+        send(writer, arrays)
+
+    def preparing(cfg, obj, partition, t):
+        if death == "raises in round 2" and t == 2 and os.getpid() != caller:
+            raise RuntimeError("helper broke")
+        return prepare(cfg, obj, partition, t)
+
+    received = []
+    recv = server.recv_arrays
+    monkeypatch.setattr(server, "send_arrays", sending)
+    monkeypatch.setattr(server, "prepare_round", preparing)
+    monkeypatch.setattr(server, "recv_arrays", lambda reader: received.append(1) or recv(reader))
+    got = metric_rows(run_des(mixture_cfg(), train, test, LossKind.LR, threads=2))
+    assert got == expected
+    assert len(received) >= 2  # the helper's messages were used before it stopped
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("end", ["non-finite snapshot", "diverged candidate", "max_evals"])
+def test_run_ended_early_leaves_no_helper(end, monkeypatch, two_cpus):
+    # The run raises, or max_evals stops it, while its helper is still
+    # running ahead; run_rounds closes the round generator, which ends the
+    # helper before run_des returns or its exception reaches the caller.
+    # The helper takes 0.2 s a round, so it cannot have sent all its rounds
+    # and exited first.
+    train, test = sparse_split(19)
+    cfg, reg = mixture_cfg(rounds=8), 1e-6
+    caller, prepare = os.getpid(), server.prepare_round
+    monkeypatch.setattr(server, "prepare_round", lambda *args: (
+        os.getpid() != caller and time.sleep(0.2)) or prepare(*args))
+    if end == "non-finite snapshot":
+        full = objective.RegularizedObjective.eval_full_and_error
+        calls = []
+
+        def eval_full(obj, x):
+            calls.append(x)
+            loss, err = full(obj, x)
+            return (np.inf if len(calls) == 3 else loss), err
+
+        monkeypatch.setattr(objective.RegularizedObjective, "eval_full_and_error", eval_full)
+    elif end == "diverged candidate":
+        # steps of 1e150 on entries of 1e160 overflow the margins to +-inf
+        train = Dataset(train.matrix * 1e160, train.labels)
+        cfg, reg = mixture_cfg(alpha=1e150, rounds=8), 0.0
+    else:
+        cfg = mixture_cfg(rounds=8, max_evals=2 * 3 * 6 * 8)
+    children = []
+    des_round_ = server.des_round
+    monkeypatch.setattr(server, "des_round", lambda *args, **kw: children.append(
+        len(multiprocessing.active_children())) or des_round_(*args, **kw))
+    with np.errstate(all="ignore"):
+        if end == "max_evals":
+            assert len(run_des(cfg, train, test, LossKind.LR, reg=reg, threads=2).rows) == 3
+        else:
+            with pytest.raises(NonFiniteObjectiveError,
+                               match="train loss after round 2" if end == "non-finite snapshot"
+                               else "objective returned NaN") as info:
+                run_des(cfg, train, test, LossKind.LR, reg=reg, threads=2)
+    assert children[-1] == 1  # the helper was running when the last round started
+    # info keeps the traceback, and with it run_rounds's frame and generator, alive
+    assert multiprocessing.active_children() == []
+    assert end == "max_evals" or info.value is not None
 
 
 def test_run_des_descends_on_synthetic():
