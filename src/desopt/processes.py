@@ -1,5 +1,5 @@
 """Process plumbing shared by `desopt run --threads`, parse_libsvm and
-`run_des(threads=N)`'s round-prep helper: how many processes a job may use,
+run_des's round-prep helper: how many processes a job may use,
 forked children that report over one-way pipes, and arrays sent over those
 pipes as one packed message each.
 
@@ -23,13 +23,15 @@ if TYPE_CHECKING:
 
 
 def process_count(jobs: int) -> int:
-    """Processes for `jobs` independent jobs: one per usable CPU, capped at the
-    job count. A daemonic process (a multiprocessing.Pool worker, say) may not
-    have children, so it runs its jobs alone."""
+    """Processes for `jobs` independent jobs, the calling process included:
+    one per usable CPU that no running child of this process (a `desopt run`
+    worker, say) already holds, capped at the job count, and at least 1. A
+    daemonic process (a multiprocessing.Pool worker, say) may not have
+    children, so it runs its jobs alone."""
     if multiprocessing.current_process().daemon:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(jobs, cpus or 1))
+    return max(1, min(jobs, (cpus or 1) - len(multiprocessing.active_children())))
 
 
 # The capacity forked() asks for its pipes, in bytes: a child then runs up to

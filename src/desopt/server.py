@@ -4,8 +4,8 @@ and advance the incumbent through a momentum-damped delayed step. Also home to t
 config checks that DES and the baselines share and to their one round driver,
 run_rounds: each algorithm is a generator of rounds, which run_rounds starts at
 the zero point and pulls one round at a time. Every algorithm simulates its M
-workers in the calling thread; none starts a thread. run_des with threads > 1
-forks one helper process that prepares mixture rounds ahead of the caller.
+workers in the calling thread; none starts a thread. run_des forks one helper
+process that prepares mixture rounds ahead of the caller where two CPUs allow.
 """
 from __future__ import annotations
 
@@ -278,17 +278,19 @@ def run_des(
 ) -> RunRecord:
     """Run cfg.rounds DES rounds from the zero point, one metric row per round.
 
-    The M workers run in lockstep in the calling thread. With threads > 1, a
-    mixture model, two rounds or more and two usable CPUs (process_count), a
-    forked helper process prepares rounds 1.. ahead (prepare_round's half of
-    each round that does not depend on the iterate) while the calling process
-    runs the round before; round 0 is prepared here while the helper starts.
-    The outputs do not depend on threads.
+    The M workers run in lockstep in the calling thread. For a mixture model
+    and two rounds or more, a forked helper process prepares rounds 1..
+    ahead (prepare_round's half of each round that does not depend on the
+    iterate) while the calling process runs the round before, if
+    process_count finds a CPU for each: not in a daemonic caller, and not
+    on a CPU that a running child of the caller (a `desopt run --threads`
+    worker, say) holds. Round 0 is prepared here while the helper starts.
+    The outputs do not depend on the helper. threads is accepted for the
+    callers that pass it and must be at least 1; it changes nothing.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    helper = ((threads or 1) > 1 and cfg.model.is_mixture and cfg.rounds > 1
-              and process_count(2) == 2)
+    helper = cfg.model.is_mixture and cfg.rounds > 1 and process_count(2) == 2
 
     def rounds(obj, partition, x0):
         state = ServerState(x=x0, m=np.zeros_like(x0))

@@ -236,7 +236,7 @@ def test_thread_count_does_not_change_results():
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Let threads=2 fork the round-prep helper even on a one-CPU machine."""
+    """Let run_des fork the round-prep helper even on a one-CPU machine."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
@@ -296,8 +296,9 @@ def test_helper_pipe_carries_arrays_as_sent():
 
 @pytest.mark.parametrize("kind", [MutationKind.MIXTURE_GAUSSIAN, MutationKind.MIXTURE_RADEMACHER])
 def test_mixture_thread_count_does_not_change_results(kind, monkeypatch, two_cpus):
-    # threads > 1 forks one helper that prepares rounds 1.. ahead; a small
-    # PLAN_ENTRIES cuts each of its rounds into several plan blocks (messages)
+    # On two CPUs each run forks one helper that prepares rounds 1.. ahead,
+    # whatever threads is; a small PLAN_ENTRIES cuts each of its rounds into
+    # several plan blocks (messages). On one CPU the caller prepares them.
     train, test = sparse_split(14)
     monkeypatch.setattr(objective, "PLAN_ENTRIES", 20)
     kinds = Counter()
@@ -313,22 +314,33 @@ def test_mixture_thread_count_does_not_change_results(kind, monkeypatch, two_cpu
     rows = {threads: metric_rows(run_des(mixture_cfg(kind), train, test, LossKind.LR,
                                          threads=threads))
             for threads in (None, 1, 2, 4)}
-    assert rows[None] == rows[1] == rows[2] == rows[4]
-    assert forks == [1, 1]
+    assert forks == [1, 1, 1, 1]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    alone = metric_rows(run_des(mixture_cfg(kind), train, test, LossKind.LR))
+    assert rows[None] == rows[1] == rows[2] == rows[4] == alone
+    assert forks == [1, 1, 1, 1]
     assert kinds["most rows"] > 0 and kinds["touched rows"] > 0, kinds
     assert multiprocessing.active_children() == []
 
 
-def test_no_helper_on_one_cpu_for_dense_models_or_one_round(monkeypatch):
+def test_no_helper_without_a_free_cpu_for_dense_models_or_one_round(monkeypatch):
     train, test = sparse_split(15)
     forks = count_helpers(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    run_des(mixture_cfg(), train, test, LossKind.LR, threads=2)
+    run_des(mixture_cfg(), train, test, LossKind.LR)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     run_des(mixture_cfg(model=MutationModel(MutationKind.STANDARD_GAUSSIAN, 30)), train, test,
-            LossKind.LR, threads=2)
-    run_des(mixture_cfg(rounds=1), train, test, LossKind.LR, threads=2)
+            LossKind.LR)
+    run_des(mixture_cfg(rounds=1), train, test, LossKind.LR)
     assert forks == []
+    # a running child of the caller (a desopt run --threads worker, say)
+    # holds the second CPU; once it has exited, the helper may have it
+    with forked(1, lambda k, writer: time.sleep(30)):
+        busy = metric_rows(run_des(mixture_cfg(), train, test, LossKind.LR))
+    assert forks == []
+    assert metric_rows(run_des(mixture_cfg(), train, test, LossKind.LR)) == busy
+    assert forks == [1]
+    assert multiprocessing.active_children() == []
 
 
 def _pool_rows(threads):
@@ -384,7 +396,7 @@ def test_dead_helper_rounds_prepared_in_process(death, monkeypatch, two_cpus):
     monkeypatch.setattr(server, "send_arrays", sending)
     monkeypatch.setattr(server, "prepare_round", preparing)
     monkeypatch.setattr(server, "recv_arrays", lambda reader: received.append(1) or recv(reader))
-    got = metric_rows(run_des(mixture_cfg(), train, test, LossKind.LR, threads=2))
+    got = metric_rows(run_des(mixture_cfg(), train, test, LossKind.LR))
     assert got == expected
     assert len(received) >= 2  # the helper's messages were used before it stopped
     assert multiprocessing.active_children() == []
@@ -424,12 +436,12 @@ def test_run_ended_early_leaves_no_helper(end, monkeypatch, two_cpus):
         len(multiprocessing.active_children())) or des_round_(*args, **kw))
     with np.errstate(all="ignore"):
         if end == "max_evals":
-            assert len(run_des(cfg, train, test, LossKind.LR, reg=reg, threads=2).rows) == 3
+            assert len(run_des(cfg, train, test, LossKind.LR, reg=reg).rows) == 3
         else:
             with pytest.raises(NonFiniteObjectiveError,
                                match="train loss after round 2" if end == "non-finite snapshot"
                                else "objective returned NaN") as info:
-                run_des(cfg, train, test, LossKind.LR, reg=reg, threads=2)
+                run_des(cfg, train, test, LossKind.LR, reg=reg)
     assert children[-1] == 1  # the helper was running when the last round started
     # info keeps the traceback, and with it run_rounds's frame and generator, alive
     assert multiprocessing.active_children() == []
