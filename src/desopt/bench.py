@@ -205,7 +205,9 @@ def write_metrics_csv(records: list[RunRecord], path) -> None:
 
 
 def read_metrics_csv(path) -> list[RunRecord]:
-    """Load a metrics CSV back into RunRecords (config echo not persisted)."""
+    """Load a metrics CSV back into RunRecords (config echo not persisted).
+    A row with the wrong number of fields, a field that does not parse, or a
+    non-finite loss, error or wall time raises ValueError naming its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -213,15 +215,17 @@ def read_metrics_csv(path) -> list[RunRecord]:
             raise ValueError(f"unexpected header {header!r}")
         records: dict[tuple[str, str, int], RunRecord] = {}
         for line in reader:
-            algo, inst, seed, rnd, cum, loss, terr, xerr, wall = line
-            key = (algo, inst, int(seed))
-            rec = records.get(key)
-            if rec is None:
-                rec = records[key] = RunRecord(algo, inst, int(seed), config={})
-            rec.rows.append(MetricRow(
-                round=int(rnd), cum_evals=int(cum), train_loss=float(loss),
-                train_err=float(terr), test_err=float(xerr), wall_ms=float(wall),
-            ))
+            try:
+                if len(line) != len(METRICS_HEADER):
+                    raise ValueError(f"{len(line)} fields, expected {len(METRICS_HEADER)}")
+                seed, row = int(line[2]), MetricRow(*map(int, line[3:5]), *map(float, line[5:]))
+                for name in METRICS_HEADER[5:]:
+                    if not math.isfinite(getattr(row, name)):
+                        raise ValueError(f"{name} is {getattr(row, name)}, not a finite number")
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
+            key = (line[0], line[1], seed)
+            records.setdefault(key, RunRecord(*key, config={})).rows.append(row)
     return [rec.validate() for rec in records.values()]
 
 

@@ -107,13 +107,13 @@ class StackedBatch:
 
     rows holds worker i's minibatch (row indices into obj.dataset) in row i.
     One gather of all M*b rows, made on first use (a prepared mixture round
-    never needs it), makes a block-diagonal CSR whose block i holds the
-    entries of dataset.matrix[rows[i]] in stored order and acts on row i of V
-    (columns offset by i*n). A dense candidate is a pure function of V: the
-    full stacked matvec, then per worker the loss sum over b plus the L2
-    term, bit for bit the mean loss plus regularizer of that worker alone. It
-    drops the cache below: keep after it does nothing, and a mixture
-    candidate after it needs a new reset.
+    needs it only after an overflow), makes a block-diagonal CSR whose block
+    i holds the entries of dataset.matrix[rows[i]] in stored order and acts
+    on row i of V (columns offset by i*n). A dense candidate is a pure
+    function of V: the full stacked matvec, then per worker the loss sum over
+    b plus the L2 term, bit for bit the mean loss plus regularizer of that
+    worker alone. It drops the cache below: keep after it does nothing, and
+    a mixture candidate after it needs a new reset.
 
     For mixture candidates, reset caches the kept points' M*b signed margins
     a = y * (X v), their per-row losses, each worker's loss sum and squared
@@ -121,21 +121,23 @@ class StackedBatch:
     round's start point), it needs no gather and no product. plan(cols) takes
     the flat coordinates that the coming mixture candidates change and cuts
     them into plan blocks of at most PLAN_ENTRIES CSC entries (blocks(cols)).
-    A block hands each candidate its unique coordinates, their owners and
-    entry counts, its entries' rows and y-scaled values, and, unless the
-    block has more entries than DENSE_TOUCH of its rows, each entry's
-    coordinate and the candidate's sorted touched rows. A candidate moves the margins
-    of the rows in each changed column j by y_r * X_rj * delta_j, recomputes
-    the losses of the touched rows only, and moves each worker's squared norm
-    by new^2 - old^2 over its changed coordinates and its loss sum by new -
-    old over its touched rows: O(l * column nnz + touched rows) arithmetic,
-    and keep puts back only the rejected workers' touched rows: no pass over
-    the M*b cache. In a block whose entries exceed DENSE_TOUCH of its rows,
-    where such row lists would cost more than whole rows, a candidate instead
-    copies the margins, scores every row and takes its sums over all of them
-    (an untouched row adds exactly 0, so the values are the same), and keep
-    restores rejected workers' whole rows. Values equal an exact recompute
-    up to rounding.
+    A block hands each candidate its unique coordinates and their entry
+    counts, its entries' rows and y-scaled values, and, unless the block has
+    more entries than DENSE_TOUCH of its rows, the candidate's sorted touched
+    rows. A candidate moves the margins of the rows in each changed column j
+    by y_r * X_rj * delta_j, recomputes the losses of the touched rows only,
+    and moves each worker's squared norm by new^2 - old^2 over its changed
+    coordinates and its loss sum by new - old over its touched rows (a
+    coordinate's worker is its index // n, a row's its index // b): O(l *
+    column nnz + touched rows) arithmetic, and keep puts back only the
+    rejected workers' touched rows: no pass over the M*b cache. In a block
+    whose entries exceed DENSE_TOUCH of its rows, where such row lists would
+    cost more than whole rows, a candidate instead copies the margins,
+    scores every row and takes its sums over all of them (an untouched row
+    adds exactly 0, so the values are the same), and keep restores rejected
+    workers' whole rows. Values equal an exact recompute up to rounding; once
+    the total of the loss sums is not finite, the non-finite margins are
+    recomputed from their rows and the sums taken afresh.
     """
 
     def __init__(self, obj: "RegularizedObjective", rows):
@@ -190,7 +192,7 @@ class StackedBatch:
         """The PlanBlocks of cols (see plan), made one at a time."""
         # a module-level generator: one holding self would keep every round's
         # batch alive in a reference cycle until the next garbage collection
-        return _plan_blocks(self._X, self._y, np.asarray(cols, dtype=np.int64), self.n, self.b)
+        return _plan_blocks(self._X, self._y, np.asarray(cols, dtype=np.int64))
 
     def plan(self, cols: np.ndarray, blocks=None) -> None:
         """Plan the coming mixture candidates: row k of cols (K x M*l) lists the
@@ -214,29 +216,35 @@ class StackedBatch:
         if step is None:
             raise ValueError("mixture candidates need plan(cols) and reset(V) first, "
                              "and reset again after a dense one")
-        cols, first, owner, counts, coord, entry_rows, data, touched, touched_owner = step
+        cols, first, counts, entry_rows, data, touched = step
         old, new = before[first], V.reshape(-1)[cols]
         a, loss = self._a, self._loss
+        shift = data * np.repeat(new - old, counts)
         if touched is None:
             # a block that touches most rows: save the whole cache and score
             # every row; an untouched row's loss comes out as it was, so it
             # adds exactly 0 to its worker's sum
-            self._undo = (None, None, a.copy(), loss, self._sums, self._sq)
-            np.add.at(a, entry_rows, data * np.repeat(new - old, counts))
+            self._undo = (None, a.copy(), loss, self._sums, self._sq)
+            np.add.at(a, entry_rows, shift)
             self._loss = fresh = _loss_values(self.obj.loss_kind, a)
-            saved, touched_owner = loss, self._owners
+            saved, owner = loss, self._owners
         else:
             saved = loss[touched]
-            self._undo = (touched, touched_owner, a[touched], saved, self._sums, self._sq)
-            np.add.at(a, entry_rows, data * (new - old)[coord])
+            self._undo = (touched, a[touched], saved, self._sums, self._sq)
+            np.add.at(a, entry_rows, shift)
             fresh = _loss_values(self.obj.loss_kind, a[touched])
             loss[touched] = fresh
-        self._sums = self._sums + np.bincount(touched_owner, weights=fresh - saved,
-                                              minlength=self.workers)
+            owner = touched // self.b
+        self._sums = self._sums + np.bincount(owner, weights=fresh - saved, minlength=self.workers)
         if not math.isfinite(np.add.reduce(self._sums)):
-            # a sum that overflowed cannot come back by differences: sum afresh
+            # an overflowed margin or sum cannot come back by differences
+            # (inf - inf is NaN): recompute the non-finite margins from their
+            # rows, then their losses, and sum afresh
+            bad = np.flatnonzero(~np.isfinite(a))
+            a[bad] = self._y[bad] * (self._X[bad] @ V.reshape(-1))
+            self._loss[bad] = _loss_values(self.obj.loss_kind, a[bad])
             self._sums = np.add.reduce(self._loss.reshape(-1, self.b), axis=1)
-        self._sq = self._sq + np.bincount(owner, weights=new * new - old * old,
+        self._sq = self._sq + np.bincount(cols // self.n, weights=new * new - old * old,
                                           minlength=self.workers)
         return self._sums / self.b + 0.5 * self.obj.reg * self._sq
 
@@ -244,14 +252,14 @@ class StackedBatch:
         """Keep the last mixture candidates of the accepted workers; restore the rest."""
         if self._undo is None:
             return
-        touched, touched_owner, a, loss, sums, sq = self._undo
+        touched, a, loss, sums, sq = self._undo
         self._undo = None
         rejected = ~accepted
         if touched is None:
             self._a.reshape(-1, self.b)[rejected] = a.reshape(-1, self.b)[rejected]
             self._loss.reshape(-1, self.b)[rejected] = loss.reshape(-1, self.b)[rejected]
         else:
-            back = rejected[touched_owner]
+            back = rejected[touched // self.b]
             self._a[touched[back]] = a[back]
             self._loss[touched[back]] = loss[back]
         self._sums[rejected] = sums[rejected]
@@ -295,29 +303,24 @@ class PlanBlock(NamedTuple):
     """The plan of consecutive mixture candidates. Candidate s changes the
     sorted unique coordinates unique[bounds[s]:bounds[s+1]], whose first
     occurrences in its row of cols are in first (what np.unique(row,
-    return_index=True) returns), whose workers are in owner and whose CSC
-    entry counts are in counts. Its entries are entry_rows and
-    data[starts[s]:starts[s+1]], column by column. In a block with no more
-    entries than DENSE_TOUCH of its rows, coord holds each entry's
-    coordinate, as an index among the candidate's, and the candidate
-    touches the sorted rows touched[tbounds[s]:tbounds[s+1]], of the
-    workers touched_owner; in a denser block those four are None."""
+    return_index=True) returns) and whose CSC entry counts are in counts.
+    Its entries are entry_rows and data[starts[s]:starts[s+1]], column by
+    column. In a block with no more entries than DENSE_TOUCH of its rows,
+    the candidate touches the sorted rows touched[tbounds[s]:tbounds[s+1]];
+    in a denser block those two are None."""
 
     bounds: np.ndarray
     unique: np.ndarray
     first: np.ndarray
-    owner: np.ndarray
     counts: np.ndarray
     starts: np.ndarray
     entry_rows: np.ndarray
     data: np.ndarray
-    coord: np.ndarray | None
     tbounds: np.ndarray | None
     touched: np.ndarray | None
-    touched_owner: np.ndarray | None
 
 
-def _plan_blocks(X: sp.csr_matrix, y: np.ndarray, cols: np.ndarray, n: int, b: int):
+def _plan_blocks(X: sp.csr_matrix, y: np.ndarray, cols: np.ndarray):
     """PlanBlocks for the rows of cols (one candidate each), as many
     candidates per block as fit in PLAN_ENTRIES entries of a y-scaled CSC of
     only the drawn columns of X, one at least."""
@@ -339,15 +342,12 @@ def _plan_blocks(X: sp.csr_matrix, y: np.ndarray, cols: np.ndarray, n: int, b: i
         stop = max(k + 1, int(np.searchsorted(starts, starts[k] + PLAN_ENTRIES, "right")) - 1)
         coords = slice(bounds[k], bounds[stop])
         pos = _column_entries(csc.indptr, local[coords])
-        block_bounds, block_starts = bounds[k:stop + 1] - bounds[k], starts[k:stop + 1] - starts[k]
+        block_starts = starts[k:stop + 1] - starts[k]
         steps = np.arange(stop - k)
         entry_rows = csc.indices[pos]
-        sparse = None, None, None, None
+        tbounds = touched = None
         if block_starts[-1] <= DENSE_TOUCH * rows * len(steps):
             entry_rows = entry_rows.astype(np.int64)  # int32 indices cost a cast at each use
-            coord = np.repeat(np.arange(block_bounds[-1]) - np.repeat(block_bounds[:-1],
-                                                                      np.diff(block_bounds)),
-                              counts[coords])
             # each candidate's touched rows once: sort (candidate, row) keys
             # and drop repeats (np.unique would hash them, several times slower)
             key = (np.repeat(steps * rows, np.diff(block_starts))
@@ -358,27 +358,21 @@ def _plan_blocks(X: sp.csr_matrix, y: np.ndarray, cols: np.ndarray, n: int, b: i
             key = key[once].astype(np.int64)
             tbounds = np.searchsorted(key, np.arange(stop - k + 1) * rows)
             touched = key - np.repeat(steps * rows, np.diff(tbounds))
-            sparse = coord, tbounds, touched, touched // b
-        yield PlanBlock(block_bounds, unique[coords], first[coords], unique[coords] // n,
-                        counts[coords], block_starts, entry_rows, csc.data[pos], *sparse)
+        yield PlanBlock(bounds[k:stop + 1] - bounds[k], unique[coords], first[coords],
+                        counts[coords], block_starts, entry_rows, csc.data[pos], tbounds, touched)
         k = stop
 
 
 def _plan_steps(blocks):
-    """Each candidate's (unique, first, owner, counts, coord, entry_rows,
-    data, touched, touched_owner) from a sequence of PlanBlocks."""
+    """Each candidate's (unique, first, counts, entry_rows, data, touched)
+    from a sequence of PlanBlocks."""
     for block in blocks:
         bounds, starts, tbounds = block.bounds, block.starts, block.tbounds
         for s in range(len(bounds) - 1):
             coords, entries = slice(bounds[s], bounds[s + 1]), slice(starts[s], starts[s + 1])
-            coord = touched = touched_owner = None
-            if tbounds is not None:
-                rows = slice(tbounds[s], tbounds[s + 1])
-                coord, touched = block.coord[entries], block.touched[rows]
-                touched_owner = block.touched_owner[rows]
-            yield (block.unique[coords], block.first[coords], block.owner[coords],
-                   block.counts[coords], coord, block.entry_rows[entries], block.data[entries],
-                   touched, touched_owner)
+            touched = None if tbounds is None else block.touched[tbounds[s]:tbounds[s + 1]]
+            yield (block.unique[coords], block.first[coords], block.counts[coords],
+                   block.entry_rows[entries], block.data[entries], touched)
 
 
 def _column_entries(indptr: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ def process_count(jobs: int) -> int:
 # The capacity forked() asks for its pipes, in bytes: a child then runs up to
 # this far ahead of its reader without stalling at every 64 KB (Linux's
 # default), and a reader takes a message of this size without waiting for the
-# child between reads. run_des's round-prep helper sends about 1.2 MB a round
+# child between reads. run_des's round-prep helper sends about 0.9 MB a round
 # on the benchmark's sparse mixture workload.
 PIPE_BYTES = 2**20
 

@@ -106,14 +106,16 @@ class UnplannedStackedBatch(StackedBatch):
         pos, counts = column_entries(self._csc.indptr, cols)
         entry_rows = self._csc.indices[pos]
         touched = np.unique(entry_rows)
-        self._undo = (touched, touched // self.b, self._a[touched], self._loss[touched],
-                      self._sums, self._sq)
+        self._undo = (touched, self._a[touched], self._loss[touched], self._sums, self._sq)
         np.add.at(self._a, entry_rows, self._csc.data[pos] * np.repeat(new - old, counts))
         fresh = _loss_values(self.obj.loss_kind, self._a[touched])
-        self._sums = self._sums + np.bincount(touched // self.b, weights=fresh - self._undo[3],
+        self._sums = self._sums + np.bincount(touched // self.b, weights=fresh - self._undo[2],
                                               minlength=self.workers)
         self._loss[touched] = fresh
-        if not math.isfinite(np.add.reduce(self._sums)):  # the evaluator's test
+        if not math.isfinite(np.add.reduce(self._sums)):  # the evaluator's test and recompute
+            bad = np.flatnonzero(~np.isfinite(self._a))
+            self._a[bad] = self._y[bad] * (self._X[bad] @ V.reshape(-1))
+            self._loss[bad] = _loss_values(self.obj.loss_kind, self._a[bad])
             self._sums = np.add.reduce(self._loss.reshape(-1, self.b), axis=1)
         self._sq = self._sq + np.bincount(cols // self.n, weights=new * new - old * old,
                                           minlength=self.workers)

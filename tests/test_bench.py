@@ -21,6 +21,7 @@ from desopt import (
     write_metrics_csv,
     write_profiles_csv,
 )
+from desopt.bench import METRICS_HEADER
 
 
 def make_record(algo, inst, seed, losses, start_round=0):
@@ -228,10 +229,26 @@ def test_metrics_csv_header_and_line_endings(tmp_path):
     assert first == "algo,instance,seed,round,cum_evals,train_loss,train_err,test_err,wall_ms"
 
 
-def test_metrics_csv_rejects_bad_header(tmp_path):
+HEADER, GOOD_ROW = ",".join(METRICS_HEADER), "des,tiny,0,0,0,0.69,0.5,0.5,1.25"
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["nope,fields", "1,2"], "unexpected header"),
+    ([HEADER, GOOD_ROW, "des,tiny,0,1,8,0.6"], "line 3: 6 fields, expected 9"),
+    ([HEADER, GOOD_ROW, GOOD_ROW + ",7"], "line 3: 10 fields, expected 9"),
+    ([HEADER, GOOD_ROW, "des,tiny,zero,1,8,0.6,0.5,0.5,1"], "line 3: invalid literal for int"),
+    ([HEADER, GOOD_ROW, "des,tiny,0,1,8,low,0.5,0.5,1"], "line 3: could not convert"),
+    ([HEADER, GOOD_ROW, "des,tiny,0,1,8,nan,0.5,0.5,1"], "line 3: train_loss is nan"),
+    ([HEADER, GOOD_ROW, "des,tiny,0,1,8,0.6,inf,0.5,1"], "line 3: train_err is inf"),
+    ([HEADER, GOOD_ROW, "des,tiny,0,1,8,0.6,0.5,-inf,1"], "line 3: test_err is -inf"),
+    ([HEADER, GOOD_ROW, "des,tiny,0,1,8,0.6,0.5,0.5,NaN"], "line 3: wall_ms is nan"),
+], ids=["header", "short row", "long row", "int field", "float field", "nan loss",
+        "inf train_err", "inf test_err", "nan wall_ms"])
+def test_metrics_csv_rejects_bad_header(tmp_path, lines, message):
+    # a bad row is named by its line, whatever is wrong with it
     path = tmp_path / "bad.csv"
-    path.write_text("nope,fields\n1,2\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="header"):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{message}"):
         read_metrics_csv(path)
 
 

@@ -311,10 +311,10 @@ def test_incremental_mixture_value_matches_exact_recompute(monkeypatch):
 
 def test_plan_blocks_hand_out_each_candidates_entries_and_touched_rows(monkeypatch):
     # Against a per-candidate lookup in a CSC of all rows: each candidate's
-    # unique coordinates, first occurrences, owners and entry counts, its
-    # entries' rows and y-scaled values, and (in a block that does not touch
-    # most rows) each entry's coordinate and the candidate's touched rows,
-    # which must be np.unique of its entry rows.
+    # unique coordinates, first occurrences and entry counts, its entries'
+    # rows and y-scaled values, and (in a block that does not touch most
+    # rows) the candidate's touched rows, which must be np.unique of its
+    # entry rows.
     seen = Counter()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -330,22 +330,17 @@ def test_plan_blocks_hand_out_each_candidates_entries_and_touched_rows(monkeypat
         csc.data *= batch._y[csc.indices]
         planned = list(objective._plan_steps(batch.blocks(cols)))
         assert len(planned) == steps
-        for row, (unique, first, owner, counts, coord, entry_rows, data_, touched,
-                  touched_owner) in zip(cols, planned):
+        for row, (unique, first, counts, entry_rows, data_, touched) in zip(cols, planned):
             want, want_first = np.unique(row, return_index=True)
             assert np.array_equal(unique, want) and np.array_equal(first, want_first)
-            assert np.array_equal(owner, want // n)
             pos, want_counts = column_entries(csc.indptr, want)
             assert np.array_equal(counts, want_counts)
             assert np.array_equal(entry_rows, csc.indices[pos])
             assert np.array_equal(data_, csc.data[pos])
             if touched is None:
-                assert coord is None and touched_owner is None
                 seen["block touching most rows"] += 1
                 continue
-            assert np.array_equal(unique[coord], np.repeat(want, counts))
             assert np.array_equal(touched, np.unique(entry_rows))
-            assert np.array_equal(touched_owner, touched // batch.b)
             seen["touched-row block"] += 1
             seen["a row touched twice"] += len(touched) < len(entry_rows)
             seen["no row touched"] += len(touched) == 0
@@ -389,13 +384,18 @@ def test_reset_from_the_snapshots_scores_equals_the_product():
 
 
 @pytest.mark.parametrize("loss", [LossKind.LR, LossKind.LSVM])
-@pytest.mark.parametrize("rows", [range(40), range(2)], ids=["touched rows", "most rows"])
-def test_mixture_value_after_an_overflowed_loss_sum(loss, rows):
-    # Rows 0 and 1 have entries of 1e300 in column 0, so at x0 = -1e8 each
-    # loses about 1e308 and their worker's loss sum overflows to inf. Moving
-    # x0 back to 0 brings both margins back to 0 exactly, but an inf sum
-    # cannot come back by differences: it is taken afresh, and the value
-    # equals an exact recompute in both kinds of plan block.
+@pytest.mark.parametrize("rows, x0", [(range(40), -1e8), (range(2), -1e8),
+                                     (range(40), -1e10), (range(2), -1e10)],
+                         ids=["touched rows", "most rows", "touched rows, inf margins",
+                              "most rows, inf margins"])
+def test_mixture_value_after_an_overflowed_loss_sum(loss, rows, x0):
+    # Rows 0 and 1 have entries of 1e300 in column 0. At x0 = -1e8 each loses
+    # about 1e308 and their worker's loss sum overflows to inf; at x0 = -1e10
+    # their margins overflow to -inf too. Moving x0 back to 0 brings both
+    # margins back to 0 exactly, but an inf sum cannot come back by
+    # differences, nor an inf margin (inf - inf is NaN): both are taken
+    # afresh, and the value equals an exact recompute in both kinds of plan
+    # block.
     features = np.zeros((40, 2))
     features[:2, 0], features[2:, 1] = 1e300, 1.0
     data = Dataset(sp.csr_matrix(features), np.ones(40))
@@ -408,11 +408,11 @@ def test_mixture_value_after_an_overflowed_loss_sum(loss, rows):
     batch.reset(V)
     batch.plan(cols)
     with np.errstate(over="ignore", invalid="ignore"):  # inf, then inf - inf
-        V[0, 0] = -1e8
+        V[0, 0] = x0
         assert np.isinf(batch.values(V, np.zeros(1))).all()
         batch.keep(np.array([True]))
         V[0, 0] = 0.0
-        got = batch.values(V, np.array([-1e8]))
+        got = batch.values(V, np.array([x0]))
     assert np.array_equal(batch._a, np.zeros(len(rows)))
     assert close(got, view.peek_value(V[0])), (got, view.peek_value(V[0]))
 
