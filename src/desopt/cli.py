@@ -267,7 +267,7 @@ def _apply_overrides(raw: dict, pairs: list[str]) -> dict:
                 node[int(parts[-1])] = value
             else:
                 node[parts[-1]] = value
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise ValueError(f"--set path {key!r} does not fit the experiment file: {exc}") from exc
     return raw
 
@@ -478,6 +478,7 @@ def _cmd_run(args) -> int:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     with open(args.spec, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    _require(isinstance(raw, dict), "experiment spec", f"expected an object, got {raw!r}")
     raw = _apply_overrides(raw, args.overrides)
     if args.out is not None:
         raw["out_dir"] = args.out

@@ -260,14 +260,15 @@ def _file_range(path: Path, start: int, stop: int | None, lineno: int):
 def _decoded(fh, size: int | None, lineno: int) -> Iterator[str]:
     """The next `size` bytes of a binary file (all of them when size is None)
     decoded as UTF-8 with universal newlines, in pieces. A byte that is not
-    UTF-8 raises LibsvmParseError, naming its line counted from `lineno`."""
+    UTF-8, or a .gz file cut short, raises LibsvmParseError, naming its line
+    counted from `lineno`."""
     decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
     while True:
-        data = fh.read(PARSE_CHUNK if size is None else min(PARSE_CHUNK, size))
-        if size is not None:
-            size -= len(data)
         try:
+            data = fh.read(PARSE_CHUNK if size is None else min(PARSE_CHUNK, size))
             text = decoder.decode(data, final=not data)
+        except EOFError as exc:  # a .gz file cut short; the piece that found it is lost
+            raise LibsvmParseError(f"line {lineno}: {exc}") from None
         except UnicodeDecodeError as exc:
             # a failed decode leaves the decoder as it was; exc.start counts its held bytes too
             held = len(decoder.getstate()[0])
@@ -275,6 +276,8 @@ def _decoded(fh, size: int | None, lineno: int) -> Iterator[str]:
             lineno += decoder.getstate()[1] & 1  # a carriage return it holds back
             raise LibsvmParseError(f"line {lineno}: {exc.object[exc.start:exc.end]!r} is not "
                                    f"UTF-8 text ({exc.reason})") from None
+        if size is not None:
+            size -= len(data)
         lineno += text.count("\n")
         if text:
             yield text

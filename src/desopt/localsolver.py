@@ -80,9 +80,6 @@ class CallableBatch:
     def __init__(self, value_fns: list[Callable[[np.ndarray], float]]):
         self.value_fns = value_fns
 
-    def plan(self, cols: np.ndarray, blocks=None) -> None:
-        pass
-
     def values(self, V: np.ndarray, before: np.ndarray | None = None) -> np.ndarray:
         return np.array([fn(v) for fn, v in zip(self.value_fns, V)], dtype=np.float64)
 
@@ -100,14 +97,25 @@ def mixture_draws(model: MutationModel, gens: list, iters: int) -> tuple[np.ndar
     return cols.reshape(iters, -1), np.stack(terms, axis=1).reshape(iters, -1)
 
 
+def dense_draws(model: MutationModel, gens: list, iters: int):
+    """A round's dense mutations for the workers whose generators are gens,
+    one M x n array per iteration, drawn as needed in blocks of at most
+    DENSE_BLOCK // n iterations: one standard_normal((rows, n)) call per
+    generator in worker order (the numbers of rows standard_normal(n) calls)."""
+    chunk = min(iters, max(1, DENSE_BLOCK // model.n))
+    for k in range(0, iters, chunk):
+        # (rows, M, n): row j holds iteration k + j's mutations
+        yield from np.stack([gen.standard_normal((min(chunk, iters - k), model.n))
+                             for gen in gens], axis=1)
+
+
 def run_lockstep_es(
     V: np.ndarray,
     cfg: LocalConfig,
     batch,
-    streams: list | None,
+    mutations,
     f_start,
     traces: list[Callable[[int, float, np.ndarray, float], None]] | None = None,
-    planned: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run cfg.iters (1+1)-ES iterations on every row of V at once, in place.
 
@@ -116,18 +124,13 @@ def run_lockstep_es(
     step_k = step0 / sqrt(k+1) are evaluated by one batch.values call, and
     each worker keeps its candidate on ties or improvement; batch.keep(accepted)
     then drops the rejected candidates from any state the evaluator holds.
-    Mixture mutations u_i are mixture_draws from streams at the start, and
-    batch.plan(cols, blocks) receives the round's changed flat coordinates
-    i*n + j at once, row k for iteration k; planned, if given, is
-    (cols, terms, blocks) prepared ahead (streams is then unused), else the
-    draws are made here and blocks is None. Their candidates are made in
-    place and scored by batch.values(V, before), where before holds the kept
-    values at row k's coordinates. Dense mutations come in
-    per-round blocks of up to DENSE_BLOCK // n iterations, one
-    standard_normal((rows, n)) call per stream in worker order (the numbers of
-    rows standard_normal(n) calls), and are scored by batch.values(candidates).
-    traces[i], if given, receives (k, step_k, v_i copy, f_i) after every
-    iteration. Returns (final values, accepted counts), both of length M.
+    The caller draws the mutations and plans batch; this does neither.
+    Mixture mutations are mixture_draws' (cols, terms); their candidates are
+    made in place and scored by batch.values(V, before), where before holds
+    the kept values at row k's coordinates. Dense ones are dense_draws' M x n
+    arrays, one per iteration, scored by batch.values(candidates). traces[i],
+    if given, receives (k, step_k, v_i copy, f_i) after every iteration.
+    Returns (final values, accepted counts), both of length M.
     """
     if not V.flags.c_contiguous:
         raise ValueError("the stacked points must be one C-contiguous array")
@@ -138,14 +141,8 @@ def run_lockstep_es(
     flat = V.reshape(-1)
     accepted = np.zeros(len(V), dtype=np.int64)
     if model.is_mixture:
-        if planned is None:
-            planned = (*mixture_draws(model, [stream.gen for stream in streams], cfg.iters), None)
-        all_cols, all_terms, blocks = planned
-        batch.plan(all_cols, blocks)
+        all_cols, all_terms = mutations
         owner = np.repeat(np.arange(len(V)), model.l)  # the worker of each changed slot
-    else:
-        gens = [stream.gen for stream in streams]
-        chunk = min(cfg.iters, max(1, DENSE_BLOCK // model.n))
 
     for k in range(cfg.iters):
         step = cfg.step0 * (k + 1) ** -0.5
@@ -161,11 +158,7 @@ def run_lockstep_es(
             undo = (~ok)[owner]
             flat[cols[undo]] = saved[undo]
         else:
-            if k % chunk == 0:
-                # (rows, M, n): row j holds iteration k + j's mutations
-                block = np.stack([gen.standard_normal((min(chunk, cfg.iters - k), model.n))
-                                  for gen in gens], axis=1)
-            candidates = V + step * block[k % chunk]
+            candidates = V + step * next(mutations)
             f_cand = batch.values(candidates)
             ok = accept(f, f_cand)
             V[ok] = candidates[ok]
@@ -189,8 +182,8 @@ def run_local_es(
 ) -> WorkerResult:
     """Run cfg.iters iterations of the (1+1)-ES from x_start on a fixed objective.
 
-    The one-worker case of run_lockstep_es. Each iteration draws a mutation u
-    from cfg.model, evaluates the candidate v + step_k * u with
+    The one-worker case of run_lockstep_es, drawing its own mutations from
+    stream. Each iteration evaluates the candidate v + step_k * u with
     step_k = step0 / sqrt(k+1), and accepts on ties or improvement. The
     parent value is carried forward, so the loop costs one value_fn call per
     iteration; pass f_start to supply the initial parent value from an
@@ -200,11 +193,9 @@ def run_local_es(
     """
     V = np.array(x_start, dtype=np.float64, copy=True).reshape(1, -1)
     f_v = value_fn(V[0]) if f_start is None else float(f_start)
-    f, accepted = run_lockstep_es(V, cfg, CallableBatch([value_fn]), [stream], [f_v],
+    draws = mixture_draws if cfg.model.is_mixture else dense_draws
+    f, accepted = run_lockstep_es(V, cfg, CallableBatch([value_fn]),
+                                  draws(cfg.model, [stream.gen], cfg.iters), [f_v],
                                   None if trace is None else [trace])
-    return WorkerResult(
-        v_final=V[0],
-        f_final=float(f[0]),
-        evals_used=cfg.iters * evals_per_call,
-        accepted_count=int(accepted[0]),
-    )
+    return WorkerResult(v_final=V[0], f_final=float(f[0]), evals_used=cfg.iters * evals_per_call,
+                        accepted_count=int(accepted[0]))

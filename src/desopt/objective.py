@@ -195,10 +195,11 @@ class StackedBatch:
         return _plan_blocks(self._X, self._y, np.asarray(cols, dtype=np.int64))
 
     def plan(self, cols: np.ndarray, blocks=None) -> None:
-        """Plan the coming mixture candidates: row k of cols (K x M*l) lists the
-        flat coordinates (row i, column j as i*n + j, repeats allowed) where
-        candidate k may differ from the kept points. blocks, if given, are
-        blocks(cols) as made elsewhere (by a process that prepared the round)."""
+        """Plan the coming mixture candidates (des_round does, once a round):
+        row k of cols (K x M*l) lists the flat coordinates (row i, column j as
+        i*n + j, repeats allowed) where candidate k may differ from the kept
+        points. blocks, if given, are blocks(cols) as prepare_round made them,
+        maybe in the process that prepared the round."""
         self._steps = _plan_steps(self.blocks(cols) if blocks is None else blocks)
 
     def values(self, V: np.ndarray, before: np.ndarray | None = None) -> np.ndarray:

@@ -84,7 +84,10 @@ def send_arrays(writer: Connection, arrays) -> None:
 
     The header holds the count, then each array's dtype character and size
     (-1 for None); each array's bytes follow, padded to 8 bytes, so that
-    recv_arrays can view them in place."""
+    recv_arrays can view them in place. Not pickles: an 8-round run_des on
+    the des-sparse-mixture benchmark data took 51 ms with its helper sending
+    packed arrays and 57 ms with the same messages through Connection.send,
+    slower in 10 of 10 alternating pairs (2 vCPU, Python 3.11)."""
     head = [len(arrays)]
     parts = []
     for a in arrays:

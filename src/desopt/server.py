@@ -23,6 +23,7 @@ from .dataio import PartitionPlan, partition_uniform
 from .localsolver import (
     LocalConfig,
     NonFiniteObjectiveError,
+    dense_draws,
     mixture_draws,
     run_lockstep_es,
     step_size,
@@ -128,20 +129,21 @@ class RoundMetrics:
 
 
 def prepare_round(cfg: DesConfig, obj: RegularizedObjective, partition: PartitionPlan,
-                  t: int) -> tuple[StackedBatch, tuple | None]:
-    """The half of DES round t that does not depend on the iterate: a
-    StackedBatch over each worker's size-b minibatch, drawn uniformly with
-    replacement from its shard, and for a mixture model the round's
-    (cols, terms, blocks) as run_lockstep_es takes them: the workers' draws
-    from their keyed mutation streams and the batch's plan blocks of cols, a
-    generator that makes them as they are needed. None for a dense model."""
+                  t: int) -> tuple:
+    """The half of DES round t that does not depend on the iterate, and the
+    only place its mutations are drawn: (batch, mutations, blocks). batch is
+    a StackedBatch over each worker's size-b minibatch, drawn uniformly with
+    replacement from its shard; mutations are the workers' draws from their
+    keyed mutation streams, as run_lockstep_es takes them: mixture_draws'
+    (cols, terms), with blocks the batch's plan blocks of cols made as they
+    are needed, or dense_draws' lazy iterator, with blocks None."""
     batch = StackedBatch(obj, [partition.minibatch(i, RngStream(cfg.seed, t, i, "batch"),
                                                    cfg.batch_size) for i in range(cfg.workers)])
+    gens = [RngStream(cfg.seed, t, i, "mutation").gen for i in range(cfg.workers)]
     if not cfg.model.is_mixture:
-        return batch, None
-    cols, terms = mixture_draws(cfg.model, [RngStream(cfg.seed, t, i, "mutation").gen
-                                            for i in range(cfg.workers)], cfg.local_iters)
-    return batch, (cols, terms, batch.blocks(cols))
+        return batch, dense_draws(cfg.model, gens, cfg.local_iters), None
+    cols, terms = mixture_draws(cfg.model, gens, cfg.local_iters)
+    return batch, (cols, terms), batch.blocks(cols)
 
 
 def des_round(
@@ -155,35 +157,31 @@ def des_round(
     """One synchronous round at t = state.t.
 
     The round starts from prepared, prepare_round's output for t, made here
-    if not given. All M workers then run the local solver in lockstep, in the
-    calling thread, from the broadcast point with the round's annealed base
-    step, each on its own keyed mutation stream, and the StackedBatch scores
-    all M candidates at once. Its start values take the training-set scores
-    of the last snapshot if that was at the broadcast point. The server
-    averages the endpoints into a displacement and applies the momentum step.
+    if not given; a mixture batch is planned here from its cols and blocks.
+    All M workers then run the local solver on its mutations in lockstep, in
+    the calling thread, from the broadcast point with the round's annealed
+    base step, and the StackedBatch scores all M candidates at once. Its
+    start values take the training-set scores of the last snapshot if that
+    was at the broadcast point. The server averages the endpoints into a
+    displacement and applies the momentum step.
     trace_factory(i), if given, returns worker i's per-iteration trace hook.
     """
     t = state.t
     local_cfg = LocalConfig(iters=cfg.local_iters, model=cfg.model, step0=step_size(cfg.alpha, t, 0))
-    batch, planned = prepare_round(cfg, obj, partition, t) if prepared is None else prepared
+    batch, mutations, blocks = prepare_round(cfg, obj, partition, t) if prepared is None else prepared
+    if cfg.model.is_mixture:
+        batch.plan(mutations[0], blocks)
     V = np.tile(state.x, (cfg.workers, 1))
     scores = obj.kept_scores(state.x)
-    streams = None if planned else [RngStream(cfg.seed, t, i, "mutation")
-                                    for i in range(cfg.workers)]
     f, accepted = run_lockstep_es(
-        V, local_cfg, batch, streams,
+        V, local_cfg, batch, mutations,
         batch.reset(V, None if scores is None else scores[batch.rows]),
         None if trace_factory is None else [trace_factory(i) for i in range(cfg.workers)],
-        planned,
     )
     m_next = momentum_update(state.m, average_displacement(state.x, V), cfg.beta)
-    new_state = ServerState(x=state.x + m_next, m=m_next, t=t + 1)
-    metrics = RoundMetrics(
+    return ServerState(x=state.x + m_next, m=m_next, t=t + 1), RoundMetrics(
         evals=cfg.workers * cfg.local_iters * cfg.batch_size,
-        accepted=tuple(int(a) for a in accepted),
-        worker_values=tuple(float(v) for v in f),
-    )
-    return new_state, metrics
+        accepted=tuple(accepted.tolist()), worker_values=tuple(f.tolist()))
 
 
 def _algo_id(kind: MutationKind) -> str:
@@ -278,13 +276,15 @@ def run_des(
 ) -> RunRecord:
     """Run cfg.rounds DES rounds from the zero point, one metric row per round.
 
-    The M workers run in lockstep in the calling thread. For a mixture model
-    and two rounds or more, a forked helper process prepares rounds 1..
-    ahead (prepare_round's half of each round that does not depend on the
-    iterate) while the calling process runs the round before, if
-    process_count finds a CPU for each: not in a daemonic caller, and not
-    on a CPU that a running child of the caller (a `desopt run --threads`
-    worker, say) holds. Round 0 is prepared here while the helper starts.
+    The M workers run in lockstep in the calling thread. A round is drawn
+    where it is prepared (prepare_round) and planned where it runs
+    (des_round). For a mixture model and two rounds or more, a forked helper
+    process prepares rounds 1.. ahead (prepare_round's half of each round
+    that does not depend on the iterate, draws included) while the calling
+    process runs the round before, if process_count finds a CPU for each:
+    not in a daemonic caller, and not on a CPU that a running child of the
+    caller (a `desopt run --threads` worker, say) holds. Round 0 is
+    prepared here while the helper starts.
     The outputs do not depend on the helper. threads is accepted for the
     callers that pass it and must be at least 1; it changes nothing.
     """
@@ -316,7 +316,7 @@ def _send_rounds(cfg: DesConfig, obj: RegularizedObjective, partition: Partition
     with writer:
         try:
             for t in range(1, cfg.rounds):
-                batch, (cols, terms, blocks) = prepare_round(cfg, obj, partition, t)
+                batch, (cols, terms), blocks = prepare_round(cfg, obj, partition, t)
                 send_arrays(writer, [batch.rows, cols, terms])
                 for block in blocks:
                     send_arrays(writer, block)
@@ -349,10 +349,9 @@ class _Ahead:
         except (EOFError, OSError):
             self.reader = None
             return None
-        cfg = self.cfg
-        cols, terms = cols.reshape(cfg.local_iters, -1), terms.reshape(cfg.local_iters, -1)
-        batch = StackedBatch(self.obj, rows.reshape(cfg.workers, cfg.batch_size))
-        return batch, (cols, terms, self._blocks(t))
+        iters = self.cfg.local_iters
+        return (StackedBatch(self.obj, rows.reshape(self.cfg.workers, -1)),
+                (cols.reshape(iters, -1), terms.reshape(iters, -1)), self._blocks(t))
 
     def _blocks(self, t: int):
         got = steps = 0
@@ -361,7 +360,7 @@ class _Ahead:
                 block = PlanBlock(*recv_arrays(self.reader))
             except (EOFError, OSError):
                 self.reader = None
-                own = prepare_round(self.cfg, self.obj, self.partition, t)[1][2]
+                own = prepare_round(self.cfg, self.obj, self.partition, t)[2]
                 yield from itertools.islice(own, got, None)
                 return
             got += 1

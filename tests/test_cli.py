@@ -3,6 +3,7 @@ reproducibility, and command exit codes."""
 from __future__ import annotations
 
 import contextlib
+import gzip
 import io
 import json
 import math
@@ -529,6 +530,23 @@ def test_run_spec_errors_exit_1(tmp_path, capsys):
     assert {r.instance for r in records} == {"tiny/LR"} and len(records) == 4
 
 
+def test_run_spec_that_does_not_fit_the_file_exits_1(tmp_path, capsys):
+    # a top level that is not an object, with or without --set and --out,
+    # and a --set path through a number or a string are spec errors, not
+    # runtime failures
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]", encoding="utf-8")
+    for extra in ([], ["--out", str(tmp_path / "r")], ["--set", "workers=2"]):
+        assert main(["run", str(not_object), *extra]) == 1, extra
+        assert "error: field 'experiment spec': expected an object" in capsys.readouterr().err
+    spec_path = write_spec(tmp_path / "ok.json")
+    for override in ("workers.x.y=1", "workers.x=1", "seeds.0.x=1", "algorithms.0.name.x=1"):
+        assert main(["run", str(spec_path), "--set", override,
+                     "--out", str(tmp_path / "r")]) == 1, override
+        path = override.partition("=")[0]
+        assert f"error: --set path {path!r} does not fit" in capsys.readouterr().err
+
+
 def test_profile_command(tmp_path, capsys):
     spec_path = write_spec(tmp_path / "spec.json")
     assert main(["run", str(spec_path), "--out", str(tmp_path / "runs"), "--threads", "1"]) == 0
@@ -563,6 +581,13 @@ def test_parse_check_command(tmp_path, capsys):
     for threshold in ("nan", "inf", "-inf"):
         assert main(["parse-check", str(multi), f"--label-threshold={threshold}"]) == 1
         assert "label_threshold must be finite" in capsys.readouterr().err
+
+
+def test_parse_check_truncated_gzip_exits_1(tmp_path, capsys):
+    truncated = tmp_path / "truncated.svm.gz"
+    truncated.write_bytes(gzip.compress(b"+1 1:0.5\n" * 100)[:-12])
+    assert main(["parse-check", str(truncated)]) == 1
+    assert "Compressed file ended before the end-of-stream marker" in capsys.readouterr().err
 
 
 def test_run_matrix_multiple_losses_and_instances(tmp_path):

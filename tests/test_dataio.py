@@ -127,6 +127,19 @@ def test_parse_gzip_path(tmp_path):
     assert ds.labels[0] == 1.0
 
 
+def test_parse_truncated_gzip_names_the_line_reached(tmp_path, monkeypatch):
+    # The stream loses its last 8 bytes (its CRC and size), so all 200 lines
+    # decompress before the missing end-of-stream marker is noticed; the read
+    # that notices it drops its piece, so the line named is at most one piece
+    # (64 bytes, 7 of these lines or fewer) before line 201.
+    path = tmp_path / "data.svm.gz"
+    path.write_bytes(gzip.compress(b"".join(b"+1 1:%d\n" % i for i in range(1, 201)))[:-8])
+    monkeypatch.setattr(dataio, "PARSE_CHUNK", 64)
+    with pytest.raises(LibsvmParseError, match="Compressed file ended before") as err:
+        parse_libsvm(path)
+    assert 194 <= int(re.match(r"line (\d+): ", str(err.value))[1]) <= 201, err.value
+
+
 def test_parse_plain_path(tmp_path):
     path = tmp_path / "data.txt"
     path.write_text(SAMPLE, encoding="utf-8")

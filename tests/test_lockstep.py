@@ -45,7 +45,7 @@ from desopt import (
 )
 from desopt import objective, server
 from desopt.baselines import _zo_grads
-from desopt.localsolver import DENSE_BLOCK, LocalConfig, run_lockstep_es
+from desopt.localsolver import DENSE_BLOCK, LocalConfig, dense_draws, mixture_draws, run_lockstep_es
 from desopt.mutation import draw_terms
 from desopt.objective import StackedBatch
 from objective_oracles import ReferenceBatchView, UnplannedStackedBatch, column_entries
@@ -219,7 +219,8 @@ def test_dense_mutation_blocks_are_memory_bounded():
     f_start = batch.reset(V)
     tracemalloc.start()
     try:
-        run_lockstep_es(V, cfg, batch, [RngStream(0, i) for i in range(workers)], f_start)
+        draws = dense_draws(cfg.model, [RngStream(0, i).gen for i in range(workers)], iters)
+        run_lockstep_es(V, cfg, batch, draws, f_start)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -565,7 +566,9 @@ def test_mixture_plan_blocks_are_memory_bounded():
     f_start = batch.reset(V)
     tracemalloc.start()
     try:
-        run_lockstep_es(V, cfg, batch, [RngStream(0, i) for i in range(workers)], f_start)
+        cols, terms = mixture_draws(cfg.model, [RngStream(0, i).gen for i in range(workers)], iters)
+        batch.plan(cols)
+        run_lockstep_es(V, cfg, batch, (cols, terms), f_start)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
