@@ -20,11 +20,11 @@ in the calling process, so every error and line number is the one-range parse's.
 from __future__ import annotations
 
 import codecs
-import gzip
 import io
 import math
+import zlib
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -35,7 +35,7 @@ import scipy.sparse as sp
 
 from .mutation import RngStream
 from .objective import Dataset, index_dtype
-from .processes import forked, process_count
+from .processes import forked, process_count, recv_arrays, send_arrays
 
 
 class LibsvmParseError(ValueError):
@@ -68,7 +68,8 @@ def _map_labels(raw: list[float], threshold: float | None) -> list[int]:
 # small file never forks. Each child counts its range and sends the counts
 # first; the calling process then allocates the final arrays, parses its own
 # range into them, and receives each child's arrays straight into their slices
-# in messages of at most PARSE_CHUNK bytes, so it never holds a second copy.
+# (recv_arrays' `into`, a message of at most PIPE_BYTES at a time), so it never
+# holds a second copy.
 PARSE_CHUNK = 1 << 18
 RANGE_SECTIONS = 4
 # The bytes a section may hold for the vectorised parse to vouch for it: digits,
@@ -250,24 +251,44 @@ def _text_range(text: str, start: int, stop: int, lineno: int):
 
 @contextmanager
 def _file_range(path: Path, start: int, stop: int | None, lineno: int):
-    """The text of bytes [start, stop) of a file (to its end when stop is None;
-    a .gz file decompressed), in pieces, as open() in text mode reads it."""
-    with (gzip.open if path.suffix == ".gz" else open)(path, "rb") as fh:
+    """The text of bytes [start, stop) of a plain file, or of all of a .gz
+    file decompressed, in pieces, as open() in text mode reads it."""
+    with open(path, "rb") as fh:
         fh.seek(start)
-        yield _decoded(fh, None if stop is None else stop - start, lineno)
+        yield _decoded(_gunzipped(fh) if path.suffix == ".gz" else
+                       iter(lambda: fh.read(min(PARSE_CHUNK, stop - fh.tell())), b""), lineno)
 
 
-def _decoded(fh, size: int | None, lineno: int) -> Iterator[str]:
-    """The next `size` bytes of a binary file (all of them when size is None)
-    decoded as UTF-8 with universal newlines, in pieces. A byte that is not
-    UTF-8, or a .gz file cut short, raises LibsvmParseError, naming its line
-    counted from `lineno`."""
+def _gunzipped(fh) -> Iterator[bytes]:
+    """A .gz file's decompressed bytes, member after member, in pieces of at
+    most PARSE_CHUNK however far the data expands; zero bytes after a member
+    are skipped, as gzip.open skips them. Corrupt data raises zlib.error, and
+    a file cut short EOFError, once what it holds has been yielded."""
+    data = b""
+    while data := data or fh.read(PARSE_CHUNK):
+        if not (data := data.lstrip(b"\0")):
+            continue
+        inflate = zlib.decompressobj(31)  # 31: a gzip header and trailer
+        while not inflate.eof:
+            fed = data or fh.read(PARSE_CHUNK)
+            piece = inflate.decompress(fed, PARSE_CHUNK)
+            if not (fed or piece):
+                raise EOFError("Compressed file ended before the end-of-stream marker was reached")
+            data = inflate.unconsumed_tail or inflate.unused_data
+            if piece:
+                yield piece
+
+
+def _decoded(pieces: Iterator[bytes], lineno: int) -> Iterator[str]:
+    """Byte pieces, none of them empty, decoded as UTF-8 with universal
+    newlines, in pieces. A byte that is not UTF-8, or a .gz file cut short or
+    corrupt, raises LibsvmParseError, naming its line counted from `lineno`."""
     decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
     while True:
         try:
-            data = fh.read(PARSE_CHUNK if size is None else min(PARSE_CHUNK, size))
+            data = next(pieces, b"")
             text = decoder.decode(data, final=not data)
-        except EOFError as exc:  # a .gz file cut short; the piece that found it is lost
+        except (EOFError, zlib.error) as exc:  # the piece a zlib.error is found in is lost
             raise LibsvmParseError(f"line {lineno}: {exc}") from None
         except UnicodeDecodeError as exc:
             # a failed decode leaves the decoder as it was; exc.start counts its held bytes too
@@ -276,8 +297,6 @@ def _decoded(fh, size: int | None, lineno: int) -> Iterator[str]:
             lineno += decoder.getstate()[1] & 1  # a carriage return it holds back
             raise LibsvmParseError(f"line {lineno}: {exc.object[exc.start:exc.end]!r} is not "
                                    f"UTF-8 text ({exc.reason})") from None
-        if size is not None:
-            size -= len(data)
         lineno += text.count("\n")
         if text:
             yield text
@@ -315,11 +334,10 @@ def _count(read_range, start, stop, lineno: int) -> tuple[int, int]:
     return colons, newlines
 
 
-def _parse_range(read_range, start, stop, lineno: int, labels, indptr, cols, data):
+def _parse_range(read_range, start, stop, lineno: int, labels, ends, cols, data):
     """Parse a range into the fronts of the given arrays, naming lines from
-    `lineno` on: the labels, each row's end counted in entries from 0 (at
-    indptr[1:]), and the entries' columns and values. Returns the rows and
-    entries written."""
+    `lineno` on: the labels, each row's end counted in entries from 0, and the
+    entries' columns and values. Returns the fronts written."""
     rows = nnz = 0
     with read_range(start, stop, lineno) as pieces:
         for section in _sections(pieces):
@@ -327,11 +345,11 @@ def _parse_range(read_range, start, stop, lineno: int, labels, indptr, cols, dat
             section_labels, lengths, indices, values = parsed
             row_end, nnz_end = rows + len(section_labels), nnz + len(indices)
             labels[rows:row_end] = section_labels
-            indptr[rows + 1:row_end + 1] = nnz + np.cumsum(lengths, dtype=np.int64)
+            ends[rows:row_end] = nnz + np.cumsum(lengths, dtype=np.int64)
             cols[nnz:nnz_end], data[nnz:nnz_end] = indices, values
             rows, nnz = row_end, nnz_end
             lineno += section.count("\n")
-    return rows, nnz
+    return labels[:rows], ends[:rows], cols[:nnz], data[:nnz]
 
 
 def _range_arrays(colons, newlines):
@@ -345,38 +363,12 @@ def _range_arrays(colons, newlines):
 def _parse_child(writer, read_range, start, stop) -> None:
     """A forked child's share: its range's counts, then its parse, each sent as
     soon as it is known. Lines are numbered from 1, so on any failure the child
-    sends None instead, and the parent parses the range itself."""
-    try:
+    just exits, and the parent, reading EOF, counts or parses the range itself."""
+    with suppress(Exception):
         counts = _count(read_range, start, stop, 1)
         writer.send(counts)
-        arrays = _range_arrays(*counts)
-        rows, nnz = _parse_range(read_range, start, stop, 1, *arrays)
-    except Exception:
-        writer.send(None)
-        return
-    writer.send((rows, nnz))
-    labels, indptr, cols, data = arrays
-    for part in (labels[:rows], indptr[1:rows + 1], cols[:nnz], data[:nnz]):
-        view = memoryview(part).cast("B")
-        for at in range(0, len(view), PARSE_CHUNK):
-            writer.send_bytes(view[at:at + PARSE_CHUNK])
-
-
-def _received(reader, labels, indptr, cols, data) -> tuple[int, int] | None:
-    """A child's parse, received straight into the fronts of the given arrays
-    a message at a time; None if the child failed or died first."""
-    try:
-        sent = reader.recv()
-        if sent is None:
-            return None
-        rows, nnz = sent
-        for part in (labels[:rows], indptr[1:rows + 1], cols[:nnz], data[:nnz]):
-            view = memoryview(part).cast("B")
-            for at in range(0, len(view), PARSE_CHUNK):
-                reader.recv_bytes_into(view[at:at + PARSE_CHUNK])
-    except (EOFError, OSError):
-        return None
-    return rows, nnz
+        labels, indptr, cols, data = _range_arrays(*counts)
+        send_arrays(writer, _parse_range(read_range, start, stop, 1, labels, indptr[1:], cols, data))
 
 
 def _parse_ranges(read_range, cuts: list):
@@ -389,26 +381,23 @@ def _parse_ranges(read_range, cuts: list):
     with forked(len(ranges) - 1,
                 lambda k, writer: _parse_child(writer, read_range, *ranges[k])) as children:
         counts = [_count(read_range, *ranges[0], 1)]
-        reporting = [False]
         for (start, stop), (_, reader) in zip(ranges[1:], children):
             try:
-                counted = reader.recv()
+                counts.append(reader.recv())
             except (EOFError, OSError):
-                counted = None
-            reporting.append(counted is not None)
-            lineno = 1 + sum(newlines for _, newlines in counts)
-            counts.append(counted or _count(read_range, start, stop, lineno))
+                lineno = 1 + sum(newlines for _, newlines in counts)
+                counts.append(_count(read_range, start, stop, lineno))
         labels, indptr, cols, data = _range_arrays(*np.sum(counts, axis=0))
-        rows = nnz = 0
-        lineno = 1
-        for k, (start, stop) in enumerate(ranges):
-            into = labels[rows:], indptr[rows:], cols[nnz:], data[nnz:]
-            parsed = reporting[k] and _received(children[k - 1][1], *into)
-            if not parsed:
-                parsed = _parse_range(read_range, start, stop, lineno, *into)
-            indptr[rows + 1:rows + parsed[0] + 1] += nnz
-            rows, nnz = rows + parsed[0], nnz + parsed[1]
-            lineno += counts[k][1]
+        first = _parse_range(read_range, *ranges[0], 1, labels, indptr[1:], cols, data)
+        rows, nnz, lineno = len(first[0]), len(first[2]), 1 + counts[0][1]
+        for (start, stop), (_, reader), (_, newlines) in zip(ranges[1:], children, counts[1:]):
+            into = labels[rows:], indptr[rows + 1:], cols[nnz:], data[nnz:]
+            try:
+                got = recv_arrays(reader, into)
+            except (EOFError, OSError):
+                got = _parse_range(read_range, start, stop, lineno, *into)
+            got[1][:] += nnz  # the range's row ends, in place
+            rows, nnz, lineno = rows + len(got[0]), nnz + len(got[2]), lineno + newlines
     return labels[:rows], indptr[:rows + 1], cols[:nnz], data[:nnz]
 
 

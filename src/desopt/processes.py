@@ -1,7 +1,7 @@
 """Process plumbing shared by `desopt run --threads`, parse_libsvm and
 run_des's round-prep helper: how many processes a job may use,
-forked children that report over one-way pipes, and arrays sent over those
-pipes as one packed message each.
+forked children that report over one-way pipes, and the one format in which
+arrays cross those pipes.
 
 Fork, not spawn, so that a child shares what the calling process has loaded
 without pickling it; desopt starts no Python thread, and OpenBLAS shuts its own
@@ -79,41 +79,40 @@ def forked(count: int, work: Callable[[int, Connection], None]) -> Iterator[list
 
 
 def send_arrays(writer: Connection, arrays) -> None:
-    """Send a sequence of arrays, any of them None, as one message; each
+    """Send a sequence of arrays, any of them None, for recv_arrays; each
     arrives flattened.
 
-    The header holds the count, then each array's dtype character and size
-    (-1 for None); each array's bytes follow, padded to 8 bytes, so that
-    recv_arrays can view them in place. Not pickles: an 8-round run_des on
-    the des-sparse-mixture benchmark data took 51 ms with its helper sending
-    packed arrays and 57 ms with the same messages through Connection.send,
-    slower in 10 of 10 alternating pairs (2 vCPU, Python 3.11)."""
-    head = [len(arrays)]
-    parts = []
+    A header message holds each array's dtype character and size (-1 for
+    None); each array's bytes follow, taken from the array itself, in
+    messages of at most PIPE_BYTES."""
+    arrays = [None if a is None else np.ravel(a) for a in arrays]
+    writer.send_bytes(np.array([(0, -1) if a is None else (ord(a.dtype.char), a.size)
+                                for a in arrays], dtype=np.int64).tobytes())
     for a in arrays:
-        if a is None:
-            head += [0, -1]
-            continue
-        a = np.ascontiguousarray(a)
-        head += [ord(a.dtype.char), a.size]
-        parts += [a.tobytes(), bytes(-a.nbytes % 8)]
-    writer.send_bytes(b"".join([np.array(head, dtype=np.int64).tobytes(), *parts]))
+        for at in range(0, 0 if a is None else a.nbytes, PIPE_BYTES):
+            writer.send_bytes(a, at, min(PIPE_BYTES, a.nbytes - at))
 
 
-def recv_arrays(reader: Connection) -> list:
-    """The arrays of one send_arrays message, 1-d, as read-only views of it.
-    Raises EOFError once the sender has closed its end or died (OSError if
-    it died part-way through the message)."""
-    buf = reader.recv_bytes()
-    count = int(np.frombuffer(buf, dtype=np.int64, count=1)[0])
-    head = np.frombuffer(buf, dtype=np.int64, count=1 + 2 * count)[1:].tolist()
-    offset = 8 * (1 + 2 * count)
+def recv_arrays(reader: Connection, into=None) -> list:
+    """The arrays of one send_arrays call, 1-d. Array k is received into a
+    new array or, where into[k] is a 1-d array, straight into its front, of
+    which it is then a view; no message read is longer than PIPE_BYTES.
+    Raises ValueError when into[k] has another dtype or too little room, and
+    EOFError once the sender has closed its end or died (OSError if it died
+    part-way through a message)."""
+    head = np.frombuffer(reader.recv_bytes(PIPE_BYTES), dtype=np.int64).reshape(-1, 2).tolist()
     arrays = []
-    for char, length in zip(head[::2], head[1::2]):
+    for k, (char, length) in enumerate(head):
         if length < 0:
             arrays.append(None)
             continue
         dtype = np.dtype(chr(char))
-        arrays.append(np.frombuffer(buf, dtype=dtype, count=length, offset=offset))
-        offset += -(-length * dtype.itemsize // 8) * 8
+        a = np.empty(length, dtype) if into is None or into[k] is None else into[k][:length]
+        if a.dtype != dtype or a.size != length:
+            raise ValueError(f"array {k} of {length} {dtype} does not fit into "
+                             f"{into[k].size} {into[k].dtype}")
+        view = a.view(np.uint8)
+        for at in range(0, a.nbytes, PIPE_BYTES):
+            reader.recv_bytes_into(view[at:at + PIPE_BYTES])
+        arrays.append(a)
     return arrays

@@ -128,6 +128,13 @@ class RoundMetrics:
     worker_values: tuple[float, ...]
 
 
+def _check_dimension(cfg: DesConfig, n_features: int) -> None:
+    """The mutation model must draw over the data's own features."""
+    if cfg.model.n != n_features:
+        raise ValueError(f"mutation model dimension {cfg.model.n} differs from the data's "
+                         f"{n_features} features")
+
+
 def prepare_round(cfg: DesConfig, obj: RegularizedObjective, partition: PartitionPlan,
                   t: int) -> tuple:
     """The half of DES round t that does not depend on the iterate, and the
@@ -166,6 +173,7 @@ def des_round(
     displacement and applies the momentum step.
     trace_factory(i), if given, returns worker i's per-iteration trace hook.
     """
+    _check_dimension(cfg, obj.dataset.n_features)
     t = state.t
     local_cfg = LocalConfig(iters=cfg.local_iters, model=cfg.model, step0=step_size(cfg.alpha, t, 0))
     batch, mutations, blocks = prepare_round(cfg, obj, partition, t) if prepared is None else prepared
@@ -290,6 +298,7 @@ def run_des(
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    _check_dimension(cfg, train.n_features)
     helper = cfg.model.is_mixture and cfg.rounds > 1 and process_count(2) == 2
 
     def rounds(obj, partition, x0):

@@ -590,6 +590,16 @@ def test_parse_check_truncated_gzip_exits_1(tmp_path, capsys):
     assert "Compressed file ended before the end-of-stream marker" in capsys.readouterr().err
 
 
+def test_parse_check_corrupt_gzip_exits_1(tmp_path, capsys):
+    # its deflate data is damaged, not cut short: zlib's error is an input error too
+    raw = bytearray(gzip.compress(b"+1 1:0.5\n" * 1000))
+    raw[30:40] = b"\xff" * 10
+    corrupt = tmp_path / "corrupt.svm.gz"
+    corrupt.write_bytes(raw)
+    assert main(["parse-check", str(corrupt)]) == 1
+    assert "error: line 1: Error -3 while decompressing data" in capsys.readouterr().err
+
+
 def test_run_matrix_multiple_losses_and_instances(tmp_path):
     spec_path = write_spec(tmp_path / "spec.json", losses=["LR", "LSVM"], seeds=[0])
     assert main(["run", str(spec_path), "--out", str(tmp_path / "runs"), "--threads", "1"]) == 0

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import re
 import time
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -138,6 +139,44 @@ def test_parse_truncated_gzip_names_the_line_reached(tmp_path, monkeypatch):
     with pytest.raises(LibsvmParseError, match="Compressed file ended before") as err:
         parse_libsvm(path)
     assert 194 <= int(re.match(r"line (\d+): ", str(err.value))[1]) <= 201, err.value
+
+
+def _corrupt(member: bytes) -> bytes:
+    """A gzip member whose bytes 30-39, in its first deflate block, are 0xff."""
+    return member[:30] + b"\xff" * 10 + member[40:]
+
+
+@pytest.mark.parametrize("raw", [
+    gzip.compress(b"+1 1:0.5\n" * 100)[:-12],
+    gzip.compress(b"".join(b"+1 1:%d\n" % i for i in range(1, 301))) + _corrupt(
+        gzip.compress(b"+1 1:0.5\n" * 1000)),
+], ids=["cut short", "corrupt second member"])
+def test_parse_damaged_gzip_names_the_line_after_its_whole_lines(tmp_path, raw):
+    # zlib recovers the lines before the damage (of the first member alone
+    # when the second is corrupt); the parse names the line after them
+    path = tmp_path / "data.svm.gz"
+    path.write_bytes(raw)
+    line = zlib.decompressobj(31).decompress(raw).count(b"\n") + 1
+    assert line > 1
+    with pytest.raises(LibsvmParseError, match=f"^line {line}: "):
+        parse_libsvm(path)
+
+
+def test_parse_gzip_members_in_pieces_of_at_most_parse_chunk(tmp_path, monkeypatch):
+    """Members and the zero bytes after them read as gzip.open reads them;
+    a member that expands 300-fold still arrives in pieces of PARSE_CHUNK."""
+    first, second = FILLER * 5000, "".join(f"-1 {i}:{i}.5\n" for i in range(1, 40))
+    plain, packed = tmp_path / "data.svm", tmp_path / "data.svm.gz"
+    plain.write_text(first + second)
+    packed.write_bytes(gzip.compress(first.encode()) + b"\0" * 3 + gzip.compress(second.encode())
+                       + b"\0" * 5)
+    assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
+    monkeypatch.setattr(dataio, "PARSE_CHUNK", 64)
+    sizes, gunzipped = [], dataio._gunzipped
+    monkeypatch.setattr(dataio, "_gunzipped", lambda fh: (
+        sizes.append(len(piece)) or piece for piece in gunzipped(fh)))
+    assert _outcome(packed) == _outcome(plain) and len(_outcome(plain)) > 2
+    assert max(sizes) == 64 and sum(sizes) == 2 * len(first + second)  # counted, then parsed
 
 
 def test_parse_plain_path(tmp_path):

@@ -270,28 +270,54 @@ def count_helpers(monkeypatch) -> list:
 def test_helper_pipe_carries_arrays_as_sent():
     # send_arrays/recv_arrays over a forked() pipe of PIPE_BYTES:
     # dtypes, values (NaN, -0.0 and inf included) and None survive, each
-    # array arrives flattened, and the reader sees EOF once the child is done
+    # array arrives flattened, an array larger than PIPE_BYTES arrives in
+    # several messages of at most PIPE_BYTES, a receive into larger
+    # destinations fills their fronts, and the reader sees EOF once the
+    # child is done
     arrays = [np.arange(5), None, np.array([[1.5, -0.0, np.inf], [np.nan, 2.0, -3.0]]),
               np.zeros(0, dtype=np.int32), np.array([True, False, True]),
-              np.arange(3, dtype=np.int32), np.zeros(0)]
+              np.arange(3, dtype=np.int32), np.zeros(0),
+              np.linspace(-1.0, 1.0, 2 * PIPE_BYTES // 8 + 3)]
+    into = [np.full(7, -1), np.zeros(2), np.full(9, 4.0), np.full(2, 9, dtype=np.int32),
+            np.zeros(4, dtype=bool), None, np.full(1, 5.0), np.full(arrays[-1].size + 2, 6.0)]
+    before = [None if a is None else a.copy() for a in into]
 
     def work(k, writer):
         with writer:
+            send_arrays(writer, arrays)
             send_arrays(writer, arrays)
 
     with forked(1, work) as [(_, reader)]:
         if sys.platform == "linux":
             assert fcntl.fcntl(reader.fileno(), fcntl.F_GETPIPE_SZ) == PIPE_BYTES
+        sizes, recv_into = [], reader.recv_bytes_into
+        reader.recv_bytes_into = lambda buf: sizes.append(len(buf)) or recv_into(buf)
         got = recv_arrays(reader)
+        small = [a.nbytes for a in arrays[:-1] if a is not None and a.size]
+        assert sizes == small + [PIPE_BYTES, PIPE_BYTES, 24]  # each message read into its array
+        put = recv_arrays(reader, into)
         with pytest.raises(EOFError):
             recv_arrays(reader)
-    assert len(got) == len(arrays) and got[1] is None
-    for want, have in zip(arrays, got):
+    assert len(got) == len(put) == len(arrays) and got[1] is None and put[1] is None
+    for want, have in zip(arrays + arrays, got + put):
         if want is not None:
             assert have.dtype == want.dtype and have.shape == (want.size,)
             assert np.array_equal(have, want.reshape(-1), equal_nan=want.dtype.kind == "f")
             assert np.array_equal(np.signbit(have), np.signbit(want.reshape(-1)))
+    for have, dest, old in zip(put, into, before):
+        if have is not None and dest is not None:
+            assert have.base is dest
+        if dest is not None:
+            front = 0 if have is None else have.size
+            assert np.array_equal(dest[front:], old[front:])
     assert multiprocessing.active_children() == []
+    # a destination of another dtype, or with too little room, is refused
+    for wrong in (np.zeros(3), np.zeros(2, dtype=np.int64)):
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        with reader, writer:
+            send_arrays(writer, [np.arange(3)])
+            with pytest.raises(ValueError, match="does not fit"):
+                recv_arrays(reader, [wrong])
 
 
 @pytest.mark.parametrize("kind", [MutationKind.MIXTURE_GAUSSIAN, MutationKind.MIXTURE_RADEMACHER])
@@ -364,6 +390,26 @@ def test_run_des_rejects_thread_counts_below_one(threads):
     train, test = sparse_split(17)
     with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
         run_des(mixture_cfg(), train, test, LossKind.LR, threads=threads)
+
+
+@pytest.mark.parametrize("kind, n", [(MutationKind.MIXTURE_GAUSSIAN, 10),
+                                     (MutationKind.STANDARD_GAUSSIAN, 1),
+                                     (MutationKind.MIXTURE_RADEMACHER, 30)])
+def test_model_dimension_must_match_the_data(kind, n, monkeypatch, two_cpus):
+    # a mixture model over too few coordinates once ran to a wrong result, a
+    # dense one of n=1 broadcast one draw to every coordinate, and one over
+    # too many raised IndexError; each is refused before a round or a helper
+    train = synth_dataset(SynthKind.SEPARABLE_LINEAR, 20, 60, RngStream(20, "synth"))
+    test = synth_dataset(SynthKind.SEPARABLE_LINEAR, 20, 20, RngStream(21, "synth"))
+    cfg = make_cfg(model=MutationModel(kind, n, 2))
+    message = f"mutation model dimension {n} differs from the data's 20 features"
+    forks = count_helpers(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        run_des(cfg, train, test, LossKind.LR)
+    obj = RegularizedObjective(LossKind.LR, train)
+    with pytest.raises(ValueError, match=message):
+        des_round(initial_state(20), cfg, obj, partition_uniform(train, 2, RngStream(0, "partition")))
+    assert forks == [] and obj.eval_counter == 0
 
 
 @pytest.mark.parametrize("death", ["exits after round 1", "exits mid-round 1", "raises in round 2"])
