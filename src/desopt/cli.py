@@ -359,8 +359,9 @@ def _run_dealt(spec: ExperimentSpec, cells: list, timing: bool, threads: int) ->
     Worker k runs cells k, k+P, k+2P, ... for P processes. Worker 0 is the
     calling process; the others are forked children that send their share's
     outcomes back over a one-way pipe once it is done. A child that exits
-    without reporting, or with a nonzero code, fails each cell of its share.
-    No child outlives this call.
+    without reporting, or with a nonzero code, fails each cell of its share;
+    the share of a child that could not be forked runs in the calling
+    process. No child outlives this call.
     """
     procs = process_count(min(threads, len(cells)))
     outcomes: list = [None] * len(cells)
@@ -371,6 +372,9 @@ def _run_dealt(spec: ExperimentSpec, cells: list, timing: bool, threads: int) ->
     with forked(procs - 1, work) as children:
         outcomes[::procs] = _run_cells(spec, cells[::procs], timing)
         for k, (child, reader) in enumerate(children, 1):
+            if child is None:
+                outcomes[k::procs] = _run_cells(spec, cells[k::procs], timing)
+                continue
             try:
                 share = reader.recv()
             except (EOFError, OSError):

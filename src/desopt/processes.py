@@ -13,7 +13,7 @@ import fcntl
 import multiprocessing
 import os
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -49,9 +49,10 @@ def forked(count: int, work: Callable[[int, Connection], None]) -> Iterator[list
     (where the system grants it; Linux's F_SETPIPE_SZ).
 
     Yields each child's (process, reader) pair in order. The parent closes its
-    copy of each writer at once, so a reader sees EOF when its child dies. On
-    leaving the block, however that happens, every child still running is
-    terminated and every child is joined: none outlives the block.
+    copy of each writer at once, so a reader sees EOF when its child dies. A
+    child that cannot be forked is None in its pair, and its reader sees EOF
+    at once. On leaving the block, however that happens, every child still
+    running is terminated and every child is joined: none outlives the block.
     """
     context = multiprocessing.get_context("fork")
     children, readers = [], []
@@ -59,18 +60,18 @@ def forked(count: int, work: Callable[[int, Connection], None]) -> Iterator[list
         for k in range(1, count + 1):
             reader, writer = context.Pipe(duplex=False)
             readers.append(reader)
-            if hasattr(fcntl, "F_SETPIPE_SZ"):
-                try:
-                    fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-                except OSError:
-                    pass  # above this user's limit: the pipe keeps its default size
+            with suppress(AttributeError, OSError):  # not Linux, or above this user's limit
+                fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, PIPE_BYTES)
             with writer:
                 child = context.Process(target=work, args=(k, writer), daemon=True)
-                child.start()
+                try:
+                    child.start()
+                except OSError:  # no fork (EAGAIN, ENOMEM): as if the child died at once
+                    child = None
             children.append(child)
         yield list(zip(children, readers))
     finally:
-        for child in children:
+        for child in filter(None, children):
             if child.is_alive():
                 child.terminate()
             child.join()

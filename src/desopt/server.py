@@ -13,7 +13,7 @@ import itertools
 import math
 import time
 import warnings
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,13 +286,13 @@ def run_des(
 
     The M workers run in lockstep in the calling thread. A round is drawn
     where it is prepared (prepare_round) and planned where it runs
-    (des_round). For a mixture model and two rounds or more, a forked helper
-    process prepares rounds 1.. ahead (prepare_round's half of each round
-    that does not depend on the iterate, draws included) while the calling
-    process runs the round before, if process_count finds a CPU for each:
-    not in a daemonic caller, and not on a CPU that a running child of the
-    caller (a `desopt run --threads` worker, say) holds. Round 0 is
-    prepared here while the helper starts.
+    (des_round), and every round comes from one generator, _prepared_rounds.
+    For a mixture model and two rounds or more, a forked helper process
+    prepares every round, round 0 included (prepare_round's half of each
+    round that does not depend on the iterate, draws included), ahead of the
+    calling process, if process_count finds a CPU for each: not in a
+    daemonic caller, and not on a CPU that a running child of the caller (a
+    `desopt run --threads` worker, say) holds.
     The outputs do not depend on the helper. threads is accepted for the
     callers that pass it and must be at least 1; it changes nothing.
     """
@@ -306,9 +306,8 @@ def run_des(
         children = (forked(1, lambda k, writer: _send_rounds(cfg, obj, partition, writer))
                     if helper else nullcontext([(None, None)]))
         with children as [(_, reader)]:
-            prepared = _Ahead(cfg, obj, partition, reader).prepared
-            for t in range(cfg.rounds):
-                state, metrics = des_round(state, cfg, obj, partition, prepared=prepared(t))
+            for prepared in _prepared_rounds(cfg, obj, partition, reader):
+                state, metrics = des_round(state, cfg, obj, partition, prepared=prepared)
                 yield state.x, metrics.evals
 
     return run_rounds(_algo_id(cfg.model.kind), cfg, train, test, loss_kind, reg, timing,
@@ -318,60 +317,54 @@ def run_des(
 
 def _send_rounds(cfg: DesConfig, obj: RegularizedObjective, partition: PartitionPlan,
                  writer) -> None:
-    """The helper's work: prepare rounds 1..T-1 in order and send each as a
+    """The helper's work: prepare rounds 0..T-1 in order and send each as a
     message of its batch rows, cols and terms, then one message per plan
     block. A send stalls while the pipe is full, so the helper runs about a
-    round ahead."""
-    with writer:
+    round ahead. On a fault the helper just stops: the caller reads EOF and
+    prepares the rest itself, so a fault that is not the helper's own is
+    raised there, in order."""
+    with writer, suppress(Exception):
+        for t in range(cfg.rounds):
+            batch, (cols, terms), blocks = prepare_round(cfg, obj, partition, t)
+            send_arrays(writer, [batch.rows, cols, terms])
+            for block in blocks:
+                send_arrays(writer, block)
+
+
+def _prepared_rounds(cfg: DesConfig, obj: RegularizedObjective, partition: PartitionPlan,
+                     reader):
+    """prepare_round's output for rounds 0..T-1, in order. While the helper
+    lives, each round comes off its pipe (reader): a batch (made without a
+    gather, since the start margins come from the snapshot's scores), the
+    draws, and a generator that reads the plan blocks as the candidates reach
+    them. With no helper (reader None), or once it has died or failed (EOF),
+    prepare_round makes the rounds here, from the first plan block not
+    received on, so the outputs do not depend on the helper."""
+
+    def received():
+        nonlocal reader
         try:
-            for t in range(1, cfg.rounds):
-                batch, (cols, terms), blocks = prepare_round(cfg, obj, partition, t)
-                send_arrays(writer, [batch.rows, cols, terms])
-                for block in blocks:
-                    send_arrays(writer, block)
-        except Exception:
-            # the caller reads EOF and prepares the rest itself, so a fault
-            # that is not the helper's own is raised there, in order
-            pass
-
-
-class _Ahead:
-    """The caller's end of the round-prep helper; with reader None there is
-    none, and prepared(t) is None: des_round prepares each round itself.
-    Otherwise rounds 1.. come off the pipe: a batch (made without a gather,
-    since only its rows are needed while the start margins come from the
-    snapshot's scores), the draws, and a generator of the plan blocks that
-    reads them as the candidates reach them. If the helper has died or
-    failed (EOF), the rest of the run, from the first block not received on,
-    is prepared here by prepare_round, so the outputs do not depend on the
-    helper."""
-
-    def __init__(self, cfg: DesConfig, obj: RegularizedObjective, partition: PartitionPlan,
-                 reader):
-        self.cfg, self.obj, self.partition, self.reader = cfg, obj, partition, reader
-
-    def prepared(self, t: int) -> tuple | None:
-        if t == 0 or self.reader is None:
-            return None
-        try:
-            rows, cols, terms = recv_arrays(self.reader)
+            return None if reader is None else recv_arrays(reader)
         except (EOFError, OSError):
-            self.reader = None
-            return None
-        iters = self.cfg.local_iters
-        return (StackedBatch(self.obj, rows.reshape(self.cfg.workers, -1)),
-                (cols.reshape(iters, -1), terms.reshape(iters, -1)), self._blocks(t))
+            reader = None
 
-    def _blocks(self, t: int):
+    def blocks(t):
         got = steps = 0
-        while steps < self.cfg.local_iters:
-            try:
-                block = PlanBlock(*recv_arrays(self.reader))
-            except (EOFError, OSError):
-                self.reader = None
-                own = prepare_round(self.cfg, self.obj, self.partition, t)[2]
-                yield from itertools.islice(own, got, None)
+        while steps < cfg.local_iters:
+            block = received()
+            if block is None:
+                yield from itertools.islice(prepare_round(cfg, obj, partition, t)[2], got, None)
                 return
-            got += 1
-            steps += len(block.bounds) - 1
+            block = PlanBlock(*block)
+            got, steps = got + 1, steps + len(block.bounds) - 1
             yield block
+
+    for t in range(cfg.rounds):
+        head = received()
+        if head is None:
+            yield prepare_round(cfg, obj, partition, t)
+        else:
+            rows, cols, terms = head
+            yield (StackedBatch(obj, rows.reshape(cfg.workers, -1)),
+                   (cols.reshape(cfg.local_iters, -1), terms.reshape(cfg.local_iters, -1)),
+                   blocks(t))

@@ -1,5 +1,9 @@
-"""Shared test utilities: dense-backed datasets and scripted RNG stand-ins."""
+"""Shared test utilities: dense-backed datasets, scripted RNG stand-ins and
+a process start that fails."""
 from __future__ import annotations
+
+import errno
+import multiprocessing
 
 import numpy as np
 import scipy.sparse as sp
@@ -10,6 +14,19 @@ from desopt import Dataset, ServerState
 def initial_state(n: int) -> ServerState:
     """The server state before round 1: x and m at zero."""
     return ServerState(x=np.zeros(n), m=np.zeros(n), t=0)
+
+
+def refuse_forks(monkeypatch) -> list:
+    """Make every Process.start raise EAGAIN, as fork does under a pid
+    limit, and record each process refused; no process starts."""
+    refused = []
+
+    def start(process):
+        refused.append(process)
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    return refused
 
 
 def dataset_from_dense(features: np.ndarray, labels) -> Dataset:

@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desopt import BETA_LIMIT, LossKind, cli, load_spec, main, read_metrics_csv
+from desopt import BETA_LIMIT, LossKind, cli, dataio, load_spec, main, read_metrics_csv
 from desopt.cli import AlgoSpec, ExperimentSpec, _apply_overrides, _build_spec, _dimension_rule
+from helpers import refuse_forks
 
 
 def write_spec(path, **overrides):
@@ -428,6 +429,33 @@ def test_run_matrix_dead_worker_fails_its_cells(tmp_path, monkeypatch, two_cpus)
                       "with code 1 before reporting its cells" for name in ("des", "fed-zo-gd")]
     records = read_metrics_csv(tmp_path / "runs" / "metrics.csv")
     assert sorted((r.algorithm, r.seed) for r in records) == [("des", 0), ("fed-zo-gd", 0)]
+    assert multiprocessing.active_children() == []
+
+
+def test_unforked_worker_leaves_its_cells_to_the_caller(tmp_path, monkeypatch, two_cpus,
+                                                        capsys):
+    # A worker process that cannot be forked (EAGAIN under a pid limit, say)
+    # fails nothing: the calling process runs its share, and its des cells
+    # prepare their rounds without a helper. parse-check parses every range
+    # in the calling process. Each exits 0 with its one-process output.
+    spec_path = write_spec(tmp_path / "spec.json", algorithms=[
+        {"name": "des", "alpha": [1.0], "model": "mixture_rademacher", "l": 2},
+        {"name": "fed-zo-gd", "alpha": [1.0]}])
+    data = tmp_path / "data.svm"
+    data.write_text("".join(f"{(-1) ** i:+d} {i % 7 + 1}:{i}.5\n" for i in range(300)))
+    monkeypatch.setattr(dataio, "PARSE_CHUNK", 64)
+    outputs = []
+    for refuse in (False, True):
+        refused = refuse_forks(monkeypatch) if refuse else []
+        out_dir = tmp_path / f"refused-{refuse}"
+        assert main(["run", str(spec_path), "--out", str(out_dir), "--threads", "2"]) == 0
+        assert main(["parse-check", str(data)]) == 0
+        outputs.append(((out_dir / "metrics.csv").read_bytes(), capsys.readouterr().out
+                        .replace(str(out_dir), "OUT")))
+        # refused: the worker, a helper for each des cell, the parse's child
+        assert len(refused) == (4 if refuse else 0)
+    assert outputs[0] == outputs[1]
+    assert len(read_metrics_csv(tmp_path / "refused-True" / "metrics.csv")) == 4
     assert multiprocessing.active_children() == []
 
 

@@ -36,6 +36,7 @@ from desopt import (
 )
 from desopt import dataio
 from desopt.objective import index_dtype
+from helpers import refuse_forks
 
 SAMPLE = """+1 1:0.5 3:-2
 -1 2:1.25
@@ -446,6 +447,21 @@ def test_parse_dead_child_range_parsed_in_process(tmp_path, monkeypatch, stage):
     assert len(dataio._cuts(path)) == 3
     assert _outcome(path) == expected and len(expected) > 2
     assert multiprocessing.active_children() == []
+
+
+def test_parse_unforked_child_range_parsed_in_process(tmp_path, monkeypatch):
+    """A child that cannot be forked (EAGAIN under a pid limit, say) leaves its
+    range to the caller, as one that died at once does."""
+    path = tmp_path / "data.svm"
+    path.write_text("".join(f"{(-1) ** i:+d} {i % 7 + 1}:{i}.5\n" for i in range(300)))
+    monkeypatch.setattr(dataio, "PARSE_CHUNK", 64)
+    _cpus(monkeypatch, 1)
+    expected = _outcome(path)
+    refused = refuse_forks(monkeypatch)
+    _cpus(monkeypatch, 3)
+    assert len(dataio._cuts(path)) == 4
+    assert _outcome(path) == expected and len(expected) > 2
+    assert len(refused) == 2 and multiprocessing.active_children() == []
 
 
 def test_parse_leaves_no_child_on_raise(tmp_path, monkeypatch):

@@ -39,7 +39,7 @@ from desopt import (
 from desopt import objective, server
 from desopt.objective import StackedBatch
 from desopt.processes import PIPE_BYTES, forked, recv_arrays, send_arrays
-from helpers import initial_state
+from helpers import initial_state, refuse_forks
 
 GAUSS = MutationModel(MutationKind.STANDARD_GAUSSIAN, 4)
 
@@ -412,7 +412,53 @@ def test_model_dimension_must_match_the_data(kind, n, monkeypatch, two_cpus):
     assert forks == [] and obj.eval_counter == 0
 
 
-@pytest.mark.parametrize("death", ["exits after round 1", "exits mid-round 1", "raises in round 2"])
+def test_helper_sent_rounds_equal_prepare_round(monkeypatch):
+    # Every round off the helper's pipe is bit for bit what prepare_round
+    # makes in the calling process: the batch rows, cols and terms, and each
+    # plan block's arrays, None where None; a small PLAN_ENTRIES gives rounds
+    # several blocks of both kinds. While the helper lives, the caller
+    # prepares no round itself.
+    train, _ = sparse_split(22)
+    monkeypatch.setattr(objective, "PLAN_ENTRIES", 20)
+    cfg = mixture_cfg()
+    obj = RegularizedObjective(LossKind.LR, train)
+    partition = partition_uniform(train, cfg.workers, RngStream(cfg.seed, "partition"))
+    caller, prepare = os.getpid(), server.prepare_round
+    here = []
+    monkeypatch.setattr(server, "prepare_round", lambda *args: (
+        os.getpid() == caller and here.append(args[-1])) or prepare(*args))
+
+    def same(have, want):
+        return (have is None) == (want is None) and (want is None or (
+            have.dtype == want.dtype and have.shape == want.shape
+            and have.tobytes() == want.tobytes()))
+
+    kinds, rounds = Counter(), []
+    with forked(1, lambda k, writer: server._send_rounds(cfg, obj, partition, writer)) as [
+            (_, reader)]:
+        for t, (batch, draws, blocks) in enumerate(server._prepared_rounds(cfg, obj, partition,
+                                                                           reader)):
+            want_batch, want_draws, want_blocks = prepare(cfg, obj, partition, t)
+            assert same(batch.rows, want_batch.rows)
+            assert all(same(have, want) for have, want in zip(draws, want_draws, strict=True))
+            blocks, want_blocks = list(blocks), list(want_blocks)
+            assert len(blocks) == len(want_blocks) > 1
+            for block, want in zip(blocks, want_blocks):
+                assert isinstance(block, objective.PlanBlock)
+                assert all(same(have, w) for have, w in zip(block, want, strict=True))
+                kinds["most rows" if want.touched is None else "touched rows"] += 1
+            rounds.append(t)
+    assert rounds == list(range(cfg.rounds)) and here == []
+    assert kinds["most rows"] > 0 and kinds["touched rows"] > 0, kinds
+    assert multiprocessing.active_children() == []
+
+
+# the rounds that the caller prepares itself, which show where the helper stopped
+PREPARED_HERE = {"exits before round 0": [0, 1, 2, 3, 4], "exits after round 1": [2, 3, 4],
+                 "exits mid-round 1": [1, 2, 3, 4], "raises in round 2": [2, 3, 4]}
+
+
+@pytest.mark.parametrize("death", PREPARED_HERE)
 def test_dead_helper_rounds_prepared_in_process(death, monkeypatch, two_cpus):
     # The helper dies (os._exit) or fails (an exception) part-way; the caller
     # reads EOF and prepares the rest itself, from the first plan block it did
@@ -421,19 +467,24 @@ def test_dead_helper_rounds_prepared_in_process(death, monkeypatch, two_cpus):
     monkeypatch.setattr(objective, "PLAN_ENTRIES", 20)
     expected = metric_rows(run_des(mixture_cfg(), train, test, LossKind.LR))
     caller = os.getpid()
-    sent = Counter()
+    blocks_sent, here = [], []  # per round the helper started to send; rounds prepared here
     send, prepare = server.send_arrays, server.prepare_round
 
     def sending(writer, arrays):  # only the helper sends
-        sent["headers" if len(arrays) == 3 else "blocks"] += 1
-        if death == "exits after round 1" and sent["headers"] == 2:
-            os._exit(1)
-        if death == "exits mid-round 1" and sent["blocks"] == 2:
+        if len(arrays) == 3:  # a round's rows, cols and terms
+            blocks_sent.append(0)
+        else:
+            blocks_sent[-1] += 1
+        at = len(blocks_sent) - 1, blocks_sent[-1]  # (round, block), block 0 its rows
+        if (death == "exits before round 0" or death == "exits after round 1" and at == (2, 0)
+                or death == "exits mid-round 1" and at == (1, 2)):
             os._exit(1)
         send(writer, arrays)
 
     def preparing(cfg, obj, partition, t):
-        if death == "raises in round 2" and t == 2 and os.getpid() != caller:
+        if os.getpid() == caller:
+            here.append(t)
+        elif death == "raises in round 2" and t == 2:
             raise RuntimeError("helper broke")
         return prepare(cfg, obj, partition, t)
 
@@ -444,8 +495,29 @@ def test_dead_helper_rounds_prepared_in_process(death, monkeypatch, two_cpus):
     monkeypatch.setattr(server, "recv_arrays", lambda reader: received.append(1) or recv(reader))
     got = metric_rows(run_des(mixture_cfg(), train, test, LossKind.LR))
     assert got == expected
-    assert len(received) >= 2  # the helper's messages were used before it stopped
+    assert here == PREPARED_HERE[death]
+    # the helper's messages were used before it stopped; the last read met EOF
+    assert (len(received) == 1) if death == "exits before round 0" else (len(received) >= 2)
     assert multiprocessing.active_children() == []
+
+
+def test_unforked_helper_rounds_prepared_in_process(monkeypatch, two_cpus):
+    # A helper that cannot be forked (EAGAIN under a pid limit, say) is one
+    # that died at once: its reader meets EOF and the caller prepares every
+    # round, to the rows of a run without a helper.
+    train, test = sparse_split(23)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    expected = metric_rows(run_des(mixture_cfg(), train, test, LossKind.LR))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    refused, forks = refuse_forks(monkeypatch), count_helpers(monkeypatch)
+    assert metric_rows(run_des(mixture_cfg(), train, test, LossKind.LR, threads=2)) == expected
+    assert forks == [1] and len(refused) == 1
+    with forked(2, lambda k, writer: None) as pairs:
+        assert [child for child, _ in pairs] == [None, None]
+        for _, reader in pairs:
+            with pytest.raises(EOFError):
+                reader.recv_bytes()
+    assert len(refused) == 3 and multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("end", ["non-finite snapshot", "diverged candidate", "max_evals"])
