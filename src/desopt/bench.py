@@ -34,12 +34,11 @@ class RunRecord:
     rows: list[MetricRow] = field(default_factory=list)
 
     def validate(self) -> "RunRecord":
-        rounds = [r.round for r in self.rows]
-        if any(b <= a for a, b in zip(rounds, rounds[1:])):
-            raise ValueError("rounds must be strictly increasing")
-        evals = [r.cum_evals for r in self.rows]
-        if any(b < a for a, b in zip(evals, evals[1:])):
-            raise ValueError("cumulative evaluations must be nondecreasing")
+        for prev, row in zip(self.rows, self.rows[1:]):
+            if row.round <= prev.round:
+                raise ValueError("rounds must be strictly increasing")
+            if row.cum_evals < prev.cum_evals:
+                raise ValueError("cumulative evaluations must be nondecreasing")
         return self
 
 
@@ -206,8 +205,9 @@ def write_metrics_csv(records: list[RunRecord], path) -> None:
 
 def read_metrics_csv(path) -> list[RunRecord]:
     """Load a metrics CSV back into RunRecords (config echo not persisted).
-    A row with the wrong number of fields, a field that does not parse, or a
-    non-finite loss, error or wall time raises ValueError naming its line."""
+    A row with the wrong number of fields, a field that does not parse, a
+    non-finite loss, error or wall time, or a round or cum_evals out of order
+    after the previous row of its run raises ValueError naming its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -222,11 +222,13 @@ def read_metrics_csv(path) -> list[RunRecord]:
                 for name in METRICS_HEADER[5:]:
                     if not math.isfinite(getattr(row, name)):
                         raise ValueError(f"{name} is {getattr(row, name)}, not a finite number")
+                key = (line[0], line[1], seed)
+                rows = records.setdefault(key, RunRecord(*key, config={})).rows
+                rows.append(row)
+                RunRecord(*key, {}, rows[-2:]).validate()  # against the run's previous row
             except ValueError as exc:
                 raise ValueError(f"line {reader.line_num}: {exc}") from None
-            key = (line[0], line[1], seed)
-            records.setdefault(key, RunRecord(*key, config={})).rows.append(row)
-    return [rec.validate() for rec in records.values()]
+    return list(records.values())
 
 
 def write_profiles_csv(curves: list[ProfileCurve], path) -> None:

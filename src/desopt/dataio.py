@@ -361,12 +361,12 @@ def _range_arrays(colons, newlines):
 
 
 def _parse_child(writer, read_range, start, stop) -> None:
-    """A forked child's share: its range's counts, then its parse, each sent as
-    soon as it is known. Lines are numbered from 1, so on any failure the child
+    """A forked child's share: its range's counts, then its parse, each sent
+    through send_arrays as soon as it is known. Lines are numbered from 1, so on any failure the child
     just exits, and the parent, reading EOF, counts or parses the range itself."""
     with suppress(Exception):
         counts = _count(read_range, start, stop, 1)
-        writer.send(counts)
+        send_arrays(writer, [np.array(counts)])
         labels, indptr, cols, data = _range_arrays(*counts)
         send_arrays(writer, _parse_range(read_range, start, stop, 1, labels, indptr[1:], cols, data))
 
@@ -383,7 +383,7 @@ def _parse_ranges(read_range, cuts: list):
         counts = [_count(read_range, *ranges[0], 1)]
         for (start, stop), (_, reader) in zip(ranges[1:], children):
             try:
-                counts.append(reader.recv())
+                counts.append(recv_arrays(reader)[0].tolist())
             except (EOFError, OSError):
                 lineno = 1 + sum(newlines for _, newlines in counts)
                 counts.append(_count(read_range, start, stop, lineno))

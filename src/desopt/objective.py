@@ -115,29 +115,27 @@ class StackedBatch:
     worker alone. It drops the cache below: keep after it does nothing, and
     a mixture candidate after it needs a new reset.
 
-    For mixture candidates, reset caches the kept points' M*b signed margins
-    a = y * (X v), their per-row losses, each worker's loss sum and squared
-    norm, all exact; given the rows' products (the training-set scores of the
-    round's start point), it needs no gather and no product. plan(cols) takes
-    the flat coordinates that the coming mixture candidates change and cuts
-    them into plan blocks of at most PLAN_ENTRIES CSC entries (blocks(cols)).
-    A block hands each candidate its unique coordinates and their entry
-    counts, its entries' rows and y-scaled values, and, unless the block has
-    more entries than DENSE_TOUCH of its rows, the candidate's sorted touched
-    rows. A candidate moves the margins of the rows in each changed column j
-    by y_r * X_rj * delta_j, recomputes the losses of the touched rows only,
-    and moves each worker's squared norm by new^2 - old^2 over its changed
-    coordinates and its loss sum by new - old over its touched rows (a
-    coordinate's worker is its index // n, a row's its index // b): O(l *
-    column nnz + touched rows) arithmetic, and keep puts back only the
-    rejected workers' touched rows: no pass over the M*b cache. In a block
-    whose entries exceed DENSE_TOUCH of its rows, where such row lists would
-    cost more than whole rows, a candidate instead copies the margins,
-    scores every row and takes its sums over all of them (an untouched row
-    adds exactly 0, so the values are the same), and keep restores rejected
-    workers' whole rows. Values equal an exact recompute up to rounding; once
-    the total of the loss sums is not finite, the non-finite margins are
-    recomputed from their rows and the sums taken afresh.
+    For mixture candidates, reset caches the kept points' M*b signed
+    margins a = y * (X v), their per-row losses, each worker's loss sum and
+    squared norm, all exact; given the rows' products (the training-set
+    scores of the round's start point), it needs no gather and no product.
+    plan(cols) takes the flat coordinates that the coming mixture candidates
+    change and cuts them into PlanBlocks of at most PLAN_ENTRIES CSC entries
+    (blocks(cols)), which list each candidate's touched rows unless they
+    hold more entries than DENSE_TOUCH of their rows. A candidate moves the
+    margins of the rows in each changed column j by y_r * X_rj * delta_j,
+    recomputes the losses of the touched rows only, and moves each worker's
+    squared norm by new^2 - old^2 over its changed coordinates and its loss
+    sum by new - old over its touched rows (a coordinate's worker is its
+    index // n, a row's its index // b): O(l * column nnz + touched rows)
+    arithmetic, and keep puts back only the rejected workers' touched rows:
+    no pass over the M*b cache. In a block without touched rows, where such
+    row lists would cost more than whole rows, a candidate instead copies
+    the margins, scores every row and takes its sums over all of them (an
+    untouched row adds exactly 0, so the values are the same), and keep
+    restores rejected workers' whole rows. Values equal an exact recompute
+    up to rounding; once the loss sums' total is not finite, the non-finite
+    margins are recomputed from their rows and the sums taken afresh.
     """
 
     def __init__(self, obj: "RegularizedObjective", rows):
@@ -165,26 +163,20 @@ class StackedBatch:
     def _owners(self) -> np.ndarray:
         return np.repeat(np.arange(self.workers), self.b)
 
-    def _exact(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        a = self._y * (self._X @ V.reshape(-1))
-        loss = _loss_values(self.obj.loss_kind, a).reshape(-1, self.b)
-        return a, loss, squared_norms(V)
-
-    def _worker_values(self, loss: np.ndarray, sq: np.ndarray) -> np.ndarray:
-        return np.add.reduce(loss, axis=1) / self.b + 0.5 * self.obj.reg * sq
+    def _exact(self, V: np.ndarray) -> np.ndarray:
+        """Worker values at V, recomputed from the rows."""
+        loss = _loss_values(self.obj.loss_kind, self._y * (self._X @ V.reshape(-1)))
+        sums = np.add.reduce(loss.reshape(-1, self.b), axis=1)
+        return sums / self.b + 0.5 * self.obj.reg * squared_norms(V)
 
     def reset(self, V: np.ndarray, scores: np.ndarray | None = None) -> np.ndarray:
-        """Worker values at V, uncounted; V becomes the kept points. scores,
-        if given, are the stacked rows' products X v, which spares the gather
-        and the product."""
-        if scores is None:
-            self._a, loss, self._sq = self._exact(V)
-        else:
-            self._a = self._y * scores
-            loss = _loss_values(self.obj.loss_kind, self._a).reshape(-1, self.b)
-            self._sq = squared_norms(V)
-        self._loss = loss.reshape(-1)
-        self._sums = np.add.reduce(loss, axis=1)
+        """Worker values at V, uncounted; V becomes the kept points. The
+        margins are y * scores, where scores are the stacked rows' products
+        X v: given, they spare the gather and the product; else X @ V."""
+        self._a = self._y * (self._X @ V.reshape(-1) if scores is None else scores)
+        self._loss = _loss_values(self.obj.loss_kind, self._a)
+        self._sums = np.add.reduce(self._loss.reshape(-1, self.b), axis=1)
+        self._sq = squared_norms(V)
         self._undo = None
         return self._sums / self.b + 0.5 * self.obj.reg * self._sq
 
@@ -212,7 +204,7 @@ class StackedBatch:
         self.obj.eval_counter += len(self.rows)
         if before is None:
             self._a = self._loss = self._sums = self._sq = self._undo = None
-            return self._worker_values(*self._exact(V)[1:])
+            return self._exact(V)
         step = None if self._a is None else next(self._steps, None)
         if step is None:
             raise ValueError("mixture candidates need plan(cols) and reset(V) first, "
@@ -222,9 +214,7 @@ class StackedBatch:
         a, loss = self._a, self._loss
         shift = data * np.repeat(new - old, counts)
         if touched is None:
-            # a block that touches most rows: save the whole cache and score
-            # every row; an untouched row's loss comes out as it was, so it
-            # adds exactly 0 to its worker's sum
+            # a block without touched rows: save the whole cache, score every row
             self._undo = (None, a.copy(), loss, self._sums, self._sq)
             np.add.at(a, entry_rows, shift)
             self._loss = fresh = _loss_values(self.obj.loss_kind, a)
@@ -285,7 +275,7 @@ class BatchView(StackedBatch):
     def peek_value(self, x: np.ndarray) -> float:
         """value(x) uncounted: the parent's value at the start of a local
         round, which sits outside the per-candidate evaluation budget."""
-        return float(self._worker_values(*self._exact(_point(x, self.n)[None])[1:])[0])
+        return float(self._exact(_point(x, self.n)[None])[0])
 
     def loss_sum_many(self, points: np.ndarray) -> np.ndarray:
         """Unregularized loss sums for several points at once, shape (q,)."""
@@ -308,7 +298,7 @@ class PlanBlock(NamedTuple):
     Its entries are entry_rows and data[starts[s]:starts[s+1]], column by
     column. In a block with no more entries than DENSE_TOUCH of its rows,
     the candidate touches the sorted rows touched[tbounds[s]:tbounds[s+1]];
-    in a denser block those two are None."""
+    in a denser block those two are empty. Every field is a 1-d array."""
 
     bounds: np.ndarray
     unique: np.ndarray
@@ -317,8 +307,8 @@ class PlanBlock(NamedTuple):
     starts: np.ndarray
     entry_rows: np.ndarray
     data: np.ndarray
-    tbounds: np.ndarray | None
-    touched: np.ndarray | None
+    tbounds: np.ndarray
+    touched: np.ndarray
 
 
 def _plan_blocks(X: sp.csr_matrix, y: np.ndarray, cols: np.ndarray):
@@ -346,7 +336,7 @@ def _plan_blocks(X: sp.csr_matrix, y: np.ndarray, cols: np.ndarray):
         block_starts = starts[k:stop + 1] - starts[k]
         steps = np.arange(stop - k)
         entry_rows = csc.indices[pos]
-        tbounds = touched = None
+        tbounds = touched = np.zeros(0, np.int64)
         if block_starts[-1] <= DENSE_TOUCH * rows * len(steps):
             entry_rows = entry_rows.astype(np.int64)  # int32 indices cost a cast at each use
             # each candidate's touched rows once: sort (candidate, row) keys
@@ -366,12 +356,12 @@ def _plan_blocks(X: sp.csr_matrix, y: np.ndarray, cols: np.ndarray):
 
 def _plan_steps(blocks):
     """Each candidate's (unique, first, counts, entry_rows, data, touched)
-    from a sequence of PlanBlocks."""
+    from a sequence of PlanBlocks, touched None where a block lists none."""
     for block in blocks:
         bounds, starts, tbounds = block.bounds, block.starts, block.tbounds
         for s in range(len(bounds) - 1):
             coords, entries = slice(bounds[s], bounds[s + 1]), slice(starts[s], starts[s + 1])
-            touched = None if tbounds is None else block.touched[tbounds[s]:tbounds[s + 1]]
+            touched = block.touched[tbounds[s]:tbounds[s + 1]] if tbounds.size else None
             yield (block.unique[coords], block.first[coords], block.counts[coords],
                    block.entry_rows[entries], block.data[entries], touched)
 

@@ -64,9 +64,14 @@ def forked(count: int, work: Callable[[int, Connection], None]) -> Iterator[list
                 fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, PIPE_BYTES)
             with writer:
                 child = context.Process(target=work, args=(k, writer), daemon=True)
+                fds = _open_fds()
                 try:
                     child.start()
                 except OSError:  # no fork (EAGAIN, ENOMEM): as if the child died at once
+                    # multiprocessing's fork Popen leaks the two pipes it opened before
+                    # os.fork: close what start opened (no desopt thread opens one meanwhile)
+                    for fd in _open_fds() - fds:
+                        os.close(int(fd))
                     child = None
             children.append(child)
         yield list(zip(children, readers))
@@ -79,36 +84,38 @@ def forked(count: int, work: Callable[[int, Connection], None]) -> Iterator[list
             reader.close()
 
 
-def send_arrays(writer: Connection, arrays) -> None:
-    """Send a sequence of arrays, any of them None, for recv_arrays; each
-    arrives flattened.
+def _open_fds() -> set:
+    """Open file descriptors (none without /proc/self/fd; not the listing's own)."""
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else ()
+    return {fd for fd in fds if os.path.lexists(f"/proc/self/fd/{fd}")}
 
-    A header message holds each array's dtype character and size (-1 for
-    None); each array's bytes follow, taken from the array itself, in
-    messages of at most PIPE_BYTES."""
-    arrays = [None if a is None else np.ravel(a) for a in arrays]
-    writer.send_bytes(np.array([(0, -1) if a is None else (ord(a.dtype.char), a.size)
-                                for a in arrays], dtype=np.int64).tobytes())
+
+def send_arrays(writer: Connection, arrays) -> None:
+    """Send a sequence of arrays for recv_arrays; each arrives flattened.
+
+    A header message holds each array's dtype character and size; each
+    array's bytes follow, taken from the array itself, in messages of at
+    most PIPE_BYTES."""
+    arrays = [np.ravel(a) for a in arrays]
+    writer.send_bytes(np.array([(ord(a.dtype.char), a.size) for a in arrays],
+                               dtype=np.int64).tobytes())
     for a in arrays:
-        for at in range(0, 0 if a is None else a.nbytes, PIPE_BYTES):
+        for at in range(0, a.nbytes, PIPE_BYTES):
             writer.send_bytes(a, at, min(PIPE_BYTES, a.nbytes - at))
 
 
 def recv_arrays(reader: Connection, into=None) -> list:
     """The arrays of one send_arrays call, 1-d. Array k is received into a
-    new array or, where into[k] is a 1-d array, straight into its front, of
-    which it is then a view; no message read is longer than PIPE_BYTES.
-    Raises ValueError when into[k] has another dtype or too little room, and
-    EOFError once the sender has closed its end or died (OSError if it died
-    part-way through a message)."""
+    new array or, given into, straight into the front of the 1-d array
+    into[k], of which it is then a view; no message read is longer than
+    PIPE_BYTES. Raises ValueError when into[k] has another dtype or too
+    little room, and EOFError once the sender has closed its end or died
+    (OSError if it died part-way through a message)."""
     head = np.frombuffer(reader.recv_bytes(PIPE_BYTES), dtype=np.int64).reshape(-1, 2).tolist()
     arrays = []
     for k, (char, length) in enumerate(head):
-        if length < 0:
-            arrays.append(None)
-            continue
         dtype = np.dtype(chr(char))
-        a = np.empty(length, dtype) if into is None or into[k] is None else into[k][:length]
+        a = np.empty(length, dtype) if into is None else into[k][:length]
         if a.dtype != dtype or a.size != length:
             raise ValueError(f"array {k} of {length} {dtype} does not fit into "
                              f"{into[k].size} {into[k].dtype}")

@@ -242,8 +242,12 @@ HEADER, GOOD_ROW = ",".join(METRICS_HEADER), "des,tiny,0,0,0,0.69,0.5,0.5,1.25"
     ([HEADER, GOOD_ROW, "des,tiny,0,1,8,0.6,inf,0.5,1"], "line 3: train_err is inf"),
     ([HEADER, GOOD_ROW, "des,tiny,0,1,8,0.6,0.5,-inf,1"], "line 3: test_err is -inf"),
     ([HEADER, GOOD_ROW, "des,tiny,0,1,8,0.6,0.5,0.5,NaN"], "line 3: wall_ms is nan"),
+    ([HEADER, GOOD_ROW, "des,tiny,1,0,0,0.6,0.5,0.5,1", "des,tiny,0,0,8,0.6,0.5,0.5,1"],
+     "line 4: rounds must be strictly increasing"),
+    ([HEADER, GOOD_ROW, "des,tiny,0,1,8,0.6,0.5,0.5,1", "des,tiny,0,2,7,0.6,0.5,0.5,1"],
+     "line 4: cumulative evaluations must be nondecreasing"),
 ], ids=["header", "short row", "long row", "int field", "float field", "nan loss",
-        "inf train_err", "inf test_err", "nan wall_ms"])
+        "inf train_err", "inf test_err", "nan wall_ms", "repeated round", "falling cum_evals"])
 def test_metrics_csv_rejects_bad_header(tmp_path, lines, message):
     # a bad row is named by its line, whatever is wrong with it
     path = tmp_path / "bad.csv"

@@ -276,7 +276,7 @@ def test_incremental_mixture_value_matches_exact_recompute(monkeypatch):
         cols = (rng.integers(0, n, size=(steps, workers, l))
                 + (np.arange(workers) * n)[:, None]).reshape(steps, -1)
         for block in batch.blocks(cols):
-            seen["block touching most rows" if block.touched is None else "touched-row block"] += 1
+            seen["touched-row block" if block.tbounds.size else "block touching most rows"] += 1
         batch.reset(V)
         batch.plan(cols)
         for k in range(steps):
@@ -404,7 +404,7 @@ def test_mixture_value_after_an_overflowed_loss_sum(loss, rows, x0):
     batch, view = StackedBatch(obj, [list(rows)]), ReferenceBatchView(obj, list(rows))
     cols = np.zeros((2, 1), dtype=np.int64)
     (block,) = batch.blocks(cols)
-    assert (block.touched is None) == (len(rows) == 2)
+    assert (block.tbounds.size == 0) == (len(rows) == 2)
     V = np.zeros((1, 2))
     batch.reset(V)
     batch.plan(cols)
@@ -477,7 +477,7 @@ def test_planned_rounds_match_unplanned_oracle(monkeypatch):
 
     def kinds(*args):
         for block in plan_blocks(*args):
-            seen["block touching most rows" if block.touched is None else "touched-row block"] += 1
+            seen["touched-row block" if block.tbounds.size else "block touching most rows"] += 1
             yield block
 
     monkeypatch.setattr(objective, "_plan_blocks", kinds)

@@ -2,6 +2,7 @@
 scheduling independence, and end-to-end descent."""
 from __future__ import annotations
 
+import errno
 import fcntl
 import multiprocessing
 import os
@@ -269,18 +270,19 @@ def count_helpers(monkeypatch) -> list:
 
 def test_helper_pipe_carries_arrays_as_sent():
     # send_arrays/recv_arrays over a forked() pipe of PIPE_BYTES:
-    # dtypes, values (NaN, -0.0 and inf included) and None survive, each
+    # dtypes and values (NaN, -0.0 and inf included) survive, each
     # array arrives flattened, an array larger than PIPE_BYTES arrives in
     # several messages of at most PIPE_BYTES, a receive into larger
     # destinations fills their fronts, and the reader sees EOF once the
     # child is done
-    arrays = [np.arange(5), None, np.array([[1.5, -0.0, np.inf], [np.nan, 2.0, -3.0]]),
+    arrays = [np.arange(5), np.array([[1.5, -0.0, np.inf], [np.nan, 2.0, -3.0]]),
               np.zeros(0, dtype=np.int32), np.array([True, False, True]),
               np.arange(3, dtype=np.int32), np.zeros(0),
               np.linspace(-1.0, 1.0, 2 * PIPE_BYTES // 8 + 3)]
-    into = [np.full(7, -1), np.zeros(2), np.full(9, 4.0), np.full(2, 9, dtype=np.int32),
-            np.zeros(4, dtype=bool), None, np.full(1, 5.0), np.full(arrays[-1].size + 2, 6.0)]
-    before = [None if a is None else a.copy() for a in into]
+    into = [np.full(7, -1), np.full(9, 4.0), np.full(2, 9, dtype=np.int32),
+            np.zeros(4, dtype=bool), np.full(3, 7, dtype=np.int32), np.full(1, 5.0),
+            np.full(arrays[-1].size + 2, 6.0)]
+    before = [a.copy() for a in into]
 
     def work(k, writer):
         with writer:
@@ -293,23 +295,19 @@ def test_helper_pipe_carries_arrays_as_sent():
         sizes, recv_into = [], reader.recv_bytes_into
         reader.recv_bytes_into = lambda buf: sizes.append(len(buf)) or recv_into(buf)
         got = recv_arrays(reader)
-        small = [a.nbytes for a in arrays[:-1] if a is not None and a.size]
+        small = [a.nbytes for a in arrays[:-1] if a.size]
         assert sizes == small + [PIPE_BYTES, PIPE_BYTES, 24]  # each message read into its array
         put = recv_arrays(reader, into)
         with pytest.raises(EOFError):
             recv_arrays(reader)
-    assert len(got) == len(put) == len(arrays) and got[1] is None and put[1] is None
+    assert len(got) == len(put) == len(arrays)
     for want, have in zip(arrays + arrays, got + put):
-        if want is not None:
-            assert have.dtype == want.dtype and have.shape == (want.size,)
-            assert np.array_equal(have, want.reshape(-1), equal_nan=want.dtype.kind == "f")
-            assert np.array_equal(np.signbit(have), np.signbit(want.reshape(-1)))
+        assert have.dtype == want.dtype and have.shape == (want.size,)
+        assert np.array_equal(have, want.reshape(-1), equal_nan=want.dtype.kind == "f")
+        assert np.array_equal(np.signbit(have), np.signbit(want.reshape(-1)))
     for have, dest, old in zip(put, into, before):
-        if have is not None and dest is not None:
-            assert have.base is dest
-        if dest is not None:
-            front = 0 if have is None else have.size
-            assert np.array_equal(dest[front:], old[front:])
+        assert have.base is dest
+        assert np.array_equal(dest[have.size:], old[have.size:])
     assert multiprocessing.active_children() == []
     # a destination of another dtype, or with too little room, is refused
     for wrong in (np.zeros(3), np.zeros(2, dtype=np.int64)):
@@ -318,6 +316,27 @@ def test_helper_pipe_carries_arrays_as_sent():
             send_arrays(writer, [np.arange(3)])
             with pytest.raises(ValueError, match="does not fit"):
                 recv_arrays(reader, [wrong])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_refused_forks_leave_no_descriptor_open(monkeypatch):
+    # os.fork itself refuses (EAGAIN under a pid limit, say), after
+    # multiprocessing has opened its two pipes: forked() closes them, and its
+    # own pipe, so several refused blocks leave as many descriptors open as before
+    def refuse():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    monkeypatch.setattr(os, "fork", refuse)
+    before = open_fds()
+    for _ in range(5):
+        with forked(1, lambda k, writer: None) as [(child, reader)]:
+            assert child is None
+            with pytest.raises(EOFError):
+                reader.recv_bytes()
+    assert open_fds() == before
 
 
 @pytest.mark.parametrize("kind", [MutationKind.MIXTURE_GAUSSIAN, MutationKind.MIXTURE_RADEMACHER])
@@ -332,7 +351,7 @@ def test_mixture_thread_count_does_not_change_results(kind, monkeypatch, two_cpu
 
     def counted(*args):
         for block in plan_blocks(*args):
-            kinds["most rows" if block.touched is None else "touched rows"] += 1
+            kinds["touched rows" if block.tbounds.size else "most rows"] += 1
             yield block
 
     monkeypatch.setattr(objective, "_plan_blocks", counted)
@@ -446,7 +465,7 @@ def test_helper_sent_rounds_equal_prepare_round(monkeypatch):
             for block, want in zip(blocks, want_blocks):
                 assert isinstance(block, objective.PlanBlock)
                 assert all(same(have, w) for have, w in zip(block, want, strict=True))
-                kinds["most rows" if want.touched is None else "touched rows"] += 1
+                kinds["touched rows" if want.tbounds.size else "most rows"] += 1
             rounds.append(t)
     assert rounds == list(range(cfg.rounds)) and here == []
     assert kinds["most rows"] > 0 and kinds["touched rows"] > 0, kinds
