@@ -4,6 +4,7 @@ round in lockstep.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -99,14 +100,14 @@ def mixture_draws(model: MutationModel, gens: list, iters: int) -> tuple[np.ndar
 
 def dense_draws(model: MutationModel, gens: list, iters: int):
     """A round's dense mutations for the workers whose generators are gens,
-    one M x n array per iteration, drawn as needed in blocks of at most
-    DENSE_BLOCK // n iterations: one standard_normal((rows, n)) call per
-    generator in worker order (the numbers of rows standard_normal(n) calls)."""
+    drawn as needed in blocks of at most DENSE_BLOCK // n iterations: one
+    standard_normal((rows, n)) call per generator in worker order (the
+    numbers of rows standard_normal(n) calls). Yields each block as one
+    (rows, M, n) array, whose row j holds iteration k + j's M x n mutations."""
     chunk = min(iters, max(1, DENSE_BLOCK // model.n))
     for k in range(0, iters, chunk):
-        # (rows, M, n): row j holds iteration k + j's mutations
-        yield from np.stack([gen.standard_normal((min(chunk, iters - k), model.n))
-                             for gen in gens], axis=1)
+        yield np.stack([gen.standard_normal((min(chunk, iters - k), model.n)) for gen in gens],
+                       axis=1)
 
 
 def run_lockstep_es(
@@ -127,8 +128,9 @@ def run_lockstep_es(
     The caller draws the mutations and plans batch; this does neither.
     Mixture mutations are mixture_draws' (cols, terms); their candidates are
     made in place and scored by batch.values(V, before), where before holds
-    the kept values at row k's coordinates. Dense ones are dense_draws' M x n
-    arrays, one per iteration, scored by batch.values(candidates). traces[i],
+    the kept values at row k's coordinates. Dense ones are dense_draws'
+    blocks, read as the iterations reach them, and each iteration's M x n
+    candidates are scored by batch.values(candidates). traces[i],
     if given, receives (k, step_k, v_i copy, f_i) after every iteration.
     Returns (final values, accepted counts), both of length M.
     """
@@ -143,6 +145,8 @@ def run_lockstep_es(
     if model.is_mixture:
         all_cols, all_terms = mutations
         owner = np.repeat(np.arange(len(V)), model.l)  # the worker of each changed slot
+    else:
+        mutations = itertools.chain.from_iterable(mutations)
 
     for k in range(cfg.iters):
         step = cfg.step0 * (k + 1) ** -0.5

@@ -134,8 +134,9 @@ class StackedBatch:
     the margins, scores every row and takes its sums over all of them (an
     untouched row adds exactly 0, so the values are the same), and keep
     restores rejected workers' whole rows. Values equal an exact recompute
-    up to rounding; once the loss sums' total is not finite, the non-finite
-    margins are recomputed from their rows and the sums taken afresh.
+    up to rounding; once a margin the candidate moved or the loss sums'
+    total is not finite, the non-finite margins are recomputed from their
+    rows and the sums taken afresh.
     """
 
     def __init__(self, obj: "RegularizedObjective", rows):
@@ -199,16 +200,17 @@ class StackedBatch:
 
         before None means V may differ anywhere. Otherwise V is the next
         planned candidate and before[t] is the kept value at its t-th planned
-        coordinate.
+        coordinate; a candidate that cannot be scored raises ValueError and
+        charges nothing.
         """
+        step = None if before is None or self._a is None else next(self._steps, None)
+        if before is not None and step is None:
+            raise ValueError("mixture candidates need plan(cols) and reset(V) first, "
+                             "and reset again after a dense one")
         self.obj.eval_counter += len(self.rows)
         if before is None:
             self._a = self._loss = self._sums = self._sq = self._undo = None
             return self._exact(V)
-        step = None if self._a is None else next(self._steps, None)
-        if step is None:
-            raise ValueError("mixture candidates need plan(cols) and reset(V) first, "
-                             "and reset again after a dense one")
         cols, first, counts, entry_rows, data, touched = step
         old, new = before[first], V.reshape(-1)[cols]
         a, loss = self._a, self._loss
@@ -219,18 +221,26 @@ class StackedBatch:
             np.add.at(a, entry_rows, shift)
             self._loss = fresh = _loss_values(self.obj.loss_kind, a)
             saved, owner = loss, self._owners
+            # a finite total means finite margins; else look at the moved ones
+            finite = math.isfinite(np.add.reduce(a)) or np.isfinite(a[entry_rows]).all()
         else:
             saved = loss[touched]
             self._undo = (touched, a[touched], saved, self._sums, self._sq)
             np.add.at(a, entry_rows, shift)
-            fresh = _loss_values(self.obj.loss_kind, a[touched])
+            moved = a[touched]
+            # a finite total means finite margins (a total that overflows
+            # only recomputes for nothing)
+            finite = math.isfinite(np.add.reduce(moved))
+            fresh = _loss_values(self.obj.loss_kind, moved)
             loss[touched] = fresh
             owner = touched // self.b
         self._sums = self._sums + np.bincount(owner, weights=fresh - saved, minlength=self.workers)
-        if not math.isfinite(np.add.reduce(self._sums)):
+        if not (finite and math.isfinite(np.add.reduce(self._sums))):
             # an overflowed margin or sum cannot come back by differences
-            # (inf - inf is NaN): recompute the non-finite margins from their
-            # rows, then their losses, and sum afresh
+            # (inf - inf is NaN), and a margin may overflow where its exact
+            # value does not, its loss staying finite (NSVM's at +-inf, LR's
+            # at +inf): recompute the non-finite margins from their rows,
+            # then their losses, and sum afresh
             bad = np.flatnonzero(~np.isfinite(a))
             a[bad] = self._y[bad] * (self._X[bad] @ V.reshape(-1))
             self._loss[bad] = _loss_values(self.obj.loss_kind, a[bad])

@@ -38,7 +38,8 @@ def process_count(jobs: int) -> int:
 # this far ahead of its reader without stalling at every 64 KB (Linux's
 # default), and a reader takes a message of this size without waiting for the
 # child between reads. run_des's round-prep helper sends about 0.9 MB a round
-# on the benchmark's sparse mixture workload.
+# on the benchmark's sparse mixture workload, and about 0.81 MB (its draws)
+# on des-dense-small.
 PIPE_BYTES = 2**20
 
 

@@ -5,7 +5,8 @@ config checks that DES and the baselines share and to their one round driver,
 run_rounds: each algorithm is a generator of rounds, which run_rounds starts at
 the zero point and pulls one round at a time. Every algorithm simulates its M
 workers in the calling thread; none starts a thread. run_des forks one helper
-process that prepares mixture rounds ahead of the caller where two CPUs allow.
+process that prepares every DES round, dense or mixture, ahead of the caller
+where two CPUs allow.
 """
 from __future__ import annotations
 
@@ -138,17 +139,18 @@ def _check_dimension(cfg: DesConfig, n_features: int) -> None:
 def prepare_round(cfg: DesConfig, obj: RegularizedObjective, partition: PartitionPlan,
                   t: int) -> tuple:
     """The half of DES round t that does not depend on the iterate, and the
-    only place its mutations are drawn: (batch, mutations, blocks). batch is
-    a StackedBatch over each worker's size-b minibatch, drawn uniformly with
-    replacement from its shard; mutations are the workers' draws from their
-    keyed mutation streams, as run_lockstep_es takes them: mixture_draws'
-    (cols, terms), with blocks the batch's plan blocks of cols made as they
-    are needed, or dense_draws' lazy iterator, with blocks None."""
+    only place its mutations are drawn: (batch, draws, blocks). batch is a
+    StackedBatch over each worker's size-b minibatch, drawn uniformly with
+    replacement from its shard. The mutations come from the workers' keyed
+    mutation streams. For a mixture model, draws are mixture_draws' (cols,
+    terms) and blocks the batch's plan blocks of cols; for a dense one,
+    draws are None and blocks dense_draws' blocks. Blocks of both kinds are
+    made one at a time, as they are needed."""
     batch = StackedBatch(obj, [partition.minibatch(i, RngStream(cfg.seed, t, i, "batch"),
                                                    cfg.batch_size) for i in range(cfg.workers)])
     gens = [RngStream(cfg.seed, t, i, "mutation").gen for i in range(cfg.workers)]
     if not cfg.model.is_mixture:
-        return batch, dense_draws(cfg.model, gens, cfg.local_iters), None
+        return batch, None, dense_draws(cfg.model, gens, cfg.local_iters)
     cols, terms = mixture_draws(cfg.model, gens, cfg.local_iters)
     return batch, (cols, terms), batch.blocks(cols)
 
@@ -164,7 +166,8 @@ def des_round(
     """One synchronous round at t = state.t.
 
     The round starts from prepared, prepare_round's output for t, made here
-    if not given; a mixture batch is planned here from its cols and blocks.
+    if not given; a mixture batch is planned here from its cols and blocks,
+    and a dense round's mutations are its blocks.
     All M workers then run the local solver on its mutations in lockstep, in
     the calling thread, from the broadcast point with the round's annealed
     base step, and the StackedBatch scores all M candidates at once. Its
@@ -179,6 +182,8 @@ def des_round(
     batch, mutations, blocks = prepare_round(cfg, obj, partition, t) if prepared is None else prepared
     if cfg.model.is_mixture:
         batch.plan(mutations[0], blocks)
+    else:
+        mutations = blocks
     V = np.tile(state.x, (cfg.workers, 1))
     scores = obj.kept_scores(state.x)
     f, accepted = run_lockstep_es(
@@ -287,7 +292,7 @@ def run_des(
     The M workers run in lockstep in the calling thread. A round is drawn
     where it is prepared (prepare_round) and planned where it runs
     (des_round), and every round comes from one generator, _prepared_rounds.
-    For a mixture model and two rounds or more, a forked helper process
+    For two rounds or more, dense or mixture, a forked helper process
     prepares every round, round 0 included (prepare_round's half of each
     round that does not depend on the iterate, draws included), ahead of the
     calling process, if process_count finds a CPU for each: not in a
@@ -299,7 +304,7 @@ def run_des(
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     _check_dimension(cfg, train.n_features)
-    helper = cfg.model.is_mixture and cfg.rounds > 1 and process_count(2) == 2
+    helper = cfg.rounds > 1 and process_count(2) == 2
 
     def rounds(obj, partition, x0):
         state = ServerState(x=x0, m=np.zeros_like(x0))
@@ -318,17 +323,18 @@ def run_des(
 def _send_rounds(cfg: DesConfig, obj: RegularizedObjective, partition: PartitionPlan,
                  writer) -> None:
     """The helper's work: prepare rounds 0..T-1 in order and send each as a
-    message of its batch rows, cols and terms, then one message per plan
-    block. A send stalls while the pipe is full, so the helper runs about a
-    round ahead. On a fault the helper just stops: the caller reads EOF and
-    prepares the rest itself, so a fault that is not the helper's own is
-    raised there, in order."""
+    head message of its batch rows (and a mixture round's cols and terms),
+    then one message per block: a plan block's nine arrays, or one dense
+    draw block. A send stalls while the pipe is full, so the helper runs
+    about a round ahead. On a fault the helper just stops: the caller reads
+    EOF and prepares the rest itself, so a fault that is not the helper's
+    own is raised there, in order."""
     with writer, suppress(Exception):
         for t in range(cfg.rounds):
-            batch, (cols, terms), blocks = prepare_round(cfg, obj, partition, t)
-            send_arrays(writer, [batch.rows, cols, terms])
+            batch, draws, blocks = prepare_round(cfg, obj, partition, t)
+            send_arrays(writer, [batch.rows, *(draws or ())])
             for block in blocks:
-                send_arrays(writer, block)
+                send_arrays(writer, block if cfg.model.is_mixture else [block])
 
 
 def _prepared_rounds(cfg: DesConfig, obj: RegularizedObjective, partition: PartitionPlan,
@@ -336,10 +342,10 @@ def _prepared_rounds(cfg: DesConfig, obj: RegularizedObjective, partition: Parti
     """prepare_round's output for rounds 0..T-1, in order. While the helper
     lives, each round comes off its pipe (reader): a batch (made without a
     gather, since the start margins come from the snapshot's scores), the
-    draws, and a generator that reads the plan blocks as the candidates reach
-    them. With no helper (reader None), or once it has died or failed (EOF),
-    prepare_round makes the rounds here, from the first plan block not
-    received on, so the outputs do not depend on the helper."""
+    draws, and a generator that reads the plan or draw blocks as the
+    candidates reach them. With no helper (reader None), or once it has died
+    or failed (EOF), prepare_round makes the rounds here, from the first
+    block not received on, so the outputs do not depend on the helper."""
 
     def received():
         nonlocal reader
@@ -355,8 +361,13 @@ def _prepared_rounds(cfg: DesConfig, obj: RegularizedObjective, partition: Parti
             if block is None:
                 yield from itertools.islice(prepare_round(cfg, obj, partition, t)[2], got, None)
                 return
-            block = PlanBlock(*block)
-            got, steps = got + 1, steps + len(block.bounds) - 1
+            if cfg.model.is_mixture:
+                block = PlanBlock(*block)
+                candidates = len(block.bounds) - 1
+            else:  # one row of M x n draws per candidate
+                block = block[0].reshape(-1, cfg.workers, cfg.model.n)
+                candidates = len(block)
+            got, steps = got + 1, steps + candidates
             yield block
 
     for t in range(cfg.rounds):
@@ -364,7 +375,6 @@ def _prepared_rounds(cfg: DesConfig, obj: RegularizedObjective, partition: Parti
         if head is None:
             yield prepare_round(cfg, obj, partition, t)
         else:
-            rows, cols, terms = head
+            rows, *draws = head
             yield (StackedBatch(obj, rows.reshape(cfg.workers, -1)),
-                   (cols.reshape(cfg.local_iters, -1), terms.reshape(cfg.local_iters, -1)),
-                   blocks(t))
+                   tuple(d.reshape(cfg.local_iters, -1) for d in draws) or None, blocks(t))

@@ -98,10 +98,10 @@ class UnplannedStackedBatch(StackedBatch):
     def values(self, V: np.ndarray, before: np.ndarray | None = None) -> np.ndarray:
         if before is None:
             return super().values(V)
-        self.obj.eval_counter += len(self.rows)
         if self._a is None:
             raise ValueError("mixture candidates need reset(V) first, and again after a dense one")
         cols, first = np.unique(next(self._queued), return_index=True)
+        self.obj.eval_counter += len(self.rows)
         old, new = before[first], V.reshape(-1)[cols]
         pos, counts = column_entries(self._csc.indptr, cols)
         entry_rows = self._csc.indices[pos]
@@ -112,7 +112,9 @@ class UnplannedStackedBatch(StackedBatch):
         self._sums = self._sums + np.bincount(touched // self.b, weights=fresh - self._undo[2],
                                               minlength=self.workers)
         self._loss[touched] = fresh
-        if not math.isfinite(np.add.reduce(self._sums)):  # the evaluator's test and recompute
+        # the evaluator's test and recompute
+        if not (math.isfinite(np.add.reduce(self._a[touched]))
+                and math.isfinite(np.add.reduce(self._sums))):
             bad = np.flatnonzero(~np.isfinite(self._a))
             self._a[bad] = self._y[bad] * (self._X[bad] @ V.reshape(-1))
             self._loss[bad] = _loss_values(self.obj.loss_kind, self._a[bad])

@@ -494,11 +494,14 @@ def test_run_matrix_relays_worker_warnings(tmp_path, two_cpus):
 
 def test_run_matrix_caps_worker_processes(tmp_path, monkeypatch):
     # Three cells on 64 CPUs: --threads 1000000 starts two worker processes.
+    # The caller's own des cell also forks run_des's round-prep helper, which
+    # is not counted.
     started = []
     start = multiprocessing.process.BaseProcess.start
 
     def counted(process):
-        started.append(process)
+        if process._target.__module__ == "desopt.cli":
+            started.append(process)
         start(process)
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)

@@ -384,38 +384,50 @@ def test_reset_from_the_snapshots_scores_equals_the_product():
     assert min(seen[k] for k in ("x = 0", "x != 0")) > 0, seen
 
 
-@pytest.mark.parametrize("loss", [LossKind.LR, LossKind.LSVM])
-@pytest.mark.parametrize("rows, x0", [(range(40), -1e8), (range(2), -1e8),
-                                     (range(40), -1e10), (range(2), -1e10)],
-                         ids=["touched rows", "most rows", "touched rows, inf margins",
-                              "most rows, inf margins"])
-def test_mixture_value_after_an_overflowed_loss_sum(loss, rows, x0):
+OVERFLOWS = {"touched rows": (range(40), [-1e8]), "most rows": (range(2), [-1e8]),
+             "touched rows, inf margins": (range(40), [-1e10]),
+             "most rows, inf margins": (range(2), [-1e10])}
+
+
+@pytest.mark.parametrize("rows, moves, loss", [
+    *(pytest.param(rows, moves, loss, id=f"{name}-{loss}")
+      for name, (rows, moves) in OVERFLOWS.items() for loss in (LossKind.LR, LossKind.LSVM)),
+    *(pytest.param(rows, [1e8, -1e8], LossKind.NSVM,
+                   id=f"{name}, margins overflowed by differences-LossKind.NSVM")
+      for name, rows in (("touched rows", range(40)), ("most rows", range(2))))])
+def test_mixture_value_after_an_overflowed_loss_sum(rows, moves, loss):
     # Rows 0 and 1 have entries of 1e300 in column 0. At x0 = -1e8 each loses
     # about 1e308 and their worker's loss sum overflows to inf; at x0 = -1e10
     # their margins overflow to -inf too. Moving x0 back to 0 brings both
     # margins back to 0 exactly, but an inf sum cannot come back by
     # differences, nor an inf margin (inf - inf is NaN): both are taken
     # afresh, and the value equals an exact recompute in both kinds of plan
-    # block.
+    # block. Under NSVM, moving x0 from 1e8 to -1e8 overflows the margins by
+    # differences (1e308 - 2e308) where the exact margins are -1e308, while
+    # the loss stays finite: the moved margins are taken afresh too.
     features = np.zeros((40, 2))
     features[:2, 0], features[2:, 1] = 1e300, 1.0
     data = Dataset(sp.csr_matrix(features), np.ones(40))
     obj = RegularizedObjective(loss, data, 1e-6)
     batch, view = StackedBatch(obj, [list(rows)]), ReferenceBatchView(obj, list(rows))
-    cols = np.zeros((2, 1), dtype=np.int64)
-    (block,) = batch.blocks(cols)
-    assert (block.tbounds.size == 0) == (len(rows) == 2)
+    cols = np.zeros((len(moves) + 1, 1), dtype=np.int64)
+    blocks = list(batch.blocks(cols))
+    assert all((block.tbounds.size == 0) == (len(rows) == 2) for block in blocks)
     V = np.zeros((1, 2))
     batch.reset(V)
     batch.plan(cols)
+    values = []
     with np.errstate(over="ignore", invalid="ignore"):  # inf, then inf - inf
-        V[0, 0] = x0
-        assert np.isinf(batch.values(V, np.zeros(1))).all()
-        batch.keep(np.array([True]))
-        V[0, 0] = 0.0
-        got = batch.values(V, np.array([x0]))
+        for x0 in [*moves, 0.0]:
+            before = V[0, :1].copy()
+            V[0, 0] = x0
+            values.append(batch.values(V, before))
+            batch.keep(np.array([True]))
+            want = view.peek_value(V[0])
+            assert values[-1] == want or close(values[-1], want), (x0, values[-1], want)
+    # the first move overflows the LR and LSVM loss sums; NSVM's loss stays finite
+    assert np.isinf(values[0]).all() == (loss is not LossKind.NSVM)
     assert np.array_equal(batch._a, np.zeros(len(rows)))
-    assert close(got, view.peek_value(V[0])), (got, view.peek_value(V[0]))
 
 
 def test_dense_values_are_stateless():
@@ -447,8 +459,10 @@ def test_dense_values_are_stateless():
         # the margins cached before a dense candidate are stale after it
         cols, before = mixture_candidate(V, l, rng)
         batch.plan(cols[None])
+        counter = obj.eval_counter
         with pytest.raises(ValueError):
             batch.values(V, before)
+        assert obj.eval_counter == counter  # a candidate that raises is not charged
         seen["loss " + loss.value] += 1
         seen["reg 0" if reg == 0 else "reg > 0"] += 1
 

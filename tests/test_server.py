@@ -37,7 +37,7 @@ from desopt import (
     step_size,
     synth_dataset,
 )
-from desopt import objective, server
+from desopt import localsolver, objective, server
 from desopt.objective import StackedBatch
 from desopt.processes import PIPE_BYTES, forked, recv_arrays, send_arrays
 from helpers import initial_state, refuse_forks
@@ -368,16 +368,21 @@ def test_mixture_thread_count_does_not_change_results(kind, monkeypatch, two_cpu
     assert multiprocessing.active_children() == []
 
 
-def test_no_helper_without_a_free_cpu_for_dense_models_or_one_round(monkeypatch):
+def test_no_helper_without_a_free_cpu_or_for_one_round(monkeypatch):
     train, test = sparse_split(15)
     forks = count_helpers(monkeypatch)
+    dense = mixture_cfg(model=MutationModel(MutationKind.STANDARD_GAUSSIAN, 30))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     run_des(mixture_cfg(), train, test, LossKind.LR)
+    run_des(dense, train, test, LossKind.LR)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    run_des(mixture_cfg(model=MutationModel(MutationKind.STANDARD_GAUSSIAN, 30)), train, test,
-            LossKind.LR)
     run_des(mixture_cfg(rounds=1), train, test, LossKind.LR)
+    run_des(mixture_cfg(rounds=1, model=dense.model), train, test, LossKind.LR)
     assert forks == []
+    # a dense model gets a helper as a mixture model does
+    run_des(dense, train, test, LossKind.LR)
+    assert forks == [1]
+    forks.clear()
     # a running child of the caller (a desopt run --threads worker, say)
     # holds the second CPU; once it has exited, the helper may have it
     with forked(1, lambda k, writer: time.sleep(30)):
@@ -431,72 +436,91 @@ def test_model_dimension_must_match_the_data(kind, n, monkeypatch, two_cpus):
     assert forks == [] and obj.eval_counter == 0
 
 
+def dense_cfg(**kw):
+    return mixture_cfg(model=MutationModel(MutationKind.STANDARD_GAUSSIAN, 30), **kw)
+
+
 def test_helper_sent_rounds_equal_prepare_round(monkeypatch):
     # Every round off the helper's pipe is bit for bit what prepare_round
-    # makes in the calling process: the batch rows, cols and terms, and each
-    # plan block's arrays, None where None; a small PLAN_ENTRIES gives rounds
-    # several blocks of both kinds. While the helper lives, the caller
-    # prepares no round itself.
+    # makes in the calling process: the batch rows, a mixture round's cols
+    # and terms (a dense round has none), and each block's arrays. A small
+    # PLAN_ENTRIES gives mixture rounds several plan blocks of both kinds,
+    # and a small DENSE_BLOCK gives dense rounds several draw blocks. While
+    # the helper lives, the caller prepares no round itself.
     train, _ = sparse_split(22)
     monkeypatch.setattr(objective, "PLAN_ENTRIES", 20)
-    cfg = mixture_cfg()
+    monkeypatch.setattr(localsolver, "DENSE_BLOCK", 2 * 30)  # two iterations a block
     obj = RegularizedObjective(LossKind.LR, train)
-    partition = partition_uniform(train, cfg.workers, RngStream(cfg.seed, "partition"))
     caller, prepare = os.getpid(), server.prepare_round
     here = []
     monkeypatch.setattr(server, "prepare_round", lambda *args: (
         os.getpid() == caller and here.append(args[-1])) or prepare(*args))
 
     def same(have, want):
-        return (have is None) == (want is None) and (want is None or (
-            have.dtype == want.dtype and have.shape == want.shape
-            and have.tobytes() == want.tobytes()))
+        return (have.dtype == want.dtype and have.shape == want.shape
+                and have.tobytes() == want.tobytes())
 
     kinds, rounds = Counter(), []
-    with forked(1, lambda k, writer: server._send_rounds(cfg, obj, partition, writer)) as [
-            (_, reader)]:
-        for t, (batch, draws, blocks) in enumerate(server._prepared_rounds(cfg, obj, partition,
-                                                                           reader)):
-            want_batch, want_draws, want_blocks = prepare(cfg, obj, partition, t)
-            assert same(batch.rows, want_batch.rows)
-            assert all(same(have, want) for have, want in zip(draws, want_draws, strict=True))
-            blocks, want_blocks = list(blocks), list(want_blocks)
-            assert len(blocks) == len(want_blocks) > 1
-            for block, want in zip(blocks, want_blocks):
-                assert isinstance(block, objective.PlanBlock)
-                assert all(same(have, w) for have, w in zip(block, want, strict=True))
-                kinds["touched rows" if want.tbounds.size else "most rows"] += 1
-            rounds.append(t)
-    assert rounds == list(range(cfg.rounds)) and here == []
+    for cfg in (mixture_cfg(), dense_cfg()):
+        partition = partition_uniform(train, cfg.workers, RngStream(cfg.seed, "partition"))
+        with forked(1, lambda k, writer: server._send_rounds(cfg, obj, partition, writer)) as [
+                (_, reader)]:
+            for t, (batch, draws, blocks) in enumerate(server._prepared_rounds(cfg, obj, partition,
+                                                                               reader)):
+                want_batch, want_draws, want_blocks = prepare(cfg, obj, partition, t)
+                assert same(batch.rows, want_batch.rows)
+                assert (draws is None) == (want_draws is None) == (not cfg.model.is_mixture)
+                assert all(same(have, want)
+                           for have, want in zip(draws or (), want_draws or (), strict=True))
+                blocks, want_blocks = list(blocks), list(want_blocks)
+                assert len(blocks) == len(want_blocks) > 1
+                for block, want in zip(blocks, want_blocks):
+                    if cfg.model.is_mixture:
+                        assert isinstance(block, objective.PlanBlock)
+                        assert all(same(have, w) for have, w in zip(block, want, strict=True))
+                        kinds["touched rows" if want.tbounds.size else "most rows"] += 1
+                    else:
+                        assert same(block, want)
+                        kinds["draws"] += 1
+                rounds.append(t)
+    assert rounds == 2 * list(range(5)) and here == []
     assert kinds["most rows"] > 0 and kinds["touched rows"] > 0, kinds
+    assert kinds["draws"] == 5 * 3, kinds  # 6 iterations a round, 2 a block
     assert multiprocessing.active_children() == []
 
 
 # the rounds that the caller prepares itself, which show where the helper stopped
 PREPARED_HERE = {"exits before round 0": [0, 1, 2, 3, 4], "exits after round 1": [2, 3, 4],
-                 "exits mid-round 1": [1, 2, 3, 4], "raises in round 2": [2, 3, 4]}
+                 "exits mid-round 1": [1, 2, 3, 4], "raises in round 2": [2, 3, 4],
+                 "dense, exits mid-round 1": [1, 2, 3, 4]}
 
 
 @pytest.mark.parametrize("death", PREPARED_HERE)
 def test_dead_helper_rounds_prepared_in_process(death, monkeypatch, two_cpus):
     # The helper dies (os._exit) or fails (an exception) part-way; the caller
-    # reads EOF and prepares the rest itself, from the first plan block it did
-    # not receive, so the rows equal a run without a helper.
+    # reads EOF and prepares the rest itself, from the first plan or draw
+    # block it did not receive, so the rows equal a run without a helper.
     train, test = sparse_split(18)
     monkeypatch.setattr(objective, "PLAN_ENTRIES", 20)
-    expected = metric_rows(run_des(mixture_cfg(), train, test, LossKind.LR))
+    monkeypatch.setattr(localsolver, "DENSE_BLOCK", 2 * 30)  # three draw blocks a round
+    cfg = dense_cfg() if death.startswith("dense") else mixture_cfg()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    expected = metric_rows(run_des(cfg, train, test, LossKind.LR))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     caller = os.getpid()
     blocks_sent, here = [], []  # per round the helper started to send; rounds prepared here
     send, prepare = server.send_arrays, server.prepare_round
 
     def sending(writer, arrays):  # only the helper sends
-        if len(arrays) == 3:  # a round's rows, cols and terms
+        # a round's head holds its rows (and a mixture round's cols and
+        # terms); a block is nine plan arrays or one array of draws
+        if len(arrays) < 9 and arrays[0].dtype.kind == "i":
             blocks_sent.append(0)
         else:
             blocks_sent[-1] += 1
-        at = len(blocks_sent) - 1, blocks_sent[-1]  # (round, block), block 0 its rows
+        at = len(blocks_sent) - 1, blocks_sent[-1]  # (round, block), block 0 its head
         if (death == "exits before round 0" or death == "exits after round 1" and at == (2, 0)
-                or death == "exits mid-round 1" and at == (1, 2)):
+                or death.endswith("exits mid-round 1") and at == (1, 2)):
             os._exit(1)
         send(writer, arrays)
 
@@ -512,7 +536,7 @@ def test_dead_helper_rounds_prepared_in_process(death, monkeypatch, two_cpus):
     monkeypatch.setattr(server, "send_arrays", sending)
     monkeypatch.setattr(server, "prepare_round", preparing)
     monkeypatch.setattr(server, "recv_arrays", lambda reader: received.append(1) or recv(reader))
-    got = metric_rows(run_des(mixture_cfg(), train, test, LossKind.LR))
+    got = metric_rows(run_des(cfg, train, test, LossKind.LR))
     assert got == expected
     assert here == PREPARED_HERE[death]
     # the helper's messages were used before it stopped; the last read met EOF
@@ -523,20 +547,22 @@ def test_dead_helper_rounds_prepared_in_process(death, monkeypatch, two_cpus):
 def test_unforked_helper_rounds_prepared_in_process(monkeypatch, two_cpus):
     # A helper that cannot be forked (EAGAIN under a pid limit, say) is one
     # that died at once: its reader meets EOF and the caller prepares every
-    # round, to the rows of a run without a helper.
+    # round, mixture or dense, to the rows of a run without a helper.
     train, test = sparse_split(23)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    expected = metric_rows(run_des(mixture_cfg(), train, test, LossKind.LR))
+    expected = [metric_rows(run_des(cfg, train, test, LossKind.LR))
+                for cfg in (mixture_cfg(), dense_cfg())]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     refused, forks = refuse_forks(monkeypatch), count_helpers(monkeypatch)
-    assert metric_rows(run_des(mixture_cfg(), train, test, LossKind.LR, threads=2)) == expected
-    assert forks == [1] and len(refused) == 1
+    assert [metric_rows(run_des(cfg, train, test, LossKind.LR, threads=2))
+            for cfg in (mixture_cfg(), dense_cfg())] == expected
+    assert forks == [1, 1] and len(refused) == 2
     with forked(2, lambda k, writer: None) as pairs:
         assert [child for child, _ in pairs] == [None, None]
         for _, reader in pairs:
             with pytest.raises(EOFError):
                 reader.recv_bytes()
-    assert len(refused) == 3 and multiprocessing.active_children() == []
+    assert len(refused) == 4 and multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("end", ["non-finite snapshot", "diverged candidate", "max_evals"])

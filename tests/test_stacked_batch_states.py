@@ -10,7 +10,8 @@ after every step that:
 - the cache holds the kept points' values, within TOL of an exact recompute;
 - keep puts back exactly the rejected workers' margins, losses, sums and
   norms;
-- every values call charges M*b evaluations;
+- every values call that scores charges M*b evaluations, and one that
+  raises charges none;
 - a mixture candidate raises ValueError exactly when no reset has followed
   the last dense candidate, or the plan is spent.
 
@@ -20,9 +21,8 @@ margins are 0 or +-inf exactly: incremental updates and recomputes agree on
 them, and values can be checked against an exact recompute through overflows.
 Entries of 1e300 would need |x0| above 1.8e8 to overflow, and the squared
 norms would then cancel 3e16 or more by differences, far beyond TOL. Exact
-margins near +-1e308 that overflow by differences are out of reach too:
-under NSVM, whose loss stays finite at +-inf, such a margin is not
-recomputed, a known fault (CHANGES.md) that this machine does not cover.
+margins near +-1e308 that overflow by differences are out of reach too;
+test_lockstep's test_mixture_value_after_an_overflowed_loss_sum covers them.
 """
 from __future__ import annotations
 
@@ -79,7 +79,7 @@ class StackedBatchStates(RuleBasedStateMachine):
         self.oracle = UnplannedStackedBatch(RegularizedObjective(loss, data, reg), self.rows)
         self.views = [ReferenceBatchView(self.batch.obj, r) for r in self.rows]
         self.V = self.kept_point()
-        self.calls = 0  # values calls, each charging M*b evaluations
+        self.calls = 0  # values calls that scored, each charging M*b evaluations
         self.fresh = False  # a reset since the last dense candidate
         self.cols, self.left = None, 0  # the plan and its candidates not yet scored
 
@@ -159,15 +159,17 @@ class StackedBatchStates(RuleBasedStateMachine):
     def candidate(self, accept, move):
         workers = len(self.rows)
         accepted = (accept >> np.arange(workers)) & 1 == 1
-        self.calls += 1
         if not self.fresh or not self.left:
+            counter = self.batch.obj.eval_counter
             try:
                 self.batch.values(self.V, self.V.reshape(-1)[:0])
             except ValueError:
                 seen["raise after a dense candidate" if not self.fresh else "raise, plan spent"] += 1
             else:
                 raise AssertionError("a mixture candidate without reset or plan was scored")
+            assert self.batch.obj.eval_counter == counter  # nothing evaluated, nothing charged
             return
+        self.calls += 1
         cols = self.cols[len(self.cols) - self.left]
         self.left -= 1
         cand = self.V.copy()
