@@ -3,8 +3,9 @@ fixed or fresh minibatches, sign-vote zeroth-order SGD, and a distributed
 (mu/mu, lambda)-ES with cumulative step-size adaptation.
 
 All four consume exactly workers * local_iters * batch_size objective
-evaluations per round when local_iters is even (the ES population size must
-additionally divide the budget evenly; see csa_population_size). Each is a
+evaluations per round when local_iters is even and the zeroth-order baselines
+use one smoothing direction, the default (d directions cost d times as much;
+the ES population size must divide the budget evenly; see csa_population_size). Each is a
 generator of rounds that server.run_rounds drives from the zero point, as DES
 is. Each round runs its M workers in the calling thread: the zeroth-order
 baselines step all of them in lockstep through one StackedBatch per minibatch

@@ -52,7 +52,6 @@ class AggregateCurve:
     train_loss_median: tuple[float, ...]
     train_loss_p25: tuple[float, ...]
     train_loss_p75: tuple[float, ...]
-    test_err_median: tuple[float, ...]
 
 
 def aggregate_runs(records: list[RunRecord]) -> AggregateCurve:
@@ -70,7 +69,6 @@ def aggregate_runs(records: list[RunRecord]) -> AggregateCurve:
         if tuple(r.round for r in rec.rows) != grid:
             raise ValueError(f"mismatched round grids for seed {rec.seed}")
     losses = np.array([[r.train_loss for r in rec.rows] for rec in records])
-    test_errs = np.array([[r.test_err for r in rec.rows] for rec in records])
     return AggregateCurve(
         algorithm=algo,
         instance=inst,
@@ -78,7 +76,6 @@ def aggregate_runs(records: list[RunRecord]) -> AggregateCurve:
         train_loss_median=tuple(np.median(losses, axis=0)),
         train_loss_p25=tuple(np.percentile(losses, 25, axis=0)),
         train_loss_p75=tuple(np.percentile(losses, 75, axis=0)),
-        test_err_median=tuple(np.median(test_errs, axis=0)),
     )
 
 

@@ -13,8 +13,9 @@ naming the line.
 
 A plain file is cut into byte ranges, one per usable CPU, each cut just after a
 newline. The calling process parses the first range and a forked child each
-other one; a .gz file, an open file object and a small file are one range,
-parsed in the calling process. A range a child could not parse is parsed again
+other one; a small file is one range, parsed in the calling process. A .gz file
+is inflated once, into memory, and its text parsed as an open file's is: in one
+range, in the calling process. A range a child could not parse is parsed again
 in the calling process, so every error and line number is the one-range parse's.
 """
 from __future__ import annotations
@@ -57,13 +58,13 @@ def _map_labels(raw: list[float], threshold: float | None) -> list[int]:
 
 
 # parse_libsvm takes its text PARSE_CHUNK characters at a time. A first pass
-# (a path is read twice; a file object is read into memory once) counts colons
-# (one per entry) and newlines (one per row, but for a last row without one),
-# so that the parse writes each section's rows into the final arrays. On a
-# 29 MB file (2 vCPU Xeon, glibc), per-section arrays merged at the end peaked
-# at 97 MB standalone RSS against 78.5 MB preallocated, with equal tracemalloc
-# peaks: the difference is heap fragmentation. Sections of 256 KB were the
-# fastest there.
+# (a plain file is read twice; a .gz or open file is read into memory once)
+# counts colons (one per entry) and newlines (one per row, but for a last row
+# without one), so that the parse writes each section's rows into the final
+# arrays. On a 29 MB file (2 vCPU Xeon, glibc), per-section arrays merged at
+# the end peaked at 97 MB standalone RSS against 78.5 MB preallocated, with
+# equal tracemalloc peaks: the difference is heap fragmentation. Sections of
+# 256 KB were the fastest there.
 # A plain file's byte ranges hold at least RANGE_SECTIONS sections each, so a
 # small file never forks. Each child counts its range and sends the counts
 # first; the calling process then allocates the final arrays, parses its own
@@ -215,11 +216,13 @@ def parse_libsvm(
     if hasattr(source, "read"):
         # the file's own line iteration says where its lines end
         text = "".join(line.rstrip("\r\n") + "\n" for line in source)
-        read_range, cuts = partial(_text_range, text), [0, len(text)]
+    elif (path := Path(source)).suffix == ".gz":
+        with open(path, "rb") as fh:  # inflated once, into memory
+            text = "".join(_decoded(_gunzipped(fh), 1))
     else:
-        path = Path(source)
-        read_range = partial(_file_range, path)
-        cuts = [0, None] if path.suffix == ".gz" else _cuts(path)
+        text = None
+    read_range, cuts = ((partial(_file_range, path), _cuts(path)) if text is None
+                        else (partial(_text_range, text), [0, len(text)]))
     raw_labels, indptr, cols, data = _parse_ranges(read_range, cuts)
     rows, nnz = len(raw_labels), len(cols)
     if not rows:
@@ -250,13 +253,12 @@ def _text_range(text: str, start: int, stop: int, lineno: int):
 
 
 @contextmanager
-def _file_range(path: Path, start: int, stop: int | None, lineno: int):
-    """The text of bytes [start, stop) of a plain file, or of all of a .gz
-    file decompressed, in pieces, as open() in text mode reads it."""
+def _file_range(path: Path, start: int, stop: int, lineno: int):
+    """The text of bytes [start, stop) of a plain file, in pieces, as open()
+    in text mode reads it."""
     with open(path, "rb") as fh:
         fh.seek(start)
-        yield _decoded(_gunzipped(fh) if path.suffix == ".gz" else
-                       iter(lambda: fh.read(min(PARSE_CHUNK, stop - fh.tell())), b""), lineno)
+        yield _decoded(iter(lambda: fh.read(min(PARSE_CHUNK, stop - fh.tell())), b""), lineno)
 
 
 def _gunzipped(fh) -> Iterator[bytes]:
@@ -447,10 +449,6 @@ class PartitionPlan:
     """Disjoint worker shards covering the training set, balanced within one."""
 
     worker_shards: tuple[np.ndarray, ...]
-
-    @property
-    def num_workers(self) -> int:
-        return len(self.worker_shards)
 
     def minibatch(self, worker: int, stream: RngStream, size: int) -> np.ndarray:
         """Row indices of a size-`size` draw, uniform with replacement, from one shard."""

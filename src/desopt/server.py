@@ -5,8 +5,9 @@ config checks that DES and the baselines share and to their one round driver,
 run_rounds: each algorithm is a generator of rounds, which run_rounds starts at
 the zero point and pulls one round at a time. Every algorithm simulates its M
 workers in the calling thread; none starts a thread. run_des forks one helper
-process that prepares every DES round, dense or mixture, ahead of the caller
-where two CPUs allow.
+process that makes every DES round's array lists ahead of the caller where two
+CPUs allow; a round's lists are read the same way whether they came over the
+helper's pipe or were made in the calling process.
 """
 from __future__ import annotations
 
@@ -136,23 +137,42 @@ def _check_dimension(cfg: DesConfig, n_features: int) -> None:
                          f"{n_features} features")
 
 
-def prepare_round(cfg: DesConfig, obj: RegularizedObjective, partition: PartitionPlan,
-                  t: int) -> tuple:
-    """The half of DES round t that does not depend on the iterate, and the
-    only place its mutations are drawn: (batch, draws, blocks). batch is a
-    StackedBatch over each worker's size-b minibatch, drawn uniformly with
-    replacement from its shard. The mutations come from the workers' keyed
-    mutation streams. For a mixture model, draws are mixture_draws' (cols,
-    terms) and blocks the batch's plan blocks of cols; for a dense one,
-    draws are None and blocks dense_draws' blocks. Blocks of both kinds are
-    made one at a time, as they are needed."""
-    batch = StackedBatch(obj, [partition.minibatch(i, RngStream(cfg.seed, t, i, "batch"),
-                                                   cfg.batch_size) for i in range(cfg.workers)])
+def _round_arrays(cfg: DesConfig, obj: RegularizedObjective, partition: PartitionPlan, t: int):
+    """The half of DES round t that does not depend on the iterate, as the
+    array lists the helper sends, each made as it is needed: a head, then one
+    list per block. The only place a round is drawn, from the workers' keyed
+    streams: the head holds each worker's size-b minibatch rows (uniform with
+    replacement from its shard) and a mixture round's mixture_draws (cols,
+    terms); a block is one dense_draws block, or the nine arrays of one
+    PlanBlock of cols."""
+    rows = np.array([partition.minibatch(i, RngStream(cfg.seed, t, i, "batch"), cfg.batch_size)
+                     for i in range(cfg.workers)], dtype=np.int64)
     gens = [RngStream(cfg.seed, t, i, "mutation").gen for i in range(cfg.workers)]
+    if cfg.model.is_mixture:
+        cols, terms = mixture_draws(cfg.model, gens, cfg.local_iters)
+        yield [rows, cols, terms]
+        yield from map(list, StackedBatch(obj, rows).blocks(cols))
+    else:
+        yield [rows]
+        yield from ([block] for block in dense_draws(cfg.model, gens, cfg.local_iters))
+
+
+def prepare_round(cfg: DesConfig, obj: RegularizedObjective, partition: PartitionPlan, t: int,
+                  arrays=None) -> tuple:
+    """Round t as (batch, mutations), read from its array lists (arrays, or
+    else _round_arrays' own), flattened by a pipe or not. batch is a
+    StackedBatch of the head's rows, made without a gather. A mixture round's
+    mutations are its (cols, terms), and batch comes planned with its blocks;
+    a dense round's are its draw blocks. Blocks are read as the candidates
+    reach them."""
+    lists = iter(_round_arrays(cfg, obj, partition, t) if arrays is None else arrays)
+    rows, *draws = next(lists)
+    batch = StackedBatch(obj, rows.reshape(cfg.workers, -1))
     if not cfg.model.is_mixture:
-        return batch, None, dense_draws(cfg.model, gens, cfg.local_iters)
-    cols, terms = mixture_draws(cfg.model, gens, cfg.local_iters)
-    return batch, (cols, terms), batch.blocks(cols)
+        return batch, (block.reshape(-1, cfg.workers, cfg.model.n) for [block] in lists)
+    cols, terms = (d.reshape(cfg.local_iters, -1) for d in draws)
+    batch.plan(cols, (PlanBlock(*block) for block in lists))
+    return batch, (cols, terms)
 
 
 def des_round(
@@ -165,9 +185,8 @@ def des_round(
 ) -> tuple[ServerState, RoundMetrics]:
     """One synchronous round at t = state.t.
 
-    The round starts from prepared, prepare_round's output for t, made here
-    if not given; a mixture batch is planned here from its cols and blocks,
-    and a dense round's mutations are its blocks.
+    The round starts from prepared, prepare_round's (batch, mutations) for t,
+    made here if not given.
     All M workers then run the local solver on its mutations in lockstep, in
     the calling thread, from the broadcast point with the round's annealed
     base step, and the StackedBatch scores all M candidates at once. Its
@@ -179,11 +198,7 @@ def des_round(
     _check_dimension(cfg, obj.dataset.n_features)
     t = state.t
     local_cfg = LocalConfig(iters=cfg.local_iters, model=cfg.model, step0=step_size(cfg.alpha, t, 0))
-    batch, mutations, blocks = prepare_round(cfg, obj, partition, t) if prepared is None else prepared
-    if cfg.model.is_mixture:
-        batch.plan(mutations[0], blocks)
-    else:
-        mutations = blocks
+    batch, mutations = prepare_round(cfg, obj, partition, t) if prepared is None else prepared
     V = np.tile(state.x, (cfg.workers, 1))
     scores = obj.kept_scores(state.x)
     f, accepted = run_lockstep_es(
@@ -289,12 +304,11 @@ def run_des(
 ) -> RunRecord:
     """Run cfg.rounds DES rounds from the zero point, one metric row per round.
 
-    The M workers run in lockstep in the calling thread. A round is drawn
-    where it is prepared (prepare_round) and planned where it runs
-    (des_round), and every round comes from one generator, _prepared_rounds.
-    For two rounds or more, dense or mixture, a forked helper process
-    prepares every round, round 0 included (prepare_round's half of each
-    round that does not depend on the iterate, draws included), ahead of the
+    The M workers run in lockstep in the calling thread. Every round comes
+    from one generator, _prepared_rounds: one producer (_round_arrays) makes
+    its array lists, draws and plan included, and one reader (prepare_round)
+    reads them. For two rounds or more, dense or mixture, a forked helper
+    process makes every round's lists, round 0 included, ahead of the
     calling process, if process_count finds a CPU for each: not in a
     daemonic caller, and not on a CPU that a running child of the caller (a
     `desopt run --threads` worker, say) holds.
@@ -322,30 +336,28 @@ def run_des(
 
 def _send_rounds(cfg: DesConfig, obj: RegularizedObjective, partition: PartitionPlan,
                  writer) -> None:
-    """The helper's work: prepare rounds 0..T-1 in order and send each as a
-    head message of its batch rows (and a mixture round's cols and terms),
-    then one message per block: a plan block's nine arrays, or one dense
-    draw block. A send stalls while the pipe is full, so the helper runs
-    about a round ahead. On a fault the helper just stops: the caller reads
-    EOF and prepares the rest itself, so a fault that is not the helper's
-    own is raised there, in order."""
+    """The helper's work: send rounds 0..T-1 in order, each as the array
+    lists of _round_arrays, one message a list as it is made, then an empty
+    list that ends the round. A send stalls while the pipe is full, so the
+    helper runs about a round ahead. On a fault the helper just stops: the
+    caller reads EOF and makes the rest itself, so a fault that is not the
+    helper's own is raised there, in order."""
     with writer, suppress(Exception):
         for t in range(cfg.rounds):
-            batch, draws, blocks = prepare_round(cfg, obj, partition, t)
-            send_arrays(writer, [batch.rows, *(draws or ())])
-            for block in blocks:
-                send_arrays(writer, block if cfg.model.is_mixture else [block])
+            for arrays in _round_arrays(cfg, obj, partition, t):
+                send_arrays(writer, arrays)
+            send_arrays(writer, [])
 
 
 def _prepared_rounds(cfg: DesConfig, obj: RegularizedObjective, partition: PartitionPlan,
                      reader):
     """prepare_round's output for rounds 0..T-1, in order. While the helper
-    lives, each round comes off its pipe (reader): a batch (made without a
-    gather, since the start margins come from the snapshot's scores), the
-    draws, and a generator that reads the plan or draw blocks as the
-    candidates reach them. With no helper (reader None), or once it has died
-    or failed (EOF), prepare_round makes the rounds here, from the first
-    block not received on, so the outputs do not depend on the helper."""
+    lives, each round's lists come off its pipe (reader) as prepare_round
+    reads them, up to the empty list that ends the round. With no helper
+    (reader None), or once it has died or failed (EOF), _round_arrays makes
+    the rest here, from the first list not received on, so the outputs do
+    not depend on the helper. Once the caller has run a round, the rest of
+    its lists (its end mark) is read before the next round starts."""
 
     def received():
         nonlocal reader
@@ -354,27 +366,17 @@ def _prepared_rounds(cfg: DesConfig, obj: RegularizedObjective, partition: Parti
         except (EOFError, OSError):
             reader = None
 
-    def blocks(t):
-        got = steps = 0
-        while steps < cfg.local_iters:
-            block = received()
-            if block is None:
-                yield from itertools.islice(prepare_round(cfg, obj, partition, t)[2], got, None)
+    def lists(t):
+        got = 0
+        while (arrays := received()) is not None:
+            if not arrays:  # the round's end mark
                 return
-            if cfg.model.is_mixture:
-                block = PlanBlock(*block)
-                candidates = len(block.bounds) - 1
-            else:  # one row of M x n draws per candidate
-                block = block[0].reshape(-1, cfg.workers, cfg.model.n)
-                candidates = len(block)
-            got, steps = got + 1, steps + candidates
-            yield block
+            got += 1
+            yield arrays
+        yield from itertools.islice(_round_arrays(cfg, obj, partition, t), got, None)
 
     for t in range(cfg.rounds):
-        head = received()
-        if head is None:
-            yield prepare_round(cfg, obj, partition, t)
-        else:
-            rows, *draws = head
-            yield (StackedBatch(obj, rows.reshape(cfg.workers, -1)),
-                   tuple(d.reshape(cfg.local_iters, -1) for d in draws) or None, blocks(t))
+        arrays = lists(t)
+        yield prepare_round(cfg, obj, partition, t, arrays)
+        for _ in arrays:
+            pass

@@ -14,6 +14,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desopt import (
     BETA_LIMIT,
@@ -441,23 +443,31 @@ def dense_cfg(**kw):
 
 
 def test_helper_sent_rounds_equal_prepare_round(monkeypatch):
-    # Every round off the helper's pipe is bit for bit what prepare_round
-    # makes in the calling process: the batch rows, a mixture round's cols
-    # and terms (a dense round has none), and each block's arrays. A small
-    # PLAN_ENTRIES gives mixture rounds several plan blocks of both kinds,
-    # and a small DENSE_BLOCK gives dense rounds several draw blocks. While
-    # the helper lives, the caller prepares no round itself.
+    # Every round off the helper's pipe is bit for bit what _round_arrays
+    # makes in the calling process, list by list up to the round's end mark:
+    # the batch rows, a mixture round's cols and terms (a dense round has
+    # none), and each block's arrays, flattened by the pipe. prepare_round
+    # reads them into the same batch rows and mutations. A small PLAN_ENTRIES
+    # gives mixture rounds several plan blocks of both kinds, and a small
+    # DENSE_BLOCK gives dense rounds several draw blocks. While the helper
+    # lives, the caller makes no round itself.
     train, _ = sparse_split(22)
     monkeypatch.setattr(objective, "PLAN_ENTRIES", 20)
     monkeypatch.setattr(localsolver, "DENSE_BLOCK", 2 * 30)  # two iterations a block
     obj = RegularizedObjective(LossKind.LR, train)
-    caller, prepare = os.getpid(), server.prepare_round
-    here = []
-    monkeypatch.setattr(server, "prepare_round", lambda *args: (
-        os.getpid() == caller and here.append(args[-1])) or prepare(*args))
+    caller, make, prepare = os.getpid(), server._round_arrays, server.prepare_round
+    here, received = [], []
+    monkeypatch.setattr(server, "_round_arrays", lambda *args: (
+        os.getpid() == caller and here.append(args[-1])) or make(*args))
 
-    def same(have, want):
-        return (have.dtype == want.dtype and have.shape == want.shape
+    def preparing(cfg, obj, partition, t, arrays):
+        received.append(list(arrays))  # the round's lists, up to its end mark
+        return prepare(cfg, obj, partition, t, received[-1])
+
+    monkeypatch.setattr(server, "prepare_round", preparing)
+
+    def same(have, want):  # a list that crossed the pipe arrives flattened
+        return (have.dtype == want.dtype and have.shape == (want.size,)
                 and have.tobytes() == want.tobytes())
 
     kinds, rounds = Counter(), []
@@ -465,23 +475,26 @@ def test_helper_sent_rounds_equal_prepare_round(monkeypatch):
         partition = partition_uniform(train, cfg.workers, RngStream(cfg.seed, "partition"))
         with forked(1, lambda k, writer: server._send_rounds(cfg, obj, partition, writer)) as [
                 (_, reader)]:
-            for t, (batch, draws, blocks) in enumerate(server._prepared_rounds(cfg, obj, partition,
-                                                                               reader)):
-                want_batch, want_draws, want_blocks = prepare(cfg, obj, partition, t)
-                assert same(batch.rows, want_batch.rows)
-                assert (draws is None) == (want_draws is None) == (not cfg.model.is_mixture)
-                assert all(same(have, want)
-                           for have, want in zip(draws or (), want_draws or (), strict=True))
-                blocks, want_blocks = list(blocks), list(want_blocks)
+            for t, (batch, mutations) in enumerate(server._prepared_rounds(cfg, obj, partition,
+                                                                           reader)):
+                (head, *blocks), (want_head, *want_blocks) = received[-1], make(cfg, obj,
+                                                                                 partition, t)
+                assert same(batch.rows, want_head[0])
+                assert (len(head) == 1) == (len(want_head) == 1) == (not cfg.model.is_mixture)
+                assert all(same(have, want) for have, want in zip(head, want_head, strict=True))
                 assert len(blocks) == len(want_blocks) > 1
                 for block, want in zip(blocks, want_blocks):
+                    assert all(same(have, w) for have, w in zip(block, want, strict=True))
                     if cfg.model.is_mixture:
-                        assert isinstance(block, objective.PlanBlock)
-                        assert all(same(have, w) for have, w in zip(block, want, strict=True))
-                        kinds["touched rows" if want.tbounds.size else "most rows"] += 1
+                        assert len(block) == len(objective.PlanBlock._fields)
+                        kinds["touched rows" if objective.PlanBlock(*want).tbounds.size
+                              else "most rows"] += 1
                     else:
-                        assert same(block, want)
                         kinds["draws"] += 1
+                want_mutations = (want_head[1:] if cfg.model.is_mixture
+                                  else [want for [want] in want_blocks])
+                assert all(have.shape == want.shape and np.array_equal(have, want)
+                           for have, want in zip(mutations, want_mutations, strict=True))
                 rounds.append(t)
     assert rounds == 2 * list(range(5)) and here == []
     assert kinds["most rows"] > 0 and kinds["touched rows"] > 0, kinds
@@ -489,7 +502,74 @@ def test_helper_sent_rounds_equal_prepare_round(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-# the rounds that the caller prepares itself, which show where the helper stopped
+def test_round_stream_cut_anywhere_reads_as_rounds_made_here(monkeypatch):
+    # The helper's lists of every round, end marks included, go through one
+    # pipe in this process, and the writer closes after any c of them, as if
+    # the helper died there. _prepared_rounds must read what was sent, make
+    # the rest here from the first list not received, and read each round's
+    # end mark before the next round: the states, metrics and ledger are bit
+    # for bit those of rounds all made here, and only the rounds from the cut
+    # on are made here. The configs stay small, so that every list fits in
+    # the pipe's buffer (64 KB) before any is read.
+    train, _ = sparse_split(24)
+    send, make = server.send_arrays, server._round_arrays
+    made = []
+    monkeypatch.setattr(server, "_round_arrays", lambda *args: made.append(args[-1]) or make(*args))
+
+    def run(cfg, partition, reader):
+        obj = RegularizedObjective(LossKind.LR, train)
+        state, out = ServerState(x=np.zeros(30), m=np.zeros(30)), []
+        for prepared in server._prepared_rounds(cfg, obj, partition, reader):
+            state, metrics = des_round(state, cfg, obj, partition, prepared=prepared)
+            out.append((state.x.tobytes(), state.m.tobytes(), state.t, metrics))
+        return out, obj.eval_counter
+
+    seen = Counter()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from(list(MutationKind)), st.integers(1, 3), st.integers(1, 5),
+           st.integers(2, 6), st.integers(1, 3), st.sampled_from([1, 5, 30, objective.PLAN_ENTRIES]),
+           st.sampled_from([1, 45, 100, localsolver.DENSE_BLOCK]), st.data())
+    def check(kind, workers, iters, batch_size, rounds, entries, dense_block, data):
+        monkeypatch.setattr(objective, "PLAN_ENTRIES", entries)
+        monkeypatch.setattr(localsolver, "DENSE_BLOCK", dense_block)
+        cfg = make_cfg(workers=workers, rounds=rounds, local_iters=iters, batch_size=batch_size,
+                       model=MutationModel(kind, 30, 2))
+        partition = partition_uniform(train, workers, RngStream(cfg.seed, "partition"))
+        del made[:]
+        want = run(cfg, partition, None)
+        assert made == list(range(rounds))
+        obj = RegularizedObjective(LossKind.LR, train)
+        ends = np.cumsum([len(list(make(cfg, obj, partition, t))) + 1 for t in range(rounds)])
+        cut = data.draw(st.integers(0, int(ends[-1])), label="lists sent")
+        sent = []
+
+        def sending(writer, arrays):
+            if len(sent) == cut:
+                raise BrokenPipeError  # the helper stops here; its writer closes
+            sent.append(arrays)
+            send(writer, arrays)
+
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        with reader:
+            monkeypatch.setattr(server, "send_arrays", sending)
+            server._send_rounds(cfg, obj, partition, writer)
+            monkeypatch.setattr(server, "send_arrays", send)
+            del made[:]
+            got = run(cfg, partition, reader)
+        assert got == want
+        assert made == list(range(int(np.searchsorted(ends, cut, "right")), rounds))
+        seen[kind] += 1
+        seen["cut mid-round"] += cut not in (0, *ends)
+        seen["cut at an end mark"] += cut in ends - 1
+        seen["several blocks"] += len(sent) > 3 * rounds
+
+    check()
+    assert min(seen[k] for k in (*MutationKind, "cut mid-round", "cut at an end mark",
+                                 "several blocks")) > 0, seen
+
+
+# the rounds that the caller makes itself, which show where the helper stopped
 PREPARED_HERE = {"exits before round 0": [0, 1, 2, 3, 4], "exits after round 1": [2, 3, 4],
                  "exits mid-round 1": [1, 2, 3, 4], "raises in round 2": [2, 3, 4],
                  "dense, exits mid-round 1": [1, 2, 3, 4]}
@@ -498,8 +578,9 @@ PREPARED_HERE = {"exits before round 0": [0, 1, 2, 3, 4], "exits after round 1":
 @pytest.mark.parametrize("death", PREPARED_HERE)
 def test_dead_helper_rounds_prepared_in_process(death, monkeypatch, two_cpus):
     # The helper dies (os._exit) or fails (an exception) part-way; the caller
-    # reads EOF and prepares the rest itself, from the first plan or draw
-    # block it did not receive, so the rows equal a run without a helper.
+    # reads EOF and makes the rest itself, from the first list (a head, a
+    # plan block or a draw block) it did not receive, so the rows equal a run
+    # without a helper.
     train, test = sparse_split(18)
     monkeypatch.setattr(objective, "PLAN_ENTRIES", 20)
     monkeypatch.setattr(localsolver, "DENSE_BLOCK", 2 * 30)  # three draw blocks a round
@@ -508,12 +589,15 @@ def test_dead_helper_rounds_prepared_in_process(death, monkeypatch, two_cpus):
     expected = metric_rows(run_des(cfg, train, test, LossKind.LR))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     caller = os.getpid()
-    blocks_sent, here = [], []  # per round the helper started to send; rounds prepared here
-    send, prepare = server.send_arrays, server.prepare_round
+    blocks_sent, here = [], []  # per round the helper started to send; rounds made here
+    send, make = server.send_arrays, server._round_arrays
 
     def sending(writer, arrays):  # only the helper sends
         # a round's head holds its rows (and a mixture round's cols and
-        # terms); a block is nine plan arrays or one array of draws
+        # terms); a block is nine plan arrays or one array of draws; the
+        # empty list that ends a round is not counted
+        if not arrays:
+            return send(writer, arrays)
         if len(arrays) < 9 and arrays[0].dtype.kind == "i":
             blocks_sent.append(0)
         else:
@@ -524,17 +608,17 @@ def test_dead_helper_rounds_prepared_in_process(death, monkeypatch, two_cpus):
             os._exit(1)
         send(writer, arrays)
 
-    def preparing(cfg, obj, partition, t):
+    def making(cfg, obj, partition, t):
         if os.getpid() == caller:
             here.append(t)
         elif death == "raises in round 2" and t == 2:
             raise RuntimeError("helper broke")
-        return prepare(cfg, obj, partition, t)
+        return make(cfg, obj, partition, t)
 
     received = []
     recv = server.recv_arrays
     monkeypatch.setattr(server, "send_arrays", sending)
-    monkeypatch.setattr(server, "prepare_round", preparing)
+    monkeypatch.setattr(server, "_round_arrays", making)
     monkeypatch.setattr(server, "recv_arrays", lambda reader: received.append(1) or recv(reader))
     got = metric_rows(run_des(cfg, train, test, LossKind.LR))
     assert got == expected
@@ -574,9 +658,9 @@ def test_run_ended_early_leaves_no_helper(end, monkeypatch, two_cpus):
     # and exited first.
     train, test = sparse_split(19)
     cfg, reg = mixture_cfg(rounds=8), 1e-6
-    caller, prepare = os.getpid(), server.prepare_round
-    monkeypatch.setattr(server, "prepare_round", lambda *args: (
-        os.getpid() != caller and time.sleep(0.2)) or prepare(*args))
+    caller, make = os.getpid(), server._round_arrays
+    monkeypatch.setattr(server, "_round_arrays", lambda *args: (
+        os.getpid() != caller and time.sleep(0.2)) or make(*args))
     if end == "non-finite snapshot":
         full = objective.RegularizedObjective.eval_full_and_error
         calls = []
