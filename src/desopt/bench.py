@@ -190,10 +190,14 @@ def _fmt(x: float) -> str:
 def write_metrics_csv(records: list[RunRecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        # csv quotes a field holding the terminator "\n" but not a lone "\r",
+        # which its reader takes for a line break: a run so named is quoted whole
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(METRICS_HEADER)
         for rec in records:
+            out = quoted if "\r" in rec.algorithm + rec.instance else writer
             for row in rec.rows:
-                writer.writerow([
+                out.writerow([
                     rec.algorithm, rec.instance, str(rec.seed), str(row.round),
                     str(row.cum_evals), _fmt(row.train_loss), _fmt(row.train_err),
                     _fmt(row.test_err), _fmt(row.wall_ms),

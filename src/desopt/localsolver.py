@@ -116,7 +116,6 @@ def run_lockstep_es(
     batch,
     mutations,
     f_start,
-    traces: list[Callable[[int, float, np.ndarray, float], None]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run cfg.iters (1+1)-ES iterations on every row of V at once, in place.
 
@@ -130,9 +129,9 @@ def run_lockstep_es(
     made in place and scored by batch.values(V, before), where before holds
     the kept values at row k's coordinates. Dense ones are dense_draws'
     blocks, read as the iterations reach them, and each iteration's M x n
-    candidates are scored by batch.values(candidates). traces[i],
-    if given, receives (k, step_k, v_i copy, f_i) after every iteration.
-    Returns (final values, accepted counts), both of length M.
+    candidates are scored by batch.values(candidates). The solver reports
+    only through batch's two calls and its return: (final values, accepted
+    counts), both of length M.
     """
     if not V.flags.c_contiguous:
         raise ValueError("the stacked points must be one C-contiguous array")
@@ -169,9 +168,6 @@ def run_lockstep_es(
         batch.keep(ok)
         f = np.where(ok, f_cand, f)
         accepted += ok
-        if traces is not None:
-            for i, trace in enumerate(traces):
-                trace(k, step, V[i].copy(), float(f[i]))
     return f, accepted
 
 
@@ -182,7 +178,6 @@ def run_local_es(
     stream,
     f_start: float | None = None,
     evals_per_call: int = 1,
-    trace: Callable[[int, float, np.ndarray, float], None] | None = None,
 ) -> WorkerResult:
     """Run cfg.iters iterations of the (1+1)-ES from x_start on a fixed objective.
 
@@ -192,14 +187,13 @@ def run_local_es(
     parent value is carried forward, so the loop costs one value_fn call per
     iteration; pass f_start to supply the initial parent value from an
     uncounted path. evals_per_call sizes the evaluation ledger (b for
-    minibatch objectives). trace, if given, receives (k, step_k, v_copy, f_v)
-    after every iteration.
+    minibatch objectives). It scores every candidate through a CallableBatch
+    of value_fn and reports only the WorkerResult.
     """
     V = np.array(x_start, dtype=np.float64, copy=True).reshape(1, -1)
     f_v = value_fn(V[0]) if f_start is None else float(f_start)
     draws = mixture_draws if cfg.model.is_mixture else dense_draws
     f, accepted = run_lockstep_es(V, cfg, CallableBatch([value_fn]),
-                                  draws(cfg.model, [stream.gen], cfg.iters), [f_v],
-                                  None if trace is None else [trace])
+                                  draws(cfg.model, [stream.gen], cfg.iters), [f_v])
     return WorkerResult(v_final=V[0], f_final=float(f[0]), evals_used=cfg.iters * evals_per_call,
                         accepted_count=int(accepted[0]))

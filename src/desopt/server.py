@@ -180,7 +180,6 @@ def des_round(
     cfg: DesConfig,
     obj: RegularizedObjective,
     partition: PartitionPlan,
-    trace_factory=None,
     prepared: tuple | None = None,
 ) -> tuple[ServerState, RoundMetrics]:
     """One synchronous round at t = state.t.
@@ -192,8 +191,8 @@ def des_round(
     base step, and the StackedBatch scores all M candidates at once. Its
     start values take the training-set scores of the last snapshot if that
     was at the broadcast point. The server averages the endpoints into a
-    displacement and applies the momentum step.
-    trace_factory(i), if given, returns worker i's per-iteration trace hook.
+    displacement and applies the momentum step. The workers' iterations
+    show only through the batch's values and keep calls.
     """
     _check_dimension(cfg, obj.dataset.n_features)
     t = state.t
@@ -201,11 +200,8 @@ def des_round(
     batch, mutations = prepare_round(cfg, obj, partition, t) if prepared is None else prepared
     V = np.tile(state.x, (cfg.workers, 1))
     scores = obj.kept_scores(state.x)
-    f, accepted = run_lockstep_es(
-        V, local_cfg, batch, mutations,
-        batch.reset(V, None if scores is None else scores[batch.rows]),
-        None if trace_factory is None else [trace_factory(i) for i in range(cfg.workers)],
-    )
+    f, accepted = run_lockstep_es(V, local_cfg, batch, mutations,
+                                  batch.reset(V, None if scores is None else scores[batch.rows]))
     m_next = momentum_update(state.m, average_displacement(state.x, V), cfg.beta)
     return ServerState(x=state.x + m_next, m=m_next, t=t + 1), RoundMetrics(
         evals=cfg.workers * cfg.local_iters * cfg.batch_size,
@@ -357,7 +353,9 @@ def _prepared_rounds(cfg: DesConfig, obj: RegularizedObjective, partition: Parti
     (reader None), or once it has died or failed (EOF), _round_arrays makes
     the rest here, from the first list not received on, so the outputs do
     not depend on the helper. Once the caller has run a round, the rest of
-    its lists (its end mark) is read before the next round starts."""
+    its lists (its end mark) is read before the next round starts; an EOF
+    met there ends the round, which is never remade here once its lists
+    have all arrived."""
 
     def received():
         nonlocal reader
@@ -373,10 +371,13 @@ def _prepared_rounds(cfg: DesConfig, obj: RegularizedObjective, partition: Parti
                 return
             got += 1
             yield arrays
-        yield from itertools.islice(_round_arrays(cfg, obj, partition, t), got, None)
+        if not draining:
+            yield from itertools.islice(_round_arrays(cfg, obj, partition, t), got, None)
 
     for t in range(cfg.rounds):
+        draining = False
         arrays = lists(t)
         yield prepare_round(cfg, obj, partition, t, arrays)
+        draining = True
         for _ in arrays:
             pass

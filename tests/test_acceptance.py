@@ -43,11 +43,13 @@ from desopt import (
     write_metrics_csv,
     zo_grad_central,
 )
+from desopt import localsolver
 from desopt.localsolver import LocalConfig
 from desopt.mutation import draw_terms
 from helpers import initial_state
 from mutation_oracles import empirical_moments, fourth_moment_closed_form
 from objective_oracles import batch_gradient
+from recording import recording
 
 
 @contextlib.contextmanager
@@ -130,8 +132,10 @@ def test_criterion_01_mutation_moment_oracle():
         assert elapsed < 30.0, f"moment oracle took {elapsed:.1f}s"
 
 
-def test_criterion_02_local_monotonicity():
+def test_criterion_02_local_monotonicity(monkeypatch):
     with report(2, "local search is nonincreasing across 100 seeded rounds"):
+        batches = recording(localsolver.CallableBatch)
+        monkeypatch.setattr(localsolver, "CallableBatch", batches)
         rng = np.random.default_rng(777)
         models = [
             MutationModel(MutationKind.STANDARD_GAUSSIAN, 8),
@@ -144,13 +148,17 @@ def test_criterion_02_local_monotonicity():
             obj = RegularizedObjective(list(LossKind)[trial % 3], ds, reg=1e-6)
             view = obj.batch(rng.integers(0, 50, size=12))
             x0 = rng.normal(size=8)
-            trace_vals = [view.peek_value(x0)]
+            f0 = view.peek_value(x0)
             cfg = LocalConfig(iters=30, model=models[trial % 3],
                               step0=float(rng.uniform(0.05, 2.0)))
-            run_local_es(x0, cfg, view.value, RngStream(4000 + trial, "mono"),
-                         f_start=trace_vals[0],
-                         trace=lambda k, s, v, f: trace_vals.append(f))
-            violations += sum(b > a for a, b in zip(trace_vals, trace_vals[1:]))
+            run_local_es(x0, cfg, view.value, RngStream(4000 + trial, "mono"), f_start=f0)
+            batch = batches.made[-1]
+            kept = [f0, *batch.kept_values([f0])[:, 0]]
+            # no accepted candidate is worse than its parent, and the kept values never rise
+            violations += sum(bool(step.accepted[0] and step.values[0] > parent)
+                              for step, parent in zip(batch.steps, kept))
+            violations += sum(b > a for a, b in zip(kept, kept[1:]))
+        assert len(batches.made) == 100
         assert violations == 0
 
 

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import statistics
+import struct
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desopt import (
     AggregateCurve,
@@ -172,6 +176,101 @@ def test_aggregate_median_and_quartiles():
     assert curve.train_loss_p75[1] == 5.5
     # permutation of the record list does not matter
     assert aggregate_runs(recs[::-1]).train_loss_median == curve.train_loss_median
+
+
+def linear_quantile(values, p):
+    """The p-th quantile by linear interpolation between order statistics:
+    position h = (n - 1) p in the sorted values, rounded down to i, gives
+    x[i] + (h - i) (x[i + 1] - x[i])."""
+    x = sorted(values)
+    h = (len(x) - 1) * p
+    i = math.floor(h)
+    return x[i] if i + 1 == len(x) else x[i] + (h - i) * (x[i + 1] - x[i])
+
+
+def test_aggregate_matches_per_round_oracle():
+    # Per round, the median is statistics.median of the seeds' losses and
+    # the quartiles are the linear rule written out above, within 1e-12 of
+    # the round's largest magnitude.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 5).flatmap(lambda rounds: st.lists(
+        st.lists(st.floats(-1e6, 1e6), min_size=rounds, max_size=rounds),
+        min_size=1, max_size=8)))
+    def check(losses):
+        curve = aggregate_runs([make_record("A", "i", s, row) for s, row in enumerate(losses)])
+        assert (curve.algorithm, curve.instance) == ("A", "i")
+        assert curve.rounds == tuple(range(len(losses[0])))
+        for r, column in enumerate(zip(*losses)):
+            scale = 1e-12 * max(abs(v) for v in column)
+            for got, want in ((curve.train_loss_median[r], statistics.median(column)),
+                              (curve.train_loss_p25[r], linear_quantile(column, 0.25)),
+                              (curve.train_loss_p75[r], linear_quantile(column, 0.75))):
+                assert abs(got - want) <= scale, (r, got, want)
+
+    check()
+
+
+def test_profiles_invariant_to_seed_labels_and_record_order():
+    # Runs of one cell differ only by seed: renaming the seeds within each
+    # cell and shuffling the records leaves every curve as it was. Every run
+    # of an instance starts from one loss, as runs from one start point do.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+           st.floats(0.01, 0.99), st.data())
+    def check(n_algos, n_inst, n_seeds, n_rounds, delta, data):
+        loss = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 2.0))
+        starts = data.draw(st.lists(loss, min_size=n_inst, max_size=n_inst), label="starts")
+        cells = list(itertools.product(range(n_algos), range(n_inst)))
+        records, relabelled = [], []
+        for a, i in cells:
+            labels = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n_seeds,
+                                        max_size=n_seeds, unique=True), label="seeds")
+            for s, label in enumerate(labels):
+                losses = [starts[i], *data.draw(st.lists(loss, min_size=n_rounds - 1,
+                                                         max_size=n_rounds - 1))]
+                records.append(make_record(f"a{a}", f"i{i}", s, losses))
+                relabelled.append(make_record(f"a{a}", f"i{i}", label, losses))
+        shuffled = data.draw(st.permutations(relabelled), label="order")
+        assert compute_profiles(shuffled, delta) == compute_profiles(records, delta)
+
+    check()
+
+
+def test_metrics_csv_round_trip_any_text_and_float(tmp_path):
+    # Any finite float, -0.0, subnormals and +-1e308 included, comes back bit
+    # for bit, and algorithm and instance names come back whatever commas,
+    # quotes or line breaks they hold.
+    path = tmp_path / "metrics.csv"
+    name = st.text(st.sampled_from('ab ,"\'\n\r\té'), max_size=6)
+    edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                            -1e308, 1.7976931348623157e308])
+    value = st.one_of(edge, st.floats(allow_nan=False, allow_infinity=False))
+
+    @st.composite
+    def record(draw, key):
+        rows, cum = [], 0
+        for rnd in sorted(draw(st.sets(st.integers(0, 10**6), min_size=1, max_size=4))):
+            cum += draw(st.integers(0, 10**9))
+            rows.append(MetricRow(rnd, cum, *(draw(value) for _ in range(4))))
+        return RunRecord(*key, config={}, rows=rows)
+
+    def bits(row):
+        return (row.round, row.cum_evals,
+                *(struct.pack("<d", getattr(row, f)) for f in METRICS_HEADER[5:]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(name, name, st.integers(-2**63, 2**63 - 1)), min_size=1,
+                    max_size=4, unique=True).flatmap(
+                        lambda keys: st.tuples(*(record(key) for key in keys))))
+    def check(records):
+        write_metrics_csv(list(records), path)
+        back = read_metrics_csv(path)
+        assert [(r.algorithm, r.instance, r.seed) for r in back] == [
+            (r.algorithm, r.instance, r.seed) for r in records]
+        for got, want in zip(back, records):
+            assert [bits(row) for row in got.rows] == [bits(row) for row in want.rows]
+
+    check()
 
 
 def test_aggregate_single_run_is_identity():

@@ -19,7 +19,9 @@ from desopt import (
     run_local_es,
     step_size,
 )
+from desopt import localsolver
 from helpers import ScriptedGen, ScriptedStream, dataset_from_dense
+from recording import recording
 
 GAUSS = lambda n: MutationModel(MutationKind.STANDARD_GAUSSIAN, n)
 
@@ -137,9 +139,12 @@ def test_x_start_not_mutated():
     npt.assert_array_equal(x0, np.ones(3))
 
 
-def test_monotone_descent_over_seeded_rounds():
+def test_monotone_descent_over_seeded_rounds(monkeypatch):
     # 100 independent rounds across losses and mutation kinds: the carried
-    # best value never increases within a round. Exact comparisons.
+    # best value never increases within a round. Exact comparisons on the
+    # values the solver's evaluator returned and the masks it was kept with.
+    batches = recording(localsolver.CallableBatch)
+    monkeypatch.setattr(localsolver, "CallableBatch", batches)
     rng = np.random.default_rng(2025)
     kinds = [
         MutationModel(MutationKind.STANDARD_GAUSSIAN, 6),
@@ -156,18 +161,17 @@ def test_monotone_descent_over_seeded_rounds():
         view = obj.batch(rng.integers(0, 30, size=8))
         cfg = LocalConfig(iters=20, model=kinds[trial % 3], step0=float(rng.uniform(0.05, 2.0)))
         x_start = rng.normal(size=6)
-        seen = [view.peek_value(x_start)]
-        run_local_es(
-            x_start,
-            cfg,
-            view.value,
-            RngStream(1000 + trial, "mono"),
-            f_start=seen[0],
-            trace=lambda k, s, v, f: seen.append(f),
-        )
+        f_start = view.peek_value(x_start)
+        run_local_es(x_start, cfg, view.value, RngStream(1000 + trial, "mono"), f_start=f_start)
+        batch = batches.made[-1]
+        seen = [f_start, *batch.kept_values([f_start])[:, 0]]
+        for step, parent in zip(batch.steps, seen):
+            if step.accepted[0] and step.values[0] > parent:
+                violations += 1  # an accepted candidate worse than its parent
         for a, b in zip(seen, seen[1:]):
             if b > a:
                 violations += 1
+    assert len(batches.made) == 100
     assert violations == 0
 
 

@@ -49,6 +49,7 @@ from desopt.localsolver import DENSE_BLOCK, LocalConfig, dense_draws, mixture_dr
 from desopt.mutation import draw_terms
 from desopt.objective import StackedBatch
 from objective_oracles import ReferenceBatchView, UnplannedStackedBatch, column_entries
+from recording import recording
 
 # Incremental margins drift from an exact recompute by a few ulps of the
 # largest margin per update (about 1e-14 after 1500 updates on the benchmark
@@ -119,11 +120,15 @@ def rounds(draw):
 
 
 def check_mixture_round(state, cfg, obj, partition, seen):
-    """Run des_round with per-iteration traces and check every step against
+    """Run des_round with a recording evaluator and check every step against
     the reference draws and an exact recompute; returns the evaluations."""
-    traced = [[] for _ in range(cfg.workers)]
-    got_state, got = des_round(state, cfg, obj, partition,
-                               trace_factory=lambda i: lambda *step: traced[i].append(step))
+    batches = recording(StackedBatch)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(server, "StackedBatch", batches)
+        got_state, got = des_round(state, cfg, obj, partition)
+    [batch] = batches.made
+    assert len(batch.steps) == cfg.local_iters
+    kept_values = batch.kept_values()
     views = worker_views(state, cfg, obj, partition)
     finals = []
     for i, view in enumerate(views):
@@ -131,9 +136,12 @@ def check_mixture_round(state, cfg, obj, partition, seen):
         idx, terms = draw_terms(cfg.model, RngStream(cfg.seed, state.t, i, "mutation").gen,
                                 cfg.local_iters)
         v, moved, matched = state.x, 0, 0
-        for k, step_k, v_k, f_k in traced[i]:
+        for k, (step, f_k) in enumerate(zip(batch.steps, kept_values[:, i])):
             candidate = v.copy()
-            np.add.at(candidate, idx[k], step_k * terms[k])
+            np.add.at(candidate, idx[k], step_size(cfg.alpha, state.t, k) * terms[k])
+            assert np.array_equal(step.candidates[i], candidate)
+            assert close(step.values[i], view.peek_value(candidate))
+            v_k = step.kept[i]
             # rejected workers get their coordinates back bit for bit
             assert np.array_equal(v_k, v) or np.array_equal(v_k, candidate)
             matched += np.array_equal(v_k, candidate)
@@ -477,7 +485,7 @@ def test_planned_rounds_match_unplanned_oracle(monkeypatch):
     # CSC of all rows, with np.unique for its touched rows. Both make the same
     # floating-point operations in the same order, whatever the kind of plan
     # block, so two chained mixture rounds must agree bit for bit: every
-    # traced step, the server states, the round metrics and the ledger.
+    # recorded step, the server states, the round metrics and the ledger.
     seen = Counter()
     blocks = []
     column_entries = objective._column_entries
@@ -497,15 +505,14 @@ def test_planned_rounds_match_unplanned_oracle(monkeypatch):
     monkeypatch.setattr(objective, "_plan_blocks", kinds)
 
     def run(evaluator, data, cfg, loss, reg, state, partition):
-        monkeypatch.setattr(server, "StackedBatch", evaluator)
+        batches = recording(evaluator)
+        monkeypatch.setattr(server, "StackedBatch", batches)
         obj = RegularizedObjective(loss, data, reg)
-        traced = [[] for _ in range(cfg.workers)]
         rounds_out = []
         for _ in range(2):
-            state, metrics = des_round(state, cfg, obj, partition,
-                                       trace_factory=lambda i: lambda *step: traced[i].append(step))
+            state, metrics = des_round(state, cfg, obj, partition)
             rounds_out.append((state, metrics))
-        return rounds_out, traced, obj.eval_counter
+        return rounds_out, batches.made, obj.eval_counter
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(rounds().filter(lambda case: case[1].model.is_mixture),
@@ -515,21 +522,28 @@ def test_planned_rounds_match_unplanned_oracle(monkeypatch):
         monkeypatch.setattr(objective, "PLAN_ENTRIES", cap)
         partition = partition_uniform(data, cfg.workers, RngStream(cfg.seed, "partition"))
         del blocks[:]
-        got_rounds, got_traced, got_evals = run(StackedBatch, data, cfg, loss, reg, state,
-                                                partition)
+        got_rounds, got_batches, got_evals = run(StackedBatch, data, cfg, loss, reg, state,
+                                                 partition)
         planned_blocks = len(blocks)
-        want_rounds, want_traced, want_evals = run(UnplannedStackedBatch, data, cfg, loss, reg,
-                                                   state, partition)
+        want_rounds, want_batches, want_evals = run(UnplannedStackedBatch, data, cfg, loss, reg,
+                                                    state, partition)
         for (got_state, got), (want_state, want) in zip(got_rounds, want_rounds):
             assert np.array_equal(got_state.x, want_state.x)
             assert np.array_equal(got_state.m, want_state.m)
             assert got_state.t == want_state.t
             assert got == want
-        for got_steps, want_steps in zip(got_traced, want_traced):
-            assert len(got_steps) == len(want_steps) == 2 * cfg.local_iters
-            for (k, step, v, f), want_step in zip(got_steps, want_steps):
-                assert (k, step, f) == (want_step[0], want_step[1], want_step[3])
-                assert np.array_equal(v, want_step[2])
+        assert ([len(batch.steps) for batch in got_batches]
+                == [len(batch.steps) for batch in want_batches] == 2 * [cfg.local_iters])
+        for got_batch, want_batch in zip(got_batches, want_batches):
+            assert np.array_equal(got_batch.start, want_batch.start)
+            assert np.array_equal(got_batch.kept_values(), want_batch.kept_values())
+            for step, want_step in zip(got_batch.steps, want_batch.steps):
+                # the same candidates (so the same steps), every candidate's
+                # value, rejected ones included, the same masks and kept points
+                assert np.array_equal(step.candidates, want_step.candidates)
+                assert np.array_equal(step.values, want_step.values)
+                assert np.array_equal(step.accepted, want_step.accepted)
+                assert np.array_equal(step.kept, want_step.kept)
         assert got_evals == want_evals == 2 * cfg.workers * cfg.local_iters * cfg.batch_size
         seen["several plan blocks"] += planned_blocks > 2
         for i in range(cfg.workers):

@@ -43,6 +43,7 @@ from desopt import localsolver, objective, server
 from desopt.objective import StackedBatch
 from desopt.processes import PIPE_BYTES, forked, recv_arrays, send_arrays
 from helpers import initial_state, refuse_forks
+from recording import recording
 
 GAUSS = MutationModel(MutationKind.STANDARD_GAUSSIAN, 4)
 
@@ -135,9 +136,10 @@ def test_des_round_all_rejected_is_fixed_point():
     assert metrics.evals == obj.eval_counter == 2 * 4 * 5
 
 
-def test_des_round_schedule_is_exact():
-    # The step sequence every worker sees at round t must equal
-    # step_size(alpha, t, k) bit for bit.
+def test_des_round_schedule_is_exact(monkeypatch):
+    # Every dense candidate a worker scores at round t must be its kept point
+    # plus step_size(alpha, t, k) times its k-th draw from its (t, i,
+    # "mutation") stream, bit for bit: the step the solver used.
     train = synth_dataset(SynthKind.SEPARABLE_LINEAR, 4, 40, RngStream(3, "synth"))
     from desopt import RegularizedObjective
 
@@ -148,11 +150,18 @@ def test_des_round_schedule_is_exact():
         partition = partition_uniform(train, 2, RngStream(cfg.seed, "partition"))
         state = initial_state(4)
         state.t = t
-        steps: dict[int, list[float]] = {0: [], 1: []}
-        des_round(state, cfg, obj, partition,
-                  trace_factory=lambda i: lambda k, s, v, f: steps[i].append(s))
+        batches = recording(StackedBatch)
+        monkeypatch.setattr(server, "StackedBatch", batches)
+        des_round(state, cfg, obj, partition)
+        [batch] = batches.made
+        assert len(batch.steps) == 4
         for i in (0, 1):
-            assert steps[i] == [step_size(2.0, t, k) for k in range(4)]
+            gen = RngStream(cfg.seed, t, i, "mutation").gen
+            [draws] = localsolver.dense_draws(cfg.model, [gen], 4)
+            kept = state.x
+            for k, step in enumerate(batch.steps):
+                assert np.array_equal(step.candidates[i], kept + step_size(2.0, t, k) * draws[k, 0])
+                kept = step.kept[i]
 
 
 @pytest.mark.parametrize("path", ["stacked"])
@@ -558,7 +567,7 @@ def test_round_stream_cut_anywhere_reads_as_rounds_made_here(monkeypatch):
             del made[:]
             got = run(cfg, partition, reader)
         assert got == want
-        assert made == list(range(int(np.searchsorted(ends, cut, "right")), rounds))
+        assert made == list(range(int(np.searchsorted(ends - 1, cut, "right")), rounds))
         seen[kind] += 1
         seen["cut mid-round"] += cut not in (0, *ends)
         seen["cut at an end mark"] += cut in ends - 1
