@@ -118,7 +118,9 @@ def compute_profiles(records: list[RunRecord], delta: float) -> list[ProfileCurv
     raw minimum train loss over every algorithm, seed, and round; an
     algorithm's cost is the first round whose median loss meets the solved()
     test, infinite when never met. Ratios are cost / best cost among solvers;
-    unsolved instances never enter a curve but stay in the denominator.
+    unsolved instances never enter a curve but stay in the denominator. An
+    instance that some algorithm solves at round 0 (its round-0 median loss
+    below the instance's median f(x0)) has no ratio, and raises ValueError.
     Output is sorted by algorithm name and invariant to input ordering.
     """
     if not 0.0 < delta < 1.0:
@@ -156,6 +158,12 @@ def compute_profiles(records: list[RunRecord], delta: float) -> list[ProfileCurv
         for algo in algos
         for inst in instances
     }
+
+    for inst in instances:
+        at_start = [algo for algo in algos if cost[(algo, inst)] == 0]
+        if at_start:
+            raise ValueError(f"instance {inst!r} is solved at round 0 by {', '.join(at_start)}: "
+                             "a best cost of 0 rounds leaves no cost ratio")
 
     curves = []
     for algo in algos:

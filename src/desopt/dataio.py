@@ -69,7 +69,7 @@ def _map_labels(raw: list[float], threshold: float | None) -> list[int]:
 # small file never forks. Each child counts its range and sends the counts
 # first; the calling process then allocates the final arrays, parses its own
 # range into them, and receives each child's arrays straight into their slices
-# (recv_arrays' `into`, a message of at most PIPE_BYTES at a time), so it never
+# (recv_arrays' `into`, read at most PIPE_BYTES at a time), so it never
 # holds a second copy.
 PARSE_CHUNK = 1 << 18
 RANGE_SECTIONS = 4

@@ -81,7 +81,7 @@ class CallableBatch:
     def __init__(self, value_fns: list[Callable[[np.ndarray], float]]):
         self.value_fns = value_fns
 
-    def values(self, V: np.ndarray, before: np.ndarray | None = None) -> np.ndarray:
+    def values(self, V: np.ndarray, move=None) -> np.ndarray:
         return np.array([fn(v) for fn, v in zip(self.value_fns, V)], dtype=np.float64)
 
     def keep(self, accepted: np.ndarray) -> None:
@@ -98,13 +98,15 @@ def mixture_draws(model: MutationModel, gens: list, iters: int) -> tuple[np.ndar
     return cols.reshape(iters, -1), np.stack(terms, axis=1).reshape(iters, -1)
 
 
-def dense_draws(model: MutationModel, gens: list, iters: int):
+def dense_draws(model: MutationModel, gens: list, iters: int, batch_size: int = 1):
     """A round's dense mutations for the workers whose generators are gens,
-    drawn as needed in blocks of at most DENSE_BLOCK // n iterations: one
+    drawn as needed in blocks of at most DENSE_BLOCK // max(n, batch_size)
+    iterations, so that a block and its products over a worker's
+    batch_size rows hold at most DENSE_BLOCK values per worker each: one
     standard_normal((rows, n)) call per generator in worker order (the
     numbers of rows standard_normal(n) calls). Yields each block as one
     (rows, M, n) array, whose row j holds iteration k + j's M x n mutations."""
-    chunk = min(iters, max(1, DENSE_BLOCK // model.n))
+    chunk = min(iters, max(1, DENSE_BLOCK // max(model.n, batch_size)))
     for k in range(0, iters, chunk):
         yield np.stack([gen.standard_normal((min(chunk, iters - k), model.n)) for gen in gens],
                        axis=1)
@@ -128,20 +130,22 @@ def run_lockstep_es(
     Mixture mutations are mixture_draws' (cols, terms); their candidates are
     made in place and scored by batch.values(V, before), where before holds
     the kept values at row k's coordinates. Dense ones are dense_draws'
-    blocks, read as the iterations reach them, and each iteration's M x n
-    candidates are scored by batch.values(candidates). The solver reports
-    only through batch's two calls and its return: (final values, accepted
-    counts), both of length M.
+    blocks, read as the iterations reach them; each iteration's M x n
+    candidates are scored by batch.values(candidates, step_k), which a
+    StackedBatch planned with the blocks' products scores from its kept
+    margins, and which other evaluators score point by point. The solver
+    reports only through batch's two calls and its return: (final values,
+    accepted counts), both of length M.
     """
     if not V.flags.c_contiguous:
         raise ValueError("the stacked points must be one C-contiguous array")
     f = np.array(f_start, dtype=np.float64)
     if np.isnan(f).any():
         raise NonFiniteObjectiveError(f"objective returned NaN at the start point ({f!r})")
-    model = cfg.model
+    model, mixture = cfg.model, cfg.model.is_mixture
     flat = V.reshape(-1)
     accepted = np.zeros(len(V), dtype=np.int64)
-    if model.is_mixture:
+    if mixture:
         all_cols, all_terms = mutations
         owner = np.repeat(np.arange(len(V)), model.l)  # the worker of each changed slot
     else:
@@ -149,7 +153,7 @@ def run_lockstep_es(
 
     for k in range(cfg.iters):
         step = cfg.step0 * (k + 1) ** -0.5
-        if model.is_mixture:
+        if mixture:
             # Sparse candidates: perturb in place, then put back the saved
             # slots of rejected workers. Duplicate indices accumulate in draw
             # order and restore to the value saved before any of them.
@@ -157,16 +161,20 @@ def run_lockstep_es(
             saved = flat[cols]
             np.add.at(flat, cols, step * all_terms[k])
             f_cand = batch.values(V, saved)
-            ok = accept(f, f_cand)
+        else:
+            candidates = V + step * next(mutations)
+            f_cand = batch.values(candidates, step)
+        # f holds checked values only: accept(f, f_cand) on the candidates alone
+        if np.isnan(f_cand).any():
+            raise NonFiniteObjectiveError(f"objective returned NaN at a candidate ({f_cand!r})")
+        ok = f_cand <= f
+        if mixture:
             undo = (~ok)[owner]
             flat[cols[undo]] = saved[undo]
         else:
-            candidates = V + step * next(mutations)
-            f_cand = batch.values(candidates)
-            ok = accept(f, f_cand)
-            V[ok] = candidates[ok]
+            np.copyto(V, candidates, where=ok[:, None])
         batch.keep(ok)
-        f = np.where(ok, f_cand, f)
+        np.copyto(f, f_cand, where=ok)
         accepted += ok
     return f, accepted
 

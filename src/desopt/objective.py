@@ -7,6 +7,7 @@ an L2 regularizer. Minibatches are plain arrays of row indices into a Dataset
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from enum import Enum
 from typing import NamedTuple
@@ -106,19 +107,29 @@ class StackedBatch:
     BatchView is its one-worker case.
 
     rows holds worker i's minibatch (row indices into obj.dataset) in row i.
-    One gather of all M*b rows, made on first use (a prepared mixture round
-    needs it only after an overflow), makes a block-diagonal CSR whose block
-    i holds the entries of dataset.matrix[rows[i]] in stored order and acts
-    on row i of V (columns offset by i*n). A dense candidate is a pure
-    function of V: the full stacked matvec, then per worker the loss sum over
-    b plus the L2 term, bit for bit the mean loss plus regularizer of that
-    worker alone. It drops the cache below: keep after it does nothing, and
-    a mixture candidate after it needs a new reset.
+    One gather of all M*b rows, made on first use (a prepared round needs it
+    only after an overflow), makes a block-diagonal CSR whose block i holds
+    the entries of dataset.matrix[rows[i]] in stored order and acts on row i
+    of V (columns offset by i*n). An unplanned candidate is a pure function
+    of V: the full stacked matvec, then per worker the loss sum over b plus
+    the L2 term, bit for bit the mean loss plus regularizer of that worker
+    alone. It drops the cache below: keep after it does nothing, and any
+    planned candidate after it needs a new reset.
 
-    For mixture candidates, reset caches the kept points' M*b signed
-    margins a = y * (X v), their per-row losses, each worker's loss sum and
-    squared norm, all exact; given the rows' products (the training-set
-    scores of the round's start point), it needs no gather and no product.
+    reset caches the kept points' M*b signed margins a = y * (X v), their
+    per-row losses, each worker's loss sum and squared norm, all exact;
+    given the rows' products (the training-set scores of the round's start
+    point), it needs no gather and no product.
+
+    A planned dense candidate is the kept points plus a step times draws u
+    whose products y * (X u) plan_dense has queued (products(draws) makes
+    them, maybe in the process that prepared the round): its margins are the
+    kept ones plus the step times those products, then come the losses of
+    all M*b rows and each worker's sum; its squared norms are taken from its
+    points. keep copies the accepted workers' margins into the cache, and
+    drops the rest of it: a mixture candidate after a dense one needs a new
+    reset.
+
     plan(cols) takes the flat coordinates that the coming mixture candidates
     change and cuts them into PlanBlocks of at most PLAN_ENTRIES CSC entries
     (blocks(cols)), which list each candidate's touched rows unless they
@@ -133,10 +144,12 @@ class StackedBatch:
     row lists would cost more than whole rows, a candidate instead copies
     the margins, scores every row and takes its sums over all of them (an
     untouched row adds exactly 0, so the values are the same), and keep
-    restores rejected workers' whole rows. Values equal an exact recompute
-    up to rounding; once a margin the candidate moved or the loss sums'
-    total is not finite, the non-finite margins are recomputed from their
-    rows and the sums taken afresh.
+    restores rejected workers' whole rows.
+
+    Planned values equal an exact recompute up to rounding; once a margin
+    the candidate moved (or, for a mixture candidate, the loss sums' total)
+    is not finite, the non-finite margins are recomputed from their rows
+    (and a mixture candidate's sums taken afresh).
     """
 
     def __init__(self, obj: "RegularizedObjective", rows):
@@ -146,8 +159,8 @@ class StackedBatch:
         self.rows = rows.reshape(-1)
         self.n = obj.dataset.n_features
         self._y = obj.dataset.labels[self.rows]
-        self._a = self._loss = self._sums = self._sq = self._undo = None
-        self._steps = iter(())
+        self._a = self._loss = self._sums = self._sq = self._undo = self._moved = None
+        self._steps = self._products = iter(())
 
     @functools.cached_property
     def _X(self) -> sp.csr_matrix:
@@ -164,9 +177,11 @@ class StackedBatch:
     def _owners(self) -> np.ndarray:
         return np.repeat(np.arange(self.workers), self.b)
 
-    def _exact(self, V: np.ndarray) -> np.ndarray:
-        """Worker values at V, recomputed from the rows."""
-        loss = _loss_values(self.obj.loss_kind, self._y * (self._X @ V.reshape(-1)))
+    def _exact(self, V: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
+        """Worker values at V from its margins a, recomputed from the rows when a is None."""
+        if a is None:
+            a = self._y * (self._X @ V.reshape(-1))
+        loss = _loss_values(self.obj.loss_kind, a)
         sums = np.add.reduce(loss.reshape(-1, self.b), axis=1)
         return sums / self.b + 0.5 * self.obj.reg * squared_norms(V)
 
@@ -178,8 +193,23 @@ class StackedBatch:
         self._loss = _loss_values(self.obj.loss_kind, self._a)
         self._sums = np.add.reduce(self._loss.reshape(-1, self.b), axis=1)
         self._sq = squared_norms(V)
-        self._undo = None
+        self._undo = self._moved = None
         return self._sums / self.b + 0.5 * self.obj.reg * self._sq
+
+    def products(self, draws: np.ndarray) -> np.ndarray:
+        """y * (X u) for each row u of draws (rows x M x n, an iteration's
+        M x n mutations a row), as a rows x M*b array: row j is how far
+        iteration j's candidates move the margins per unit step."""
+        product = self._X @ draws.reshape(len(draws), -1).T
+        # y is +-1: scaling the transposed product is exact, and lays it out by rows
+        return np.multiply(product.T, self._y, out=np.empty(product.shape[::-1]))
+
+    def plan_dense(self, products) -> None:
+        """Plan the coming dense candidates (prepare_round does, once a
+        round): products yields blocks of products(draws) for the
+        candidates' draws, in order, maybe made in the process that prepared
+        the round."""
+        self._products = itertools.chain.from_iterable(products)
 
     def blocks(self, cols: np.ndarray):
         """The PlanBlocks of cols (see plan), made one at a time."""
@@ -195,24 +225,30 @@ class StackedBatch:
         that prepared the round."""
         self._steps = _plan_steps(self.blocks(cols) if blocks is None else blocks)
 
-    def values(self, V: np.ndarray, before: np.ndarray | None = None) -> np.ndarray:
+    def values(self, V: np.ndarray, move=None) -> np.ndarray:
         """Worker values at the candidates V, charging M*b evaluations.
 
-        before None means V may differ anywhere. Otherwise V is the next
-        planned candidate and before[t] is the kept value at its t-th planned
-        coordinate; a candidate that cannot be scored raises ValueError and
-        charges nothing.
+        move None means V may differ anywhere. Otherwise V is the next
+        planned candidate, and move says how it left the kept points: for a
+        mixture candidate, move[t] is the kept value at its t-th planned
+        coordinate; for a dense one, move is its step (a float) along its
+        planned draws. A mixture candidate that cannot be scored raises
+        ValueError and charges nothing; a dense one is scored as an
+        unplanned candidate when no products are queued, or no reset has
+        followed the last unplanned candidate.
         """
-        step = None if before is None or self._a is None else next(self._steps, None)
-        if before is not None and step is None:
+        if isinstance(move, float):
+            return self._dense(V, move)
+        step = None if move is None or self._sums is None else next(self._steps, None)
+        if move is not None and step is None:
             raise ValueError("mixture candidates need plan(cols) and reset(V) first, "
                              "and reset again after a dense one")
         self.obj.eval_counter += len(self.rows)
-        if before is None:
-            self._a = self._loss = self._sums = self._sq = self._undo = None
+        if move is None:
+            self._a = self._loss = self._sums = self._sq = self._undo = self._moved = None
             return self._exact(V)
         cols, first, counts, entry_rows, data, touched = step
-        old, new = before[first], V.reshape(-1)[cols]
+        old, new = move[first], V.reshape(-1)[cols]
         a, loss = self._a, self._loss
         shift = data * np.repeat(new - old, counts)
         if touched is None:
@@ -249,8 +285,27 @@ class StackedBatch:
                                           minlength=self.workers)
         return self._sums / self.b + 0.5 * self.obj.reg * self._sq
 
+    def _dense(self, V: np.ndarray, step: float) -> np.ndarray:
+        """Worker values at the planned dense candidates V (see values)."""
+        products = next(self._products, None)
+        if products is None or self._a is None:
+            return self.values(V)
+        self.obj.eval_counter += len(self.rows)
+        a = self._a + step * products
+        if not math.isfinite(np.add.reduce(a)):
+            # a finite total means finite margins; recompute the others from their rows
+            bad = np.flatnonzero(~np.isfinite(a))
+            a[bad] = self._y[bad] * (self._X[bad] @ V.reshape(-1))
+        self._moved = a
+        self._loss = self._sums = self._sq = self._undo = None
+        return self._exact(V, a)
+
     def keep(self, accepted: np.ndarray) -> None:
-        """Keep the last mixture candidates of the accepted workers; restore the rest."""
+        """Keep the last planned candidates of the accepted workers; restore the rest."""
+        if self._moved is not None:
+            np.copyto(self._a.reshape(-1, self.b), self._moved.reshape(-1, self.b),
+                      where=accepted[:, None])
+            self._moved = None
         if self._undo is None:
             return
         touched, a, loss, sums, sq = self._undo

@@ -143,33 +143,39 @@ def _round_arrays(cfg: DesConfig, obj: RegularizedObjective, partition: Partitio
     list per block. The only place a round is drawn, from the workers' keyed
     streams: the head holds each worker's size-b minibatch rows (uniform with
     replacement from its shard) and a mixture round's mixture_draws (cols,
-    terms); a block is one dense_draws block, or the nine arrays of one
-    PlanBlock of cols."""
+    terms); a block is one dense_draws block and its products over the
+    rows, or the nine arrays of one PlanBlock of cols."""
     rows = np.array([partition.minibatch(i, RngStream(cfg.seed, t, i, "batch"), cfg.batch_size)
                      for i in range(cfg.workers)], dtype=np.int64)
     gens = [RngStream(cfg.seed, t, i, "mutation").gen for i in range(cfg.workers)]
+    batch = StackedBatch(obj, rows)
     if cfg.model.is_mixture:
         cols, terms = mixture_draws(cfg.model, gens, cfg.local_iters)
         yield [rows, cols, terms]
-        yield from map(list, StackedBatch(obj, rows).blocks(cols))
+        yield from map(list, batch.blocks(cols))
     else:
         yield [rows]
-        yield from ([block] for block in dense_draws(cfg.model, gens, cfg.local_iters))
+        for draws in dense_draws(cfg.model, gens, cfg.local_iters, cfg.batch_size):
+            yield [draws, batch.products(draws)]
 
 
 def prepare_round(cfg: DesConfig, obj: RegularizedObjective, partition: PartitionPlan, t: int,
                   arrays=None) -> tuple:
     """Round t as (batch, mutations), read from its array lists (arrays, or
     else _round_arrays' own), flattened by a pipe or not. batch is a
-    StackedBatch of the head's rows, made without a gather. A mixture round's
-    mutations are its (cols, terms), and batch comes planned with its blocks;
-    a dense round's are its draw blocks. Blocks are read as the candidates
+    StackedBatch of the head's rows, made without a gather, and planned with
+    the blocks: a mixture round's mutations are its (cols, terms), and its
+    blocks plan blocks; a dense round's mutations are its draw blocks, and
+    their products plan its candidates. Blocks are read as the candidates
     reach them."""
     lists = iter(_round_arrays(cfg, obj, partition, t) if arrays is None else arrays)
     rows, *draws = next(lists)
     batch = StackedBatch(obj, rows.reshape(cfg.workers, -1))
     if not cfg.model.is_mixture:
-        return batch, (block.reshape(-1, cfg.workers, cfg.model.n) for [block] in lists)
+        # the solver reads each block's draws just before batch reads its products
+        blocks, products = itertools.tee(lists)
+        batch.plan_dense(p.reshape(-1, rows.size) for _, p in products)
+        return batch, (u.reshape(-1, cfg.workers, cfg.model.n) for u, _ in blocks)
     cols, terms = (d.reshape(cfg.local_iters, -1) for d in draws)
     batch.plan(cols, (PlanBlock(*block) for block in lists))
     return batch, (cols, terms)

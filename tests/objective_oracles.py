@@ -84,7 +84,8 @@ class UnplannedStackedBatch(StackedBatch):
     copy of all M*b rows, and every candidate's unique coordinates, CSC
     entries and touched rows (np.unique) looked up at its values call. plan
     only queues the candidates' coordinates. The planned evaluator, in every
-    plan block of either kind, must equal it bit for bit."""
+    plan block of either kind, must equal it bit for bit. It queues no dense
+    products, so it scores every dense candidate as an unplanned one."""
 
     def plan(self, cols: np.ndarray, blocks=None) -> None:
         self._queued = iter(np.asarray(cols, dtype=np.int64))
@@ -95,10 +96,10 @@ class UnplannedStackedBatch(StackedBatch):
         csc.data *= self._y[csc.indices]
         return csc
 
-    def values(self, V: np.ndarray, before: np.ndarray | None = None) -> np.ndarray:
-        if before is None:
-            return super().values(V)
-        if self._a is None:
+    def values(self, V: np.ndarray, before=None) -> np.ndarray:
+        if before is None or isinstance(before, float):
+            return super().values(V, before)  # a dense candidate: the oracle plans none
+        if self._sums is None:
             raise ValueError("mixture candidates need reset(V) first, and again after a dense one")
         cols, first = np.unique(next(self._queued), return_index=True)
         self.obj.eval_counter += len(self.rows)

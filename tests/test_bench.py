@@ -133,6 +133,23 @@ def test_profiles_missing_cell_errors():
         compute_profiles(recs, delta=0.5)
 
 
+def test_profiles_reject_an_instance_solved_at_round_0():
+    # B's round-0 loss (0.5) is below the instance's f(x0), the median round-0
+    # loss over all runs (1.0), by more than delta of the best drop: B solves
+    # the instance at round 0, and a best cost of 0 rounds leaves no ratio
+    # (it was a ZeroDivisionError). Instance i2 alone still profiles.
+    recs = [make_record("A", "i1", 0, [1.0, 0.9]), make_record("B", "i1", 0, [0.5, 0.4]),
+            make_record("C", "i1", 0, [1.2, 1.1])]
+    with pytest.raises(ValueError, match="instance 'i1' is solved at round 0 by B: "):
+        compute_profiles(recs, delta=0.5)
+    recs += [make_record("A", "i2", 0, [1.0, 0.1]), make_record("B", "i2", 0, [1.0, 0.9]),
+             make_record("C", "i2", 0, [1.0, 0.2])]
+    with pytest.raises(ValueError, match="instance 'i1' is solved at round 0 by B: "):
+        compute_profiles(recs, delta=0.5)
+    curves = compute_profiles(recs[3:], delta=0.5)
+    assert [c.breakpoints for c in curves] == [((1.0, 1.0),), (), ((1.0, 1.0),)]
+
+
 def test_profiles_validation():
     with pytest.raises(ValueError):
         compute_profiles([], delta=0.5)

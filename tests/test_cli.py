@@ -590,6 +590,21 @@ def test_profile_command(tmp_path, capsys):
     assert main(["profile", str(tmp_path / "missing.csv"), "--delta", "0.1"]) == 1
 
 
+def test_profile_of_an_instance_solved_at_round_0_exits_1(tmp_path, capsys):
+    # B's round-0 loss already passes solved(): its best cost is 0 rounds, an
+    # input the profile cannot rank (it once exited 2 on a ZeroDivisionError)
+    header = "algo,instance,seed,round,cum_evals,train_loss,train_err,test_err,wall_ms"
+    rows = [f"{algo},tiny,0,{rnd},{100 * rnd},{loss},0.5,0.5,0"
+            for algo, losses in (("A", (1.0, 0.9)), ("B", (0.5, 0.4)), ("C", (1.2, 1.1)))
+            for rnd, loss in enumerate(losses)]
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    assert main(["profile", str(metrics), "--delta", "0.5"]) == 1
+    assert capsys.readouterr().err == ("error: instance 'tiny' is solved at round 0 by B: "
+                                       "a best cost of 0 rounds leaves no cost ratio\n")
+    assert not (tmp_path / "profiles.csv").exists()
+
+
 def test_parse_check_command(tmp_path, capsys):
     good = tmp_path / "good.txt"
     good.write_text("+1 1:0.5 3:1\n-1 2:2\n", encoding="utf-8")

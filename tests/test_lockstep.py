@@ -1,11 +1,13 @@
 """Lockstep rounds and the stacked evaluator against exact references.
 
 des_round advances all M workers together and scores their candidates
-through one StackedBatch. Dense candidates take the full stacked matvec, so a
-dense round must equal, bit for bit, the per-worker (1+1)-ES that evaluates
-every candidate with the standalone ReferenceBatchView.value. Sparse mixture
-candidates update cached margins and squared norms incrementally, so their
-values equal an exact
+through one StackedBatch. Dense candidates are the kept points plus a step
+times their draws, bit for bit, but their margins are the kept ones plus the
+step times the draws' products, so a dense round must take the points and
+accept decisions of the per-worker (1+1)-ES that evaluates every candidate
+with the standalone ReferenceBatchView.value, and its values within TOL.
+Sparse mixture candidates update cached margins and squared norms
+incrementally, so their values equal an exact
 recompute only up to rounding: within TOL, relative to 1 + |value|. Whole
 mixture trajectories are therefore not compared with the reference (a
 near-tie may be decided either way); each step is checked instead. Planned
@@ -45,7 +47,14 @@ from desopt import (
 )
 from desopt import objective, server
 from desopt.baselines import _zo_grads
-from desopt.localsolver import DENSE_BLOCK, LocalConfig, dense_draws, mixture_draws, run_lockstep_es
+from desopt.localsolver import (
+    DENSE_BLOCK,
+    CallableBatch,
+    LocalConfig,
+    dense_draws,
+    mixture_draws,
+    run_lockstep_es,
+)
 from desopt.mutation import draw_terms
 from desopt.objective import StackedBatch
 from objective_oracles import ReferenceBatchView, UnplannedStackedBatch, column_entries
@@ -85,6 +94,13 @@ def reference_round(state, cfg, obj, partition):
     metrics = RoundMetrics(evals=cfg.workers * cfg.local_iters * cfg.batch_size,
                            accepted=tuple(accepted), worker_values=tuple(values))
     return next_state(state, cfg, finals), metrics
+
+
+def same_metrics(got: RoundMetrics, want: RoundMetrics) -> bool:
+    """A dense round's metrics against the reference's: evaluations and
+    accepted counts exact, worker values within TOL."""
+    return (got.evals == want.evals and got.accepted == want.accepted
+            and close(got.worker_values, np.array(want.worker_values)))
 
 
 def next_state(state, cfg, finals):
@@ -181,7 +197,7 @@ def test_lockstep_round_matches_per_worker_reference():
         assert np.array_equal(got_state.x, want_state.x)
         assert np.array_equal(got_state.m, want_state.m)
         assert got_state.t == want_state.t
-        assert got == want
+        assert same_metrics(got, want)
         assert obj.eval_counter == ref_obj.eval_counter == want.evals
 
     check()
@@ -209,7 +225,7 @@ def test_dense_round_in_several_chunks_matches_reference():
     got_state, got = des_round(state, cfg, obj, partition)
     assert np.array_equal(got_state.x, want_state.x)
     assert np.array_equal(got_state.m, want_state.m)
-    assert got == want
+    assert same_metrics(got, want)
     assert obj.eval_counter == ref_obj.eval_counter == want.evals
     assert 0 < sum(got.accepted) < cfg.workers * cfg.local_iters, got.accepted
 
@@ -233,6 +249,39 @@ def test_dense_mutation_blocks_are_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 10e6, peak
+
+
+def test_dense_products_are_memory_bounded():
+    # A block's products (rows x M*b) outgrow its draws (rows x M*n) when b
+    # is above n, so a block holds DENSE_BLOCK // max(n, b) iterations, and
+    # its products at most M * DENSE_BLOCK floats. At n = 20 and b = 4096 a
+    # round's 64 iterations come in four blocks of 16: one block of all 64, as
+    # DENSE_BLOCK // n alone allows, would hold 4.2 MB of products, and its
+    # making twice that. The producer's peak holds about three blocks of
+    # products (the last one's, and the next one's before and after it is laid
+    # out by rows) and the gather. The draws do not depend on the blocks.
+    workers, iters, n, b = 2, 64, 20, 4096
+    data, _ = sparse_dataset(n, 400, seed=7)
+    data = Dataset(data.matrix * 10.0, data.labels)  # density 0.01 of n = 20 leaves rows empty
+    cfg = DesConfig(workers=workers, rounds=1, local_iters=iters, batch_size=b, alpha=1.0,
+                    model=MutationModel(MutationKind.STANDARD_GAUSSIAN, n), seed=3)
+    obj = RegularizedObjective(LossKind.LR, data, 1e-6)
+    partition = partition_uniform(data, workers, RngStream(cfg.seed, "partition"))
+    bound = workers * DENSE_BLOCK
+    tracemalloc.start()
+    try:
+        lists = server._round_arrays(cfg, obj, partition, 0)
+        [rows] = next(lists)
+        blocks = [(draws.copy(), products.size) for draws, products in lists]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(draws) for draws, _ in blocks] == [16] * 4
+    assert all(size == 16 * workers * b == bound for _, size in blocks)
+    assert peak < 4 * bound * 8, peak
+    gens = [RngStream(cfg.seed, 0, i, "mutation").gen for i in range(workers)]
+    [whole] = dense_draws(cfg.model, gens, iters)  # batch_size 1: one block of 64
+    assert np.array_equal(np.concatenate([draws for draws, _ in blocks]), whole)
 
 
 @st.composite
@@ -439,6 +488,12 @@ def test_mixture_value_after_an_overflowed_loss_sum(rows, moves, loss):
 
 
 def test_dense_values_are_stateless():
+    # The zeroth-order baselines score X +- mu*U with values(V), and
+    # run_local_es scores through a CallableBatch: both must score each point
+    # from scratch, as a black box would, bit for bit the standalone
+    # reference. So must a StackedBatch given a dense candidate's step with no
+    # products queued (a DES round queues them; see
+    # test_planned_dense_values_stay_exact).
     seen = Counter()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -448,18 +503,23 @@ def test_dense_values_are_stateless():
         obj = RegularizedObjective(loss, data, reg)
         batch = StackedBatch(obj, rows)
         views = [ReferenceBatchView(obj, r) for r in rows]
+        callable_batch = CallableBatch([view.value for view in views])
         if rng.random() < 0.5:
             batch.reset(V)
             seen["reset first"] += 1
-        # dense candidates with random keep masks between them, as a DES
-        # round or a zeroth-order step makes them
+        # dense candidates with random keep masks between them, as a
+        # zeroth-order step makes them
         for _ in range(calls + 1):
             candidates = V + rng.normal(size=V.shape) * rng.choice([0.01, 1.0, 5.0])
+            step = None if rng.random() < 0.5 else 0.5
+            seen["with a step" if step else "no step"] += 1
             counter = obj.eval_counter
-            got = batch.values(candidates)
+            got = batch.values(candidates, step)
             assert obj.eval_counter - counter == rows.size
             want = np.array([view.peek_value(v) for view, v in zip(views, candidates)])
             assert np.array_equal(got, want), (got, want)
+            assert np.array_equal(callable_batch.values(candidates, step), want)
+            assert obj.eval_counter - counter == 2 * rows.size
             ok = rng.random(len(V)) < 0.5
             batch.keep(ok)
             V[ok] = candidates[ok]
@@ -475,8 +535,74 @@ def test_dense_values_are_stateless():
         seen["reg 0" if reg == 0 else "reg > 0"] += 1
 
     check()
-    assert min(seen[k] for k in ("reset first", "mixed keep", "loss LR", "loss NSVM",
-                                 "loss LSVM", "reg 0", "reg > 0")) > 0, seen
+    assert min(seen[k] for k in ("reset first", "with a step", "no step", "mixed keep", "loss LR",
+                                 "loss NSVM", "loss LSVM", "reg 0", "reg > 0")) > 0, seen
+
+
+def test_planned_dense_values_stay_exact():
+    # Many planned dense candidates in a row, each kept or not at random,
+    # their products made in blocks by another batch of the same rows (as
+    # the round-prep helper makes them): every value stays within TOL of an
+    # exact recompute at its points, for every loss, and the ledger is exact.
+    # Margins overflow too. Column 0 holds entries of 1e308 in rows with no
+    # other entry; the kept points' column 0 is 0 or +-2 and the draws leave
+    # it alone, so those margins are 0 or +-inf exactly, and recomputed at
+    # every candidate. A blow-up candidate's draws hold 1e308 at column 1,
+    # with a step of 1e-160: its products overflow where its exact margins do
+    # not. Without either, the batch, reset from scores, never gathers its
+    # rows.
+    seen = Counter()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from(list(LossKind)), st.sampled_from([0.0, 1e-6, 0.1]), st.integers(1, 3),
+           st.integers(1, 12), st.integers(20, 120), st.integers(1, 40), st.booleans(),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def check(loss, reg, workers, b, iters, block, huge, blowup, seed):
+        rng = np.random.default_rng(seed)
+        n, examples = 6, 30
+        features = rng.normal(size=(examples, n)) * (rng.random((examples, n)) < 0.5)
+        features[:2] = 0.0
+        features[:2, 0] = 1e308
+        data = Dataset(sp.csr_matrix(features), rng.choice([-1.0, 1.0], size=examples))
+        obj = RegularizedObjective(loss, data, reg)
+        rows = rng.integers(0, examples, size=(workers, b))
+        views = [ReferenceBatchView(obj, r) for r in rows]
+        V = rng.normal(size=(workers, n))
+        V[:, 0] = rng.choice([2.0, -2.0], size=workers) * huge
+        draws = rng.normal(size=(iters, workers, n))
+        draws[:, :, 0] = 0.0
+        steps = 0.5 * (np.arange(iters) + 1.0) ** -0.5
+        if blowup:
+            draws[iters // 2, :, 1], steps[iters // 2] = 1e308, 1e-160
+        producer, batch = StackedBatch(obj, rows), StackedBatch(obj, rows)
+        with np.errstate(over="ignore"):
+            scores = np.concatenate([data.matrix[r] @ v for r, v in zip(rows, V)])
+            batch.reset(V, scores)
+        batch.plan_dense(producer.products(draws[k:k + block]) for k in range(0, iters, block))
+        for k in range(iters):
+            candidates = V + steps[k] * draws[k]
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = batch.values(candidates, float(steps[k]))
+                exact = np.array([view.peek_value(v) for view, v in zip(views, candidates)])
+                near = np.abs(got - exact) <= TOL * (1.0 + np.abs(exact))
+            assert np.all((got == exact) | near), (k, got, exact)
+            seen["inf value"] += bool(np.isinf(exact).any())
+            ok = rng.random(workers) < 0.5
+            batch.keep(ok)
+            V[ok] = candidates[ok]
+        assert obj.eval_counter == iters * rows.size
+        if blowup:
+            seen["products overflow"] += bool(np.isinf(producer.products(draws[iters // 2:][:1])).any())
+        assert "_X" in batch.__dict__ or not np.isinf(batch._a).any()
+        if not (huge or blowup):
+            assert "_X" not in batch.__dict__
+        seen["gathered after an overflow"] += "_X" in batch.__dict__
+        seen["loss " + loss.value] += 1
+        seen["several blocks"] += block < iters
+
+    check()
+    assert min(seen[k] for k in ("inf value", "products overflow", "gathered after an overflow",
+                                 "loss LR", "loss NSVM", "loss LSVM", "several blocks")) > 0, seen
 
 
 def test_planned_rounds_match_unplanned_oracle(monkeypatch):

@@ -7,6 +7,7 @@ import fcntl
 import multiprocessing
 import os
 import sys
+import termios
 import time
 from collections import Counter
 
@@ -279,11 +280,12 @@ def count_helpers(monkeypatch) -> list:
     return forks
 
 
-def test_helper_pipe_carries_arrays_as_sent():
+def test_helper_pipe_carries_arrays_as_sent(monkeypatch):
     # send_arrays/recv_arrays over a forked() pipe of PIPE_BYTES:
     # dtypes and values (NaN, -0.0 and inf included) survive, each
-    # array arrives flattened, an array larger than PIPE_BYTES arrives in
-    # several messages of at most PIPE_BYTES, a receive into larger
+    # array arrives flattened, every byte of an array is read by os.readv
+    # straight into that array, in reads of at most PIPE_BYTES (an array
+    # larger than PIPE_BYTES takes several), a receive into larger
     # destinations fills their fronts, and the reader sees EOF once the
     # child is done
     arrays = [np.arange(5), np.array([[1.5, -0.0, np.inf], [np.nan, 2.0, -3.0]]),
@@ -303,11 +305,30 @@ def test_helper_pipe_carries_arrays_as_sent():
     with forked(1, work) as [(_, reader)]:
         if sys.platform == "linux":
             assert fcntl.fcntl(reader.fileno(), fcntl.F_GETPIPE_SZ) == PIPE_BYTES
-        sizes, recv_into = [], reader.recv_bytes_into
-        reader.recv_bytes_into = lambda buf: sizes.append(len(buf)) or recv_into(buf)
+        spans, readv = [], os.readv
+
+        def reading(fd, buffers):  # the (address, bytes) spans each read filled
+            assert fd == reader.fileno() and sum(b.nbytes for b in buffers) <= PIPE_BYTES
+            got = left = readv(fd, buffers)
+            for b in buffers:
+                spans.append((b.ctypes.data, min(left, b.nbytes)))
+                left -= spans[-1][1]
+            return got
+
+        monkeypatch.setattr(os, "readv", reading)
         got = recv_arrays(reader)
-        small = [a.nbytes for a in arrays[:-1] if a.size]
-        assert sizes == small + [PIPE_BYTES, PIPE_BYTES, 24]  # each message read into its array
+        monkeypatch.setattr(os, "readv", readv)
+        # after the header's two reads (its array count, then two int64s an
+        # array), the reads cover each array's own memory, in order, once
+        merged = []
+        for at, size in spans:
+            if merged and merged[-1][0] + merged[-1][1] == at:
+                merged[-1] = (merged[-1][0], merged[-1][1] + size)
+            elif size:
+                merged.append((at, size))
+        assert [size for _, size in merged[:2]] == [8, 16 * len(arrays)]
+        assert merged[2:] == [(a.ctypes.data, a.nbytes) for a in got if a.size]
+        assert len(spans) > len(arrays) + 1  # the large array took several reads
         put = recv_arrays(reader, into)
         with pytest.raises(EOFError):
             recv_arrays(reader)
@@ -327,6 +348,96 @@ def test_helper_pipe_carries_arrays_as_sent():
             send_arrays(writer, [np.arange(3)])
             with pytest.raises(ValueError, match="does not fit"):
                 recv_arrays(reader, [wrong])
+
+
+# the dtypes of the arrays that cross desopt's pipes: rows, plan indices and
+# parse arrays (int64, int32), draws, products, terms and parse values
+# (float64), and bool for good measure
+PIPE_DTYPES = (np.int64, np.int32, np.float64, np.bool_)
+
+
+@st.composite
+def pipe_arrays(draw):
+    """A list of arrays of the pipe's dtypes, each empty, small or larger
+    than PIPE_BYTES, some 2-d; floats hold signed zeros, infinities and NaN."""
+    arrays = []
+    for _ in range(draw(st.integers(0, 4))):
+        dtype = np.dtype(draw(st.sampled_from(PIPE_DTYPES)))
+        size = draw(st.sampled_from([0, 1, 6, PIPE_BYTES // dtype.itemsize + 5]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if dtype.kind == "f":
+            a = rng.normal(size=size) * 1e3
+            special = rng.random(size) < 0.3
+            a[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=int(special.sum()))
+        elif dtype.kind == "b":
+            a = rng.random(size) < 0.5
+        else:
+            info = np.iinfo(dtype)
+            a = rng.integers(info.min, info.max, size=size, dtype=dtype, endpoint=True)
+        arrays.append(a.reshape(2, -1) if size % 2 == 0 and draw(st.booleans()) else a)
+    return arrays
+
+
+def test_pipe_round_trip_is_bit_for_bit():
+    # Any list of arrays sent by a forked child arrives bit for bit (signed
+    # zeros and NaN payloads included), flattened, in a new array or in the
+    # front of a given one, and EOF at the boundary after the last send is
+    # EOFError
+    seen = Counter()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(pipe_arrays(), st.booleans())
+    def check(arrays, use_into):
+        into = [np.zeros(a.size + 3, a.dtype) for a in arrays] if use_into else None
+
+        def work(k, writer):
+            with writer:
+                send_arrays(writer, arrays)
+
+        with forked(1, work) as [(_, reader)]:
+            got = recv_arrays(reader, into)
+            with pytest.raises(EOFError):
+                recv_arrays(reader)
+        assert len(got) == len(arrays)
+        for k, (have, want) in enumerate(zip(got, arrays)):
+            assert have.dtype == want.dtype and have.shape == (want.size,)
+            assert have.tobytes() == want.tobytes()
+            if use_into:
+                assert have.base is into[k] and not into[k][have.size:].any()
+            seen["large" if want.nbytes > PIPE_BYTES else "small" if want.size else "empty"] += 1
+        seen["into" if use_into else "new"] += 1
+
+    check()
+    assert min(seen[k] for k in ("large", "small", "empty", "into", "new")) > 0, seen
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the pipe's fill level (FIONREAD)")
+def test_pipe_writer_killed_mid_array_is_oserror():
+    # The child's first call arrives whole; its second, an array larger than
+    # the pipe, fills the pipe and blocks. Killed there, the child leaves a
+    # call cut part-way through its array: the reader takes what was sent and
+    # raises OSError, not EOFError
+    big = np.arange(3 * PIPE_BYTES // 8, dtype=np.float64)
+
+    def work(k, writer):
+        send_arrays(writer, [np.arange(3)])
+        send_arrays(writer, [big])
+
+    with forked(1, work) as [(child, reader)]:
+        assert np.array_equal(recv_arrays(reader)[0], np.arange(3))
+        capacity, waiting = fcntl.fcntl(reader.fileno(), fcntl.F_GETPIPE_SZ), bytearray(4)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            fcntl.ioctl(reader.fileno(), termios.FIONREAD, waiting)
+            if int.from_bytes(waiting, sys.byteorder) >= capacity:
+                break
+            time.sleep(0.01)
+        child.terminate()
+        child.join()
+        with pytest.raises(OSError, match="end of file during message"):
+            recv_arrays(reader)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -501,13 +612,49 @@ def test_helper_sent_rounds_equal_prepare_round(monkeypatch):
                     else:
                         kinds["draws"] += 1
                 want_mutations = (want_head[1:] if cfg.model.is_mixture
-                                  else [want for [want] in want_blocks])
+                                  else [draws for draws, _ in want_blocks])
                 assert all(have.shape == want.shape and np.array_equal(have, want)
                            for have, want in zip(mutations, want_mutations, strict=True))
                 rounds.append(t)
     assert rounds == 2 * list(range(5)) and here == []
     assert kinds["most rows"] > 0 and kinds["touched rows"] > 0, kinds
     assert kinds["draws"] == 5 * 3, kinds  # 6 iterations a round, 2 a block
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("overflow", [False, True])
+def test_dense_rounds_off_the_pipe_gather_no_rows(overflow, monkeypatch, two_cpus):
+    # A dense round that the helper prepares reaches the calling process as
+    # its rows, draws and products. The caller resets from the snapshot's
+    # scores and scores every candidate from kept margins: it never gathers
+    # the batch's rows (StackedBatch._X) and never makes a product, unless a
+    # margin overflows. With entries near 1e308, a draw above about 1.8 makes
+    # products overflow where the margins of the small candidates (alpha is
+    # 1e-3) do not; those margins are recomputed from the gathered rows. The
+    # metrics equal those of a run without the helper.
+    train, test = sparse_split(25)
+    if overflow:
+        train = Dataset(train.matrix * 1e308, train.labels)
+    cfg = dense_cfg(alpha=1e-3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    with np.errstate(invalid="ignore"):  # inf - inf in the total of overflowed margins
+        expected = metric_rows(run_des(cfg, train, test, LossKind.LR))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    caller, make, prepare = os.getpid(), server._round_arrays, server.prepare_round
+    here, batches = [], []
+    monkeypatch.setattr(server, "_round_arrays", lambda *args: (
+        os.getpid() == caller and here.append(args[-1])) or make(*args))
+    monkeypatch.setattr(server, "prepare_round", lambda *args: (
+        batches.append((prepared := prepare(*args))[0]) or prepared))
+    products = StackedBatch.products
+    monkeypatch.setattr(StackedBatch, "products", lambda *args: (
+        os.getpid() == caller and pytest.fail("a product made here")) or products(*args))
+    forks = count_helpers(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        assert metric_rows(run_des(cfg, train, test, LossKind.LR)) == expected
+    assert forks == [1] and here == [] and len(batches) == cfg.rounds
+    gathered = ["_X" in batch.__dict__ for batch in batches]
+    assert any(gathered) if overflow else not any(gathered), gathered
     assert multiprocessing.active_children() == []
 
 

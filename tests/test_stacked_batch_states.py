@@ -1,19 +1,26 @@
 """StackedBatch as a state machine, against the unplanned oracle.
 
 The stacked evaluator keeps state across calls: a cache of the kept points'
-margins, losses, loss sums and squared norms, a queue of planned candidates
-in plan blocks of two kinds, an undo record and an overflow path. Hypothesis
-drives one small batch through any order of resets, plans, mixture and dense
-candidates, keeps and moves that overflow a margin and come back, and checks
-after every step that:
-- every value and the whole cache equal UnplannedStackedBatch bit for bit;
+margins, losses, loss sums and squared norms, a queue of planned mixture
+candidates in plan blocks of two kinds, a queue of planned dense candidates'
+products, an undo record and an overflow path. Hypothesis drives one small
+batch through any order of resets, plans, mixture candidates, planned and
+unplanned dense candidates, keeps and moves that overflow a margin and come
+back, and checks after every step that:
+- every mixture or unplanned value, and the whole cache, equal
+  UnplannedStackedBatch bit for bit;
+- every planned dense value is within TOL of the oracle's (an exact
+  recompute), and keep leaves the kept points' margins in the cache, within
+  TOL of an exact recompute;
 - the cache holds the kept points' values, within TOL of an exact recompute;
 - keep puts back exactly the rejected workers' margins, losses, sums and
   norms;
 - every values call that scores charges M*b evaluations, and one that
   raises charges none;
 - a mixture candidate raises ValueError exactly when no reset has followed
-  the last dense candidate, or the plan is spent.
+  the last dense candidate, or the plan is spent; a dense candidate scores
+  as an unplanned one when no reset has followed the last unplanned
+  candidate, or no products are queued.
 
 Column 0 of the data holds entries of 1e308 in rows with no other entry, and
 the kept points' column 0 only takes the values 0 and +-2, so those rows'
@@ -22,7 +29,10 @@ them, and values can be checked against an exact recompute through overflows.
 Entries of 1e300 would need |x0| above 1.8e8 to overflow, and the squared
 norms would then cancel 3e16 or more by differences, far beyond TOL. Exact
 margins near +-1e308 that overflow by differences are out of reach too;
-test_lockstep's test_mixture_value_after_an_overflowed_loss_sum covers them.
+test_lockstep's test_mixture_value_after_an_overflowed_loss_sum and
+test_planned_dense_values_stay_exact cover them. Planned dense draws leave
+column 0 alone, so their candidates keep its levels, and the rows whose
+margins are +-inf are recomputed at every one of them.
 """
 from __future__ import annotations
 
@@ -81,6 +91,7 @@ class StackedBatchStates(RuleBasedStateMachine):
         self.V = self.kept_point()
         self.calls = 0  # values calls that scored, each charging M*b evaluations
         self.fresh = False  # a reset since the last dense candidate
+        self.margins = False  # a reset since the last unplanned candidate
         self.cols, self.left = None, 0  # the plan and its candidates not yet scored
 
     def kept_point(self) -> np.ndarray:
@@ -110,7 +121,7 @@ class StackedBatchStates(RuleBasedStateMachine):
             got = self.batch.reset(self.V, None if given is None else given.reshape(-1))
             want = self.oracle.reset(self.V)
         assert equal(got, want) and close(got, self.exact(self.V))
-        self.fresh = True
+        self.fresh = self.margins = True
         seen["reset from scores" if scores else "reset"] += 1
 
     @rule(steps=st.integers(1, 12), l=st.integers(1, 4), piped=st.booleans(),
@@ -209,12 +220,60 @@ class StackedBatchStates(RuleBasedStateMachine):
         self.batch.keep(accepted)
         self.oracle.keep(accepted)
         assert self.batch._a is None and self.batch._undo is None
-        self.fresh = False
+        self.fresh = self.margins = False
         seen["dense"] += 1
+
+    @rule(iters=st.integers(1, 4), short=st.booleans(), piped=st.booleans(),
+          scale=st.sampled_from([0.5, 3.0]), step=st.sampled_from([0.01, 1.0, 3.0]),
+          accept=st.integers(0, 7))
+    def dense_block(self, iters, short, piped, scale, step, accept):
+        # a block of planned dense candidates, the kept points plus step
+        # times draws that leave column 0 alone, scored from the products a
+        # batch of the same rows made (maybe sent over a pipe, as the
+        # round-prep helper's are); when short, the last candidate has no
+        # products queued and scores as an unplanned one
+        workers = len(self.rows)
+        draws = self.rng.normal(size=(iters, workers, N)) * scale
+        draws[:, :, 0] = 0.0
+        blocks = [StackedBatch(self.batch.obj, self.rows).products(draws[:iters - short])
+                  for _ in range(iters > short)]
+        if piped:
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            with reader, writer:
+                send_arrays(writer, blocks)
+                blocks = [p.reshape(iters - short, -1) for p in recv_arrays(reader)]
+        self.batch.plan_dense(blocks)
+        for k, u in enumerate(draws):
+            accepted = (accept >> np.arange(workers) + k) & 1 == 1
+            cand = self.V + step * u
+            self.calls += 1
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = self.batch.values(cand, step)
+                want = self.oracle.values(cand, step)
+            assert close(got, want) and close(got, self.exact(cand)), (got, want)
+            planned = self.margins and k < iters - short
+            if planned:
+                assert self.batch._loss is None and self.batch._sums is None
+                seen["planned dense"] += 1
+                seen["dense inf margin"] += bool(np.isinf(self.batch._moved).any())
+            else:
+                assert equal(got, want)  # an unplanned candidate
+                self.margins = False
+                seen["dense, unplanned"] += 1
+            self.batch.keep(accepted)
+            self.oracle.keep(accepted)
+            self.V[accepted] = cand[accepted]
+            seen["mixed dense keep"] += planned and 0 < accepted.sum() < workers
+        self.fresh = False
 
     @invariant()
     def cache_holds_the_kept_values(self):
         assert self.batch.obj.eval_counter == self.calls * self.rows.size
+        if self.margins:
+            with np.errstate(over="ignore"):
+                X = self.batch.obj.dataset.matrix
+                exact = np.concatenate([X[r] @ v for r, v in zip(self.rows, self.V)])
+            assert close(self.batch._a, self.batch._y * exact)
         if not self.fresh:
             return
         got, want = self.cache(self.batch), self.cache(self.oracle)
@@ -229,8 +288,9 @@ def test_stacked_batch_state_machine(monkeypatch):
     monkeypatch.setattr(objective, "DENSE_TOUCH", objective.DENSE_TOUCH)
     seen.clear()
     run_state_machine_as_test(StackedBatchStates, settings=settings(
-        max_examples=150, stateful_step_count=50, deadline=None, derandomize=True))
+        max_examples=300, stateful_step_count=50, deadline=None, derandomize=True))
     assert min(seen[k] for k in (
         "reset", "reset from scores", "touched-row block", "whole-row block", "piped plan",
         "raise after a dense candidate", "raise, plan spent", "inf margin",
-        "inf margin brought back", "mixed keep", "dense")) > 0, seen
+        "inf margin brought back", "mixed keep", "dense", "planned dense", "dense inf margin",
+        "dense, unplanned", "mixed dense keep")) > 0, seen
