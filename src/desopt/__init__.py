@@ -44,7 +44,6 @@ from .localsolver import (
     LocalConfig,
     NonFiniteObjectiveError,
     WorkerResult,
-    accept,
     run_local_es,
     step_size,
 )

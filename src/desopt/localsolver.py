@@ -60,20 +60,6 @@ def step_size(alpha: float, t: int, k: int) -> float:
     return alpha * (t + 1) ** -0.25 * (k + 1) ** -0.5
 
 
-def accept(f_parent, f_candidate):
-    """Greedy selection: keep the candidate iff f_candidate <= f_parent.
-
-    Ties accept (the zero case counts as an improvement). NaN on either side
-    means the objective is poisoned and raises rather than silently ranking.
-    Works elementwise on arrays of worker values.
-    """
-    if np.isnan(f_parent).any() or np.isnan(f_candidate).any():
-        raise NonFiniteObjectiveError(
-            f"objective returned NaN (parent={f_parent!r}, candidate={f_candidate!r})"
-        )
-    return f_candidate <= f_parent
-
-
 class CallableBatch:
     """Evaluator over one value function per worker, called one point at a
     time; the functions do their own evaluation accounting."""
@@ -164,7 +150,7 @@ def run_lockstep_es(
         else:
             candidates = V + step * next(mutations)
             f_cand = batch.values(candidates, step)
-        # f holds checked values only: accept(f, f_cand) on the candidates alone
+        # f holds checked values only, so NaN is checked on the candidates alone; ties accept
         if np.isnan(f_cand).any():
             raise NonFiniteObjectiveError(f"objective returned NaN at a candidate ({f_cand!r})")
         ok = f_cand <= f

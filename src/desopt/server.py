@@ -5,14 +5,15 @@ config checks that DES and the baselines share and to their one round driver,
 run_rounds: each algorithm is a generator of rounds, which run_rounds starts at
 the zero point and pulls one round at a time. Every algorithm simulates its M
 workers in the calling thread; none starts a thread. run_des forks one helper
-process that makes every DES round's array lists ahead of the caller where two
-CPUs allow; a round's lists are read the same way whether they came over the
-helper's pipe or were made in the calling process.
+process that makes DES rounds 1.. ahead of the caller, in memory the two share,
+where two CPUs allow; a round's lists are read the same way whether the helper
+made them or the calling process did.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 import warnings
 from contextlib import nullcontext, suppress
@@ -40,7 +41,7 @@ from .objective import (
     StackedBatch,
     classification_error,
 )
-from .processes import forked, process_count, recv_arrays, send_arrays
+from .processes import Ring, forked, process_count, recv_arrays, send_arrays
 
 # Momentum must stay below sqrt(1/(2*sqrt(2))) ~ 0.5946 or the delayed step
 # can feed back on itself; larger values are for deliberate failure studies.
@@ -310,26 +311,32 @@ def run_des(
     from one generator, _prepared_rounds: one producer (_round_arrays) makes
     its array lists, draws and plan included, and one reader (prepare_round)
     reads them. For two rounds or more, dense or mixture, a forked helper
-    process makes every round's lists, round 0 included, ahead of the
-    calling process, if process_count finds a CPU for each: not in a
-    daemonic caller, and not on a CPU that a running child of the caller (a
-    `desopt run --threads` worker, say) holds.
+    process makes rounds 1.. ahead of the calling process, which makes
+    round 0 meanwhile, if process_count finds a CPU for each (not in a
+    daemonic caller, and not on a CPU that a running child of the caller, a
+    `desopt run --threads` worker say, holds) and the system has eventfds
+    (Linux). The helper copies a round's arrays into a Ring made before the
+    fork, where the caller reads them, and its pipe carries their headers.
     The outputs do not depend on the helper. threads is accepted for the
     callers that pass it and must be at least 1; it changes nothing.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     _check_dimension(cfg, train.n_features)
-    helper = cfg.rounds > 1 and process_count(2) == 2
+    helper = cfg.rounds > 1 and hasattr(os, "eventfd") and process_count(2) == 2
 
     def rounds(obj, partition, x0):
         state = ServerState(x=x0, m=np.zeros_like(x0))
-        children = (forked(1, lambda k, writer: _send_rounds(cfg, obj, partition, writer))
-                    if helper else nullcontext([(None, None)]))
-        with children as [(_, reader)]:
-            for prepared in _prepared_rounds(cfg, obj, partition, reader):
-                state, metrics = des_round(state, cfg, obj, partition, prepared=prepared)
-                yield state.x, metrics.evals
+        with Ring() if helper else nullcontext() as ring:
+
+            def work(k, writer):
+                with ring:
+                    _send_rounds(cfg, obj, partition, writer, ring)
+
+            with forked(1, work) if helper else nullcontext([(None, None)]) as [(_, reader)]:
+                for prepared in _prepared_rounds(cfg, obj, partition, reader, ring):
+                    state, metrics = des_round(state, cfg, obj, partition, prepared=prepared)
+                    yield state.x, metrics.evals
 
     return run_rounds(_algo_id(cfg.model.kind), cfg, train, test, loss_kind, reg, timing,
                       instance, rounds, {"beta": cfg.beta, "model": cfg.model.kind.value,
@@ -337,42 +344,47 @@ def run_des(
 
 
 def _send_rounds(cfg: DesConfig, obj: RegularizedObjective, partition: PartitionPlan,
-                 writer) -> None:
-    """The helper's work: send rounds 0..T-1 in order, each as the array
-    lists of _round_arrays, one message a list as it is made, then an empty
-    list that ends the round. A send stalls while the pipe is full, so the
-    helper runs about a round ahead. On a fault the helper just stops: the
-    caller reads EOF and makes the rest itself, so a fault that is not the
-    helper's own is raised there, in order."""
+                 writer, ring: Ring) -> None:
+    """The helper's work: send rounds 1..T-1 in order (the caller makes round
+    0), each as the array lists of _round_arrays, one message a list as it is
+    made, then an empty list that ends the round. A list's arrays are
+    copied into ring, and the message carries where they are; an array that
+    does not fit beside its round's goes by value. The helper waits while
+    the ring holds the rounds the caller has not run yet, so it runs about
+    a round ahead. On a fault the helper just stops: the caller reads EOF
+    and makes the rest itself, so a fault that is not the helper's own is
+    raised there, in order."""
     with writer, suppress(Exception):
-        for t in range(cfg.rounds):
+        for t in range(1, cfg.rounds):
             for arrays in _round_arrays(cfg, obj, partition, t):
-                send_arrays(writer, arrays)
-            send_arrays(writer, [])
+                send_arrays(writer, arrays, ring)
+            send_arrays(writer, [], ring)
+            ring.new_round()
 
 
 def _prepared_rounds(cfg: DesConfig, obj: RegularizedObjective, partition: PartitionPlan,
-                     reader):
-    """prepare_round's output for rounds 0..T-1, in order. While the helper
-    lives, each round's lists come off its pipe (reader) as prepare_round
-    reads them, up to the empty list that ends the round. With no helper
-    (reader None), or once it has died or failed (EOF), _round_arrays makes
-    the rest here, from the first list not received on, so the outputs do
-    not depend on the helper. Once the caller has run a round, the rest of
-    its lists (its end mark) is read before the next round starts; an EOF
-    met there ends the round, which is never remade here once its lists
-    have all arrived."""
+                     reader, ring: Ring | None = None):
+    """prepare_round's output for rounds 0..T-1, in order. Round 0 is made
+    here. While the helper lives, each later round's lists come off its pipe
+    (reader) and out of ring as prepare_round reads them, up to the empty
+    list that ends the round. With no helper (reader None), or once it has
+    died or failed (EOF), _round_arrays makes the rest here, from the first
+    list not received on, so the outputs do not depend on the helper. Once
+    the caller has run a round, the rest of its lists (its end mark) is read
+    before the next round starts, and only then are the round's bytes in
+    ring released; an EOF met there ends the round, which is never remade
+    here once its lists have all arrived."""
 
     def received():
         nonlocal reader
         try:
-            return None if reader is None else recv_arrays(reader)
+            return None if reader is None else recv_arrays(reader, ring=ring)
         except (EOFError, OSError):
             reader = None
 
     def lists(t):
         got = 0
-        while (arrays := received()) is not None:
+        while t and (arrays := received()) is not None:
             if not arrays:  # the round's end mark
                 return
             got += 1
@@ -387,3 +399,5 @@ def _prepared_rounds(cfg: DesConfig, obj: RegularizedObjective, partition: Parti
         draining = True
         for _ in arrays:
             pass
+        if ring is not None:
+            ring.release()

@@ -15,7 +15,6 @@ from desopt import (
     RegularizedObjective,
     RngStream,
     WorkerResult,
-    accept,
     run_local_es,
     step_size,
 )
@@ -55,15 +54,27 @@ def test_step_size_validation():
 
 
 def test_accept_rule():
-    assert accept(1.0, 0.5)
-    assert accept(1.0, 1.0)  # ties accept
-    assert not accept(1.0, 1.0 + 1e-12)
-    assert accept(np.inf, 5.0)
-    assert not accept(5.0, np.inf)
-    with pytest.raises(NonFiniteObjectiveError):
-        accept(np.nan, 1.0)
-    with pytest.raises(NonFiniteObjectiveError):
-        accept(1.0, np.nan)
+    # The solver's greedy selection, one dense iteration of scripted values
+    # on each worker: a worker keeps its candidate iff the candidate's value
+    # is <= its parent's (ties accept, an inf parent accepts a finite
+    # candidate, a worse one is rejected), and NaN at the start point or at a
+    # candidate raises
+    def run(f_start, f_cand):
+        V = np.zeros((len(f_start), 2))
+        batch = localsolver.CallableBatch([lambda v, f=f: f for f in f_cand])
+        cfg = LocalConfig(iters=1, model=GAUSS(2), step0=1.0)
+        f, accepted = localsolver.run_lockstep_es(V, cfg, batch, [np.ones((1, len(V), 2))],
+                                                  f_start)
+        return V, f, accepted
+
+    V, f, accepted = run([1.0, 1.0, 1.0, np.inf, 5.0], [0.5, 1.0, 1.0 + 1e-12, 5.0, np.inf])
+    assert accepted.tolist() == [1, 1, 0, 1, 0]
+    assert f.tolist() == [0.5, 1.0, 1.0, 5.0, 5.0]
+    assert np.array_equal(V, np.repeat(accepted[:, None], 2, axis=1).astype(float))
+    with pytest.raises(NonFiniteObjectiveError, match="at the start point"):
+        run([np.nan, 1.0], [0.5, 0.5])
+    with pytest.raises(NonFiniteObjectiveError, match="at a candidate"):
+        run([1.0, 1.0], [0.5, np.nan])
 
 
 def test_local_config_validation():

@@ -6,16 +6,18 @@ import errno
 import fcntl
 import multiprocessing
 import os
+import signal
 import sys
 import termios
 import time
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from desopt import (
@@ -40,13 +42,14 @@ from desopt import (
     step_size,
     synth_dataset,
 )
-from desopt import localsolver, objective, server
+from desopt import localsolver, objective, processes, server
 from desopt.objective import StackedBatch
-from desopt.processes import PIPE_BYTES, forked, recv_arrays, send_arrays
+from desopt.processes import PIPE_BYTES, Ring, forked, recv_arrays, send_arrays
 from helpers import initial_state, refuse_forks
 from recording import recording
 
 GAUSS = MutationModel(MutationKind.STANDARD_GAUSSIAN, 4)
+needs_ring = pytest.mark.skipif(not hasattr(os, "eventfd"), reason="a Ring needs eventfd (Linux)")
 
 
 def make_cfg(**kw):
@@ -318,7 +321,7 @@ def test_helper_pipe_carries_arrays_as_sent(monkeypatch):
         monkeypatch.setattr(os, "readv", reading)
         got = recv_arrays(reader)
         monkeypatch.setattr(os, "readv", readv)
-        # after the header's two reads (its array count, then two int64s an
+        # after the header's two reads (its array count, then three int64s an
         # array), the reads cover each array's own memory, in order, once
         merged = []
         for at, size in spans:
@@ -326,7 +329,7 @@ def test_helper_pipe_carries_arrays_as_sent(monkeypatch):
                 merged[-1] = (merged[-1][0], merged[-1][1] + size)
             elif size:
                 merged.append((at, size))
-        assert [size for _, size in merged[:2]] == [8, 16 * len(arrays)]
+        assert [size for _, size in merged[:2]] == [8, 24 * len(arrays)]
         assert merged[2:] == [(a.ctypes.data, a.nbytes) for a in got if a.size]
         assert len(spans) > len(arrays) + 1  # the large array took several reads
         put = recv_arrays(reader, into)
@@ -356,24 +359,29 @@ def test_helper_pipe_carries_arrays_as_sent(monkeypatch):
 PIPE_DTYPES = (np.int64, np.int32, np.float64, np.bool_)
 
 
+def filled(dtype: np.dtype, size: int, seed: int) -> np.ndarray:
+    """size random values of dtype; floats hold signed zeros, infinities and NaN."""
+    rng = np.random.default_rng(seed)
+    if dtype.kind == "f":
+        a = rng.normal(size=size) * 1e3
+        special = rng.random(size) < 0.3
+        a[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=int(special.sum()))
+        return a
+    if dtype.kind == "b":
+        return rng.random(size) < 0.5
+    info = np.iinfo(dtype)
+    return rng.integers(info.min, info.max, size=size, dtype=dtype, endpoint=True)
+
+
 @st.composite
 def pipe_arrays(draw):
     """A list of arrays of the pipe's dtypes, each empty, small or larger
-    than PIPE_BYTES, some 2-d; floats hold signed zeros, infinities and NaN."""
+    than PIPE_BYTES, some 2-d."""
     arrays = []
     for _ in range(draw(st.integers(0, 4))):
         dtype = np.dtype(draw(st.sampled_from(PIPE_DTYPES)))
         size = draw(st.sampled_from([0, 1, 6, PIPE_BYTES // dtype.itemsize + 5]))
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        if dtype.kind == "f":
-            a = rng.normal(size=size) * 1e3
-            special = rng.random(size) < 0.3
-            a[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=int(special.sum()))
-        elif dtype.kind == "b":
-            a = rng.random(size) < 0.5
-        else:
-            info = np.iinfo(dtype)
-            a = rng.integers(info.min, info.max, size=size, dtype=dtype, endpoint=True)
+        a = filled(dtype, size, draw(st.integers(0, 2**32 - 1)))
         arrays.append(a.reshape(2, -1) if size % 2 == 0 and draw(st.booleans()) else a)
     return arrays
 
@@ -409,6 +417,81 @@ def test_pipe_round_trip_is_bit_for_bit():
 
     check()
     assert min(seen[k] for k in ("large", "small", "empty", "into", "new")) > 0, seen
+    assert multiprocessing.active_children() == []
+
+
+# a Ring's bytes in the ring tests: small enough that rounds wrap, and that
+# some arrays do not fit in it at all
+RING = 1024
+
+
+@st.composite
+def ring_rounds(draw):
+    """Rounds of messages for a Ring of RING bytes, each message a list of
+    (dtype, size, seed) of arrays of the pipe's dtypes, each empty, small,
+    just over half the ring (two do not fit in one round) or larger than it."""
+    def array():
+        dtype = np.dtype(draw(st.sampled_from(PIPE_DTYPES)))
+        size = draw(st.sampled_from([0, 1, 7, RING // 2 // dtype.itemsize + 1,
+                                     RING // dtype.itemsize + 1]))
+        return dtype, size, draw(st.integers(0, 2**32 - 1))
+
+    return [[[array() for _ in range(draw(st.integers(0, 3)))]
+             for _ in range(draw(st.integers(1, 3)))] for _ in range(draw(st.integers(1, 4)))]
+
+
+@needs_ring
+def test_ring_round_trip_is_bit_for_bit(monkeypatch):
+    # A forked child sends rounds of messages through a small Ring, and the
+    # reader releases each round once it has checked it: every array, sent
+    # as a column, arrives bit for bit, flattened, through the ring when it
+    # fits beside its round's bytes (wrapping to the ring's start) and by
+    # value otherwise (every array larger than the ring). After the last
+    # message the reader sees EOFError, or OSError if the child died
+    # part-way through a header. No round waits for itself.
+    monkeypatch.setattr(processes, "RING_BYTES", RING)
+    seen = Counter()
+
+    # a deadlock fails the example at once, unshrunk (each shrink would wait again)
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              phases=(Phase.explicit, Phase.generate))
+    @given(ring_rounds(), st.booleans())
+    def check(rounds, cut):
+        def work(k, writer):
+            with writer:
+                for messages in rounds:
+                    for arrays in messages:
+                        send_arrays(writer, [filled(*array).reshape(-1, 1) for array in arrays],
+                                    ring)
+                    ring.new_round()
+                if cut:  # a header's array count, and no more
+                    os.write(writer.fileno(), np.array([2], np.int64).tobytes())
+
+        with Ring() as ring, forked(1, work) as [(_, reader)], deadline(30):
+            last = -1  # where the last array received through the ring starts in it
+            for messages in rounds:
+                for arrays in messages:
+                    got = recv_arrays(reader, ring=ring)
+                    assert len(got) == len(arrays)
+                    for have, (dtype, size, seed) in zip(got, arrays):
+                        assert have.dtype == dtype and have.shape == (size,)
+                        assert have.tobytes() == filled(dtype, size, seed).tobytes()
+                        if np.shares_memory(have, ring.memory):
+                            at = have.ctypes.data - ring.memory.ctypes.data
+                            seen["wrapped"] += at < last
+                            seen["through the ring"] += 1
+                            last = at
+                        elif size:
+                            seen["above the ring" if have.nbytes > RING else "by value"] += 1
+                ring.release()
+            with pytest.raises(OSError, match="end of file during message") if cut else \
+                    pytest.raises(EOFError):
+                recv_arrays(reader, ring=ring)
+        seen["cut" if cut else "whole"] += 1
+
+    check()
+    assert min(seen[k] for k in ("wrapped", "through the ring", "by value", "above the ring",
+                                 "cut", "whole")) > 0, seen
     assert multiprocessing.active_children() == []
 
 
@@ -562,15 +645,17 @@ def dense_cfg(**kw):
     return mixture_cfg(model=MutationModel(MutationKind.STANDARD_GAUSSIAN, 30), **kw)
 
 
+@needs_ring
 def test_helper_sent_rounds_equal_prepare_round(monkeypatch):
-    # Every round off the helper's pipe is bit for bit what _round_arrays
+    # Every round the helper sends (1..T-1) is bit for bit what _round_arrays
     # makes in the calling process, list by list up to the round's end mark:
     # the batch rows, a mixture round's cols and terms (a dense round has
-    # none), and each block's arrays, flattened by the pipe. prepare_round
-    # reads them into the same batch rows and mutations. A small PLAN_ENTRIES
-    # gives mixture rounds several plan blocks of both kinds, and a small
-    # DENSE_BLOCK gives dense rounds several draw blocks. While the helper
-    # lives, the caller makes no round itself.
+    # none), and each block's arrays, flattened, every one of them read in
+    # the ring that the helper wrote. prepare_round reads them into the same
+    # batch rows and mutations. A small PLAN_ENTRIES gives mixture rounds
+    # several plan blocks of both kinds, and a small DENSE_BLOCK gives dense
+    # rounds several draw blocks. While the helper lives, the caller makes
+    # round 0 only.
     train, _ = sparse_split(22)
     monkeypatch.setattr(objective, "PLAN_ENTRIES", 20)
     monkeypatch.setattr(localsolver, "DENSE_BLOCK", 2 * 30)  # two iterations a block
@@ -593,18 +678,21 @@ def test_helper_sent_rounds_equal_prepare_round(monkeypatch):
     kinds, rounds = Counter(), []
     for cfg in (mixture_cfg(), dense_cfg()):
         partition = partition_uniform(train, cfg.workers, RngStream(cfg.seed, "partition"))
-        with forked(1, lambda k, writer: server._send_rounds(cfg, obj, partition, writer)) as [
-                (_, reader)]:
+        with Ring() as ring, forked(1, lambda k, writer: server._send_rounds(
+                cfg, obj, partition, writer, ring)) as [(_, reader)]:
             for t, (batch, mutations) in enumerate(server._prepared_rounds(cfg, obj, partition,
-                                                                           reader)):
+                                                                           reader, ring)):
                 (head, *blocks), (want_head, *want_blocks) = received[-1], make(cfg, obj,
                                                                                  partition, t)
-                assert same(batch.rows, want_head[0])
-                assert (len(head) == 1) == (len(want_head) == 1) == (not cfg.model.is_mixture)
-                assert all(same(have, want) for have, want in zip(head, want_head, strict=True))
                 assert len(blocks) == len(want_blocks) > 1
+                assert np.array_equal(batch.rows, want_head[0].reshape(-1))
+                if t:  # off the pipe, out of the ring
+                    assert all(np.shares_memory(a, ring.memory)
+                               for arrays in received[-1] for a in arrays if a.size)
+                    assert (len(head) == 1) == (len(want_head) == 1) == (not cfg.model.is_mixture)
+                    assert all(same(have, want) for have, want in zip(head, want_head, strict=True))
                 for block, want in zip(blocks, want_blocks):
-                    assert all(same(have, w) for have, w in zip(block, want, strict=True))
+                    assert not t or all(same(have, w) for have, w in zip(block, want, strict=True))
                     if cfg.model.is_mixture:
                         assert len(block) == len(objective.PlanBlock._fields)
                         kinds["touched rows" if objective.PlanBlock(*want).tbounds.size
@@ -616,7 +704,7 @@ def test_helper_sent_rounds_equal_prepare_round(monkeypatch):
                 assert all(have.shape == want.shape and np.array_equal(have, want)
                            for have, want in zip(mutations, want_mutations, strict=True))
                 rounds.append(t)
-    assert rounds == 2 * list(range(5)) and here == []
+    assert rounds == 2 * list(range(5)) and here == [0, 0]
     assert kinds["most rows"] > 0 and kinds["touched rows"] > 0, kinds
     assert kinds["draws"] == 5 * 3, kinds  # 6 iterations a round, 2 a block
     assert multiprocessing.active_children() == []
@@ -627,11 +715,12 @@ def test_dense_rounds_off_the_pipe_gather_no_rows(overflow, monkeypatch, two_cpu
     # A dense round that the helper prepares reaches the calling process as
     # its rows, draws and products. The caller resets from the snapshot's
     # scores and scores every candidate from kept margins: it never gathers
-    # the batch's rows (StackedBatch._X) and never makes a product, unless a
-    # margin overflows. With entries near 1e308, a draw above about 1.8 makes
-    # products overflow where the margins of the small candidates (alpha is
-    # 1e-3) do not; those margins are recomputed from the gathered rows. The
-    # metrics equal those of a run without the helper.
+    # the batch's rows (StackedBatch._X) unless a margin overflows, and makes
+    # products only for round 0, which it makes itself. With entries near
+    # 1e308, a draw above about 1.8 makes products overflow where the margins
+    # of the small candidates (alpha is 1e-3) do not; those margins are
+    # recomputed from the gathered rows. The metrics equal those of a run
+    # without the helper.
     train, test = sparse_split(25)
     if overflow:
         train = Dataset(train.matrix * 1e308, train.labels)
@@ -646,36 +735,39 @@ def test_dense_rounds_off_the_pipe_gather_no_rows(overflow, monkeypatch, two_cpu
         os.getpid() == caller and here.append(args[-1])) or make(*args))
     monkeypatch.setattr(server, "prepare_round", lambda *args: (
         batches.append((prepared := prepare(*args))[0]) or prepared))
-    products = StackedBatch.products
+    products, made = StackedBatch.products, []  # the rounds prepared when a product is made here
     monkeypatch.setattr(StackedBatch, "products", lambda *args: (
-        os.getpid() == caller and pytest.fail("a product made here")) or products(*args))
+        os.getpid() == caller and made.append(len(batches))) or products(*args))
     forks = count_helpers(monkeypatch)
     with np.errstate(invalid="ignore"):
         assert metric_rows(run_des(cfg, train, test, LossKind.LR)) == expected
-    assert forks == [1] and here == [] and len(batches) == cfg.rounds
+    assert forks == [1] and here == [0] and len(batches) == cfg.rounds
+    assert made == [1]  # round 0's one block, while round 0 runs
     gathered = ["_X" in batch.__dict__ for batch in batches]
     assert any(gathered) if overflow else not any(gathered), gathered
     assert multiprocessing.active_children() == []
 
 
+@needs_ring
 def test_round_stream_cut_anywhere_reads_as_rounds_made_here(monkeypatch):
-    # The helper's lists of every round, end marks included, go through one
-    # pipe in this process, and the writer closes after any c of them, as if
-    # the helper died there. _prepared_rounds must read what was sent, make
-    # the rest here from the first list not received, and read each round's
-    # end mark before the next round: the states, metrics and ledger are bit
-    # for bit those of rounds all made here, and only the rounds from the cut
-    # on are made here. The configs stay small, so that every list fits in
-    # the pipe's buffer (64 KB) before any is read.
+    # The helper's lists of every round from round 1 on, end marks included,
+    # go through one pipe and one ring in this process, and the writer closes
+    # after any c of them, as if the helper died there. _prepared_rounds must
+    # make round 0, read what was sent, make the rest here from the first list
+    # not received, and read each round's end mark before the next round: the
+    # states, metrics and ledger are bit for bit those of rounds all made
+    # here, and only round 0 and the rounds from the cut on are made here.
+    # The configs stay small, so that every header fits in the pipe's buffer
+    # (64 KB), and every array in the ring, before any is read.
     train, _ = sparse_split(24)
     send, make = server.send_arrays, server._round_arrays
     made = []
     monkeypatch.setattr(server, "_round_arrays", lambda *args: made.append(args[-1]) or make(*args))
 
-    def run(cfg, partition, reader):
+    def run(cfg, partition, reader, ring=None):
         obj = RegularizedObjective(LossKind.LR, train)
         state, out = ServerState(x=np.zeros(30), m=np.zeros(30)), []
-        for prepared in server._prepared_rounds(cfg, obj, partition, reader):
+        for prepared in server._prepared_rounds(cfg, obj, partition, reader, ring):
             state, metrics = des_round(state, cfg, obj, partition, prepared=prepared)
             out.append((state.x.tobytes(), state.m.tobytes(), state.t, metrics))
         return out, obj.eval_counter
@@ -696,25 +788,26 @@ def test_round_stream_cut_anywhere_reads_as_rounds_made_here(monkeypatch):
         want = run(cfg, partition, None)
         assert made == list(range(rounds))
         obj = RegularizedObjective(LossKind.LR, train)
-        ends = np.cumsum([len(list(make(cfg, obj, partition, t))) + 1 for t in range(rounds)])
-        cut = data.draw(st.integers(0, int(ends[-1])), label="lists sent")
+        ends = np.cumsum([0] + [len(list(make(cfg, obj, partition, t))) + 1
+                                for t in range(1, rounds)])[1:]
+        cut = data.draw(st.integers(0, int(ends[-1]) if rounds > 1 else 0), label="lists sent")
         sent = []
 
-        def sending(writer, arrays):
+        def sending(writer, arrays, ring):
             if len(sent) == cut:
                 raise BrokenPipeError  # the helper stops here; its writer closes
             sent.append(arrays)
-            send(writer, arrays)
+            send(writer, arrays, ring)
 
         reader, writer = multiprocessing.Pipe(duplex=False)
-        with reader:
+        with reader, Ring() as ring:
             monkeypatch.setattr(server, "send_arrays", sending)
-            server._send_rounds(cfg, obj, partition, writer)
+            server._send_rounds(cfg, obj, partition, writer, ring)
             monkeypatch.setattr(server, "send_arrays", send)
             del made[:]
-            got = run(cfg, partition, reader)
+            got = run(cfg, partition, reader, ring)
         assert got == want
-        assert made == list(range(int(np.searchsorted(ends - 1, cut, "right")), rounds))
+        assert made == [0, *range(1 + int(np.searchsorted(ends - 1, cut, "right")), rounds)]
         seen[kind] += 1
         seen["cut mid-round"] += cut not in (0, *ends)
         seen["cut at an end mark"] += cut in ends - 1
@@ -725,10 +818,11 @@ def test_round_stream_cut_anywhere_reads_as_rounds_made_here(monkeypatch):
                                  "several blocks")) > 0, seen
 
 
-# the rounds that the caller makes itself, which show where the helper stopped
-PREPARED_HERE = {"exits before round 0": [0, 1, 2, 3, 4], "exits after round 1": [2, 3, 4],
-                 "exits mid-round 1": [1, 2, 3, 4], "raises in round 2": [2, 3, 4],
-                 "dense, exits mid-round 1": [1, 2, 3, 4]}
+# the rounds that the caller makes itself (round 0, and those that show where
+# the helper stopped; "before round 0" is before the first round it sends)
+PREPARED_HERE = {"exits before round 0": [0, 1, 2, 3, 4], "exits after round 1": [0, 2, 3, 4],
+                 "exits mid-round 1": [0, 1, 2, 3, 4], "raises in round 2": [0, 2, 3, 4],
+                 "dense, exits mid-round 1": [0, 1, 2, 3, 4]}
 
 
 @pytest.mark.parametrize("death", PREPARED_HERE)
@@ -745,24 +839,24 @@ def test_dead_helper_rounds_prepared_in_process(death, monkeypatch, two_cpus):
     expected = metric_rows(run_des(cfg, train, test, LossKind.LR))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     caller = os.getpid()
-    blocks_sent, here = [], []  # per round the helper started to send; rounds made here
+    blocks_sent, here = [], []  # per round the helper started to send (1..); rounds made here
     send, make = server.send_arrays, server._round_arrays
 
-    def sending(writer, arrays):  # only the helper sends
+    def sending(writer, arrays, ring):  # only the helper sends
         # a round's head holds its rows (and a mixture round's cols and
-        # terms); a block is nine plan arrays or one array of draws; the
-        # empty list that ends a round is not counted
+        # terms); a block is nine plan arrays, or draws and their products;
+        # the empty list that ends a round is not counted
         if not arrays:
-            return send(writer, arrays)
+            return send(writer, arrays, ring)
         if len(arrays) < 9 and arrays[0].dtype.kind == "i":
             blocks_sent.append(0)
         else:
             blocks_sent[-1] += 1
-        at = len(blocks_sent) - 1, blocks_sent[-1]  # (round, block), block 0 its head
+        at = len(blocks_sent), blocks_sent[-1]  # (round, block), block 0 its head
         if (death == "exits before round 0" or death == "exits after round 1" and at == (2, 0)
                 or death.endswith("exits mid-round 1") and at == (1, 2)):
             os._exit(1)
-        send(writer, arrays)
+        send(writer, arrays, ring)
 
     def making(cfg, obj, partition, t):
         if os.getpid() == caller:
@@ -775,7 +869,8 @@ def test_dead_helper_rounds_prepared_in_process(death, monkeypatch, two_cpus):
     recv = server.recv_arrays
     monkeypatch.setattr(server, "send_arrays", sending)
     monkeypatch.setattr(server, "_round_arrays", making)
-    monkeypatch.setattr(server, "recv_arrays", lambda reader: received.append(1) or recv(reader))
+    monkeypatch.setattr(server, "recv_arrays", lambda reader, **kw: received.append(1)
+                        or recv(reader, **kw))
     got = metric_rows(run_des(cfg, train, test, LossKind.LR))
     assert got == expected
     assert here == PREPARED_HERE[death]
@@ -803,6 +898,100 @@ def test_unforked_helper_rounds_prepared_in_process(monkeypatch, two_cpus):
             with pytest.raises(EOFError):
                 reader.recv_bytes()
     assert len(refused) == 4 and multiprocessing.active_children() == []
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Fail the block if it has not ended within seconds (a deadlock, say)."""
+    def expired(signum, frame):  # not an OSError, which run_des reads as a dead helper
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@needs_ring
+@pytest.mark.parametrize("kind", ["dense", "mixture"])
+def test_ring_views_are_not_read_after_release(kind, monkeypatch, two_cpus):
+    # The caller releases a round's bytes in the ring once the round has run,
+    # and every released byte is overwritten with NaN (all bits set) before
+    # the helper hears of it, in a ring that holds one round (about 5.7 KB
+    # dense, 1.3 KB mixture) but not two, so that every round wraps to its
+    # start: a view of a round read after its release would change the
+    # metrics, which equal those of a run without the helper.
+    train, test = sparse_split(26)
+    cfg, size = (dense_cfg(), 8192) if kind == "dense" else (mixture_cfg(), 2048)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    expected = metric_rows(run_des(cfg, train, test, LossKind.LR))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(processes, "RING_BYTES", size)
+    released, release = [], Ring.release
+
+    def poisoned(ring):
+        start, stop = ring.released, ring.received
+        if stop > start:
+            released.append(stop)
+        for lap in range(start // size, -(-stop // size)):
+            ring.memory[max(start - lap * size, 0):stop - lap * size] = 0xFF
+        release(ring)
+
+    monkeypatch.setattr(Ring, "release", poisoned)
+    assert metric_rows(run_des(cfg, train, test, LossKind.LR)) == expected
+    # rounds 1.. came through the ring, each in a lap of its own; the last
+    # is not released, since the run ends after it
+    assert [stop // size for stop in released] == list(range(cfg.rounds - 2)), released
+    assert multiprocessing.active_children() == []
+
+
+@needs_ring
+@pytest.mark.parametrize("kind", ["dense", "mixture"])
+def test_round_larger_than_the_ring(kind, monkeypatch, two_cpus):
+    # In a ring of RING bytes no round fits whole: the arrays that do not
+    # fit beside their round's bytes come by value, the others through the
+    # ring, and the run completes (it cannot wait for itself) to the
+    # metrics of a run without the helper.
+    train, test = sparse_split(27)
+    cfg = dense_cfg() if kind == "dense" else mixture_cfg()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    expected = metric_rows(run_des(cfg, train, test, LossKind.LR))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(processes, "RING_BYTES", RING)
+    crossed, recv = Counter(), server.recv_arrays
+
+    def receiving(reader, ring):
+        got = recv(reader, ring=ring)
+        for a in filter(len, got):
+            crossed["through the ring" if np.shares_memory(a, ring.memory) else "by value"] += 1
+        return got
+
+    monkeypatch.setattr(server, "recv_arrays", receiving)
+    with deadline(60):
+        assert metric_rows(run_des(cfg, train, test, LossKind.LR)) == expected
+    assert crossed["through the ring"] > 0 and crossed["by value"] > 0, crossed
+    assert multiprocessing.active_children() == []
+
+
+@needs_ring
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_helper_runs_leave_no_descriptor_open(monkeypatch, two_cpus):
+    # A run with a helper opens a pipe and a ring's eventfd, and closes both:
+    # after 20 such runs, and after one whose helper could not be forked, the
+    # same descriptors are open as before.
+    train, test = sparse_split(28)
+    forks = count_helpers(monkeypatch)
+    before = processes._open_fds()
+    for k in range(20):
+        run_des(dense_cfg(rounds=2) if k % 2 else mixture_cfg(rounds=2), train, test, LossKind.LR)
+    assert processes._open_fds() == before and forks == [1] * 20
+    refused = refuse_forks(monkeypatch)
+    run_des(mixture_cfg(), train, test, LossKind.LR)
+    assert len(refused) == 1 and processes._open_fds() == before
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("end", ["non-finite snapshot", "diverged candidate", "max_evals"])
