@@ -3,9 +3,9 @@ fixed or fresh minibatches, sign-vote zeroth-order SGD, and a distributed
 (mu/mu, lambda)-ES with cumulative step-size adaptation.
 
 All four consume exactly workers * local_iters * batch_size objective
-evaluations per round when local_iters is even and the zeroth-order baselines
-use one smoothing direction, the default (d directions cost d times as much;
-the ES population size must divide the budget evenly; see csa_population_size). Each is a
+evaluations per round when local_iters is even: each zeroth-order estimate
+takes one smoothing direction, two evaluations (the ES population size must
+divide the budget evenly; see csa_population_size). Each is a
 generator of rounds that server.run_rounds drives from the zero point, as DES
 is. Each round runs its M workers in the calling thread: the zeroth-order
 baselines step all of them in lockstep through one StackedBatch per minibatch
@@ -37,40 +37,34 @@ class BaselineConfig(RoundConfig):
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Finite-difference radius and directions per gradient estimate."""
+    """Finite-difference radius of the gradient estimates."""
 
     mu: float = 1e-6
-    directions: int = 1
 
     def __post_init__(self):
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.directions < 1:
-            raise ValueError(f"directions must be >= 1, got {self.directions}")
 
 
 def _zo_grads(values_fn, X: np.ndarray, smoothing: SmoothingConfig, streams) -> np.ndarray:
     """Central-difference Gaussian-smoothing gradient estimates at the M rows of X.
 
-    Each direction draws u_i ~ N(0,I) from streams[i], in stream order, and
-    scores all M points X + mu*U with one values_fn call, then X - mu*U with
-    another; row i gains ((f_i(x_i+mu*u_i) - f_i(x_i-mu*u_i)) / 2mu) * u_i.
-    Multiple directions are averaged. A NaN estimate raises
-    NonFiniteObjectiveError, as a NaN value does in DES.
+    Draws u_i ~ N(0,I) from streams[i], in stream order, and scores all M
+    points X + mu*U with one values_fn call, then X - mu*U with another; row
+    i is ((f_i(x_i+mu*u_i) - f_i(x_i-mu*u_i)) / 2mu) * u_i. A NaN estimate
+    raises NonFiniteObjectiveError, as a NaN value does in DES.
     """
-    total = np.zeros(X.shape)
-    for _ in range(smoothing.directions):
-        U = np.stack([stream.gen.standard_normal(X.shape[1]) for stream in streams])
-        fp = values_fn(X + smoothing.mu * U)
-        fm = values_fn(X - smoothing.mu * U)
-        total += ((fp - fm) / (2.0 * smoothing.mu))[:, None] * U
-    if np.isnan(total).any():
+    U = np.stack([stream.gen.standard_normal(X.shape[1]) for stream in streams])
+    fp = values_fn(X + smoothing.mu * U)
+    fm = values_fn(X - smoothing.mu * U)
+    grads = ((fp - fm) / (2.0 * smoothing.mu))[:, None] * U
+    if np.isnan(grads).any():
         raise NonFiniteObjectiveError("zeroth-order gradient estimate is NaN")
-    return total / smoothing.directions
+    return grads
 
 
 def zo_grad_central(value_fn, x: np.ndarray, smoothing: SmoothingConfig, stream) -> np.ndarray:
-    """The one-point case of _zo_grads: two value_fn calls per direction."""
+    """The one-point case of _zo_grads: two value_fn calls."""
     X = np.asarray(x, dtype=np.float64).reshape(1, -1)
     return _zo_grads(lambda V: np.array([value_fn(V[0])]), X, smoothing, [stream])[0]
 
@@ -102,10 +96,10 @@ def _run_zo(algorithm, cfg, train, test, loss_kind, reg, smoothing, timing, inst
     into M rows, and local returns the next iterate. next_grads() gathers each
     worker's next minibatch (from its (t, i, "batch") stream) into one
     StackedBatch and returns grads, where grads(X) is each worker's estimate at
-    its row of X on that minibatch, directions from its (t, i, "smoothing") stream.
+    its row of X on that minibatch, its direction from its (t, i, "smoothing") stream.
     """
     k_prime = _half_iters(cfg)
-    evals = cfg.workers * k_prime * 2 * cfg.batch_size * smoothing.directions
+    evals = cfg.workers * k_prime * 2 * cfg.batch_size
 
     def rounds(obj, partition, x):
         for t in range(cfg.rounds):

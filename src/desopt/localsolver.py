@@ -67,7 +67,7 @@ class CallableBatch:
     def __init__(self, value_fns: list[Callable[[np.ndarray], float]]):
         self.value_fns = value_fns
 
-    def values(self, V: np.ndarray, move=None) -> np.ndarray:
+    def values(self, V: np.ndarray, step=None, before=None) -> np.ndarray:
         return np.array([fn(v) for fn, v in zip(self.value_fns, V)], dtype=np.float64)
 
     def keep(self, accepted: np.ndarray) -> None:
@@ -114,14 +114,14 @@ def run_lockstep_es(
     then drops the rejected candidates from any state the evaluator holds.
     The caller draws the mutations and plans batch; this does neither.
     Mixture mutations are mixture_draws' (cols, terms); their candidates are
-    made in place and scored by batch.values(V, before), where before holds
-    the kept values at row k's coordinates. Dense ones are dense_draws'
-    blocks, read as the iterations reach them; each iteration's M x n
-    candidates are scored by batch.values(candidates, step_k), which a
-    StackedBatch planned with the blocks' products scores from its kept
-    margins, and which other evaluators score point by point. The solver
-    reports only through batch's two calls and its return: (final values,
-    accepted counts), both of length M.
+    made in place and scored by batch.values(V, step_k, before), where
+    before holds the kept values at row k's coordinates. Dense ones are
+    dense_draws' blocks, read as the iterations reach them; each
+    iteration's M x n candidates are scored by batch.values(candidates,
+    step_k). A StackedBatch planned with the round scores either kind from
+    its kept margins plus step_k times the planned shifts; other evaluators
+    score point by point. The solver reports only through batch's two calls
+    and its return: (final values, accepted counts), both of length M.
     """
     if not V.flags.c_contiguous:
         raise ValueError("the stacked points must be one C-contiguous array")
@@ -146,7 +146,7 @@ def run_lockstep_es(
             cols = all_cols[k]
             saved = flat[cols]
             np.add.at(flat, cols, step * all_terms[k])
-            f_cand = batch.values(V, saved)
+            f_cand = batch.values(V, step, saved)
         else:
             candidates = V + step * next(mutations)
             f_cand = batch.values(candidates, step)

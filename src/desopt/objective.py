@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-# The most CSC entries StackedBatch slices out of a plan for its mixture candidates at once
+# The most CSC entries that one plan block of mixture candidates is made from
 PLAN_ENTRIES = 2**18
 
 
@@ -116,40 +116,30 @@ class StackedBatch:
     alone. It drops the cache below: keep after it does nothing, and any
     planned candidate after it needs a new reset.
 
-    reset caches the kept points' M*b signed margins a = y * (X v), their
-    per-row losses, each worker's loss sum and squared norm, all exact;
-    given the rows' products (the training-set scores of the round's start
-    point), it needs no gather and no product.
+    reset caches the kept points' M*b signed margins a = y * (X v), each
+    worker's loss sum and squared norm, all exact; given the rows' products
+    (the training-set scores of the round's start point), it needs no
+    gather and no product.
 
-    A planned dense candidate is the kept points plus a step times draws u
-    whose products y * (X u) plan_dense has queued (products(draws) makes
-    them, maybe in the process that prepared the round): its margins are the
-    kept ones plus the step times those products, then come the losses of
-    all M*b rows and each worker's sum; its squared norms are taken from its
-    points. keep copies the accepted workers' margins into the cache, and
-    drops the rest of it: a mixture candidate after a dense one needs a new
-    reset.
+    A planned candidate is the kept points plus a step times planned draws
+    whose per-unit margin shifts y * (X u) were made with the round, maybe
+    in the process that prepared it: products(draws) for dense draws
+    (plan_dense queues them), and the PlanBlocks of plan(cols, terms) for
+    mixture ones. Every planned candidate is scored one way: its margins
+    are the kept ones plus the step times its shifts, at its touched rows
+    or at all M*b rows, in fresh arrays; then come those rows' losses and
+    each worker's loss sum and squared norm. A dense candidate takes its
+    sums and norms from its points. A mixture candidate moves the kept sums
+    by its rows' losses less those of their kept margins (a row's worker is
+    its index // b), and the kept norms by new^2 - old^2 over its unique
+    coordinates (a coordinate's worker is its index // n): O(l * column nnz
+    + touched rows) arithmetic in a block that lists touched rows. keep
+    writes the accepted workers' part of the last planned candidate into
+    the cache, which stays valid.
 
-    plan(cols) takes the flat coordinates that the coming mixture candidates
-    change and cuts them into PlanBlocks of at most PLAN_ENTRIES CSC entries
-    (blocks(cols)), which list each candidate's touched rows unless they
-    hold more entries than DENSE_TOUCH of their rows. A candidate moves the
-    margins of the rows in each changed column j by y_r * X_rj * delta_j,
-    recomputes the losses of the touched rows only, and moves each worker's
-    squared norm by new^2 - old^2 over its changed coordinates and its loss
-    sum by new - old over its touched rows (a coordinate's worker is its
-    index // n, a row's its index // b): O(l * column nnz + touched rows)
-    arithmetic, and keep puts back only the rejected workers' touched rows:
-    no pass over the M*b cache. In a block without touched rows, where such
-    row lists would cost more than whole rows, a candidate instead copies
-    the margins, scores every row and takes its sums over all of them (an
-    untouched row adds exactly 0, so the values are the same), and keep
-    restores rejected workers' whole rows.
-
-    Planned values equal an exact recompute up to rounding; once a margin
-    the candidate moved (or, for a mixture candidate, the loss sums' total)
-    is not finite, the non-finite margins are recomputed from their rows
-    (and a mixture candidate's sums taken afresh).
+    Planned values equal an exact recompute up to rounding; a planned
+    margin that is not finite is recomputed from its row, and a mixture
+    candidate whose loss sums are not finite takes them afresh.
     """
 
     def __init__(self, obj: "RegularizedObjective", rows):
@@ -159,7 +149,7 @@ class StackedBatch:
         self.rows = rows.reshape(-1)
         self.n = obj.dataset.n_features
         self._y = obj.dataset.labels[self.rows]
-        self._a = self._loss = self._sums = self._sq = self._undo = self._moved = None
+        self._a = self._sums = self._sq = self._candidate = None
         self._steps = self._products = iter(())
 
     @functools.cached_property
@@ -177,11 +167,9 @@ class StackedBatch:
     def _owners(self) -> np.ndarray:
         return np.repeat(np.arange(self.workers), self.b)
 
-    def _exact(self, V: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
-        """Worker values at V from its margins a, recomputed from the rows when a is None."""
-        if a is None:
-            a = self._y * (self._X @ V.reshape(-1))
-        loss = _loss_values(self.obj.loss_kind, a)
+    def _exact(self, V: np.ndarray) -> np.ndarray:
+        """Worker values at V, recomputed from the rows."""
+        loss = _loss_values(self.obj.loss_kind, self._y * (self._X @ V.reshape(-1)))
         sums = np.add.reduce(loss.reshape(-1, self.b), axis=1)
         return sums / self.b + 0.5 * self.obj.reg * squared_norms(V)
 
@@ -190,10 +178,10 @@ class StackedBatch:
         margins are y * scores, where scores are the stacked rows' products
         X v: given, they spare the gather and the product; else X @ V."""
         self._a = self._y * (self._X @ V.reshape(-1) if scores is None else scores)
-        self._loss = _loss_values(self.obj.loss_kind, self._a)
-        self._sums = np.add.reduce(self._loss.reshape(-1, self.b), axis=1)
+        self._sums = np.add.reduce(_loss_values(self.obj.loss_kind, self._a).reshape(-1, self.b),
+                                   axis=1)
         self._sq = squared_norms(V)
-        self._undo = self._moved = None
+        self._candidate = None
         return self._sums / self.b + 0.5 * self.obj.reg * self._sq
 
     def products(self, draws: np.ndarray) -> np.ndarray:
@@ -211,115 +199,84 @@ class StackedBatch:
         the round."""
         self._products = itertools.chain.from_iterable(products)
 
-    def blocks(self, cols: np.ndarray):
-        """The PlanBlocks of cols (see plan), made one at a time."""
+    def blocks(self, cols: np.ndarray, terms: np.ndarray):
+        """The PlanBlocks of cols and terms (see plan), made one at a time."""
         # a module-level generator: one holding self would keep every round's
         # batch alive in a reference cycle until the next garbage collection
-        return _plan_blocks(self._X, self._y, np.asarray(cols, dtype=np.int64))
+        return _plan_blocks(self._X, self._y, np.asarray(cols, dtype=np.int64),
+                            np.asarray(terms, dtype=np.float64))
 
-    def plan(self, cols: np.ndarray, blocks=None) -> None:
+    def plan(self, cols: np.ndarray, terms: np.ndarray, blocks=None) -> None:
         """Plan the coming mixture candidates (prepare_round does, once a round):
-        row k of cols (K x M*l) lists the flat coordinates (row i, column j as
-        i*n + j, repeats allowed) where candidate k may differ from the kept
-        points. blocks, if given, are blocks(cols), maybe made in the process
+        candidate k adds its step times terms[k] at the flat coordinates cols[k]
+        (row i, column j as i*n + j; repeats add up) to the kept points.
+        blocks, if given, are blocks(cols, terms), maybe made in the process
         that prepared the round."""
-        self._steps = _plan_steps(self.blocks(cols) if blocks is None else blocks)
+        self._steps = _plan_steps(self.blocks(cols, terms) if blocks is None else blocks)
 
-    def values(self, V: np.ndarray, move=None) -> np.ndarray:
+    def values(self, V: np.ndarray, step: float | None = None, before=None) -> np.ndarray:
         """Worker values at the candidates V, charging M*b evaluations.
 
-        move None means V may differ anywhere. Otherwise V is the next
-        planned candidate, and move says how it left the kept points: for a
-        mixture candidate, move[t] is the kept value at its t-th planned
-        coordinate; for a dense one, move is its step (a float) along its
-        planned draws. A mixture candidate that cannot be scored raises
-        ValueError and charges nothing; a dense one is scored as an
-        unplanned candidate when no products are queued, or no reset has
-        followed the last unplanned candidate.
+        step None means V may differ anywhere. Otherwise V is the next
+        planned candidate, the kept points plus step times its planned
+        draws: a mixture one when before, the kept values at its planned
+        coordinates in order, is given, else a dense one. A mixture
+        candidate that cannot be scored raises ValueError and charges
+        nothing; a dense one is scored as an unplanned candidate when no
+        products are queued, or no reset has followed the last unplanned
+        candidate.
         """
-        if isinstance(move, float):
-            return self._dense(V, move)
-        step = None if move is None or self._sums is None else next(self._steps, None)
-        if move is not None and step is None:
-            raise ValueError("mixture candidates need plan(cols) and reset(V) first, "
-                             "and reset again after a dense one")
+        planned = None
+        if step is not None and self._a is not None:
+            planned = next(self._products if before is None else self._steps, None)
+        if planned is None and before is not None:
+            raise ValueError("mixture candidates need plan(cols, terms) and reset(V) first")
         self.obj.eval_counter += len(self.rows)
-        if move is None:
-            self._a = self._loss = self._sums = self._sq = self._undo = self._moved = None
+        if planned is None:
+            self._a = self._sums = self._sq = self._candidate = None
             return self._exact(V)
-        cols, first, counts, entry_rows, data, touched = step
-        old, new = move[first], V.reshape(-1)[cols]
-        a, loss = self._a, self._loss
-        shift = data * np.repeat(new - old, counts)
-        if touched is None:
-            # a block without touched rows: save the whole cache, score every row
-            self._undo = (None, a.copy(), loss, self._sums, self._sq)
-            np.add.at(a, entry_rows, shift)
-            self._loss = fresh = _loss_values(self.obj.loss_kind, a)
-            saved, owner = loss, self._owners
-            # a finite total means finite margins; else look at the moved ones
-            finite = math.isfinite(np.add.reduce(a)) or np.isfinite(a[entry_rows]).all()
-        else:
-            saved = loss[touched]
-            self._undo = (touched, a[touched], saved, self._sums, self._sq)
-            np.add.at(a, entry_rows, shift)
-            moved = a[touched]
-            # a finite total means finite margins (a total that overflows
-            # only recomputes for nothing)
-            finite = math.isfinite(np.add.reduce(moved))
-            fresh = _loss_values(self.obj.loss_kind, moved)
-            loss[touched] = fresh
-            owner = touched // self.b
-        self._sums = self._sums + np.bincount(owner, weights=fresh - saved, minlength=self.workers)
-        if not (finite and math.isfinite(np.add.reduce(self._sums))):
-            # an overflowed margin or sum cannot come back by differences
-            # (inf - inf is NaN), and a margin may overflow where its exact
-            # value does not, its loss staying finite (NSVM's at +-inf, LR's
-            # at +inf): recompute the non-finite margins from their rows,
-            # then their losses, and sum afresh
-            bad = np.flatnonzero(~np.isfinite(a))
-            a[bad] = self._y[bad] * (self._X[bad] @ V.reshape(-1))
-            self._loss[bad] = _loss_values(self.obj.loss_kind, a[bad])
-            self._sums = np.add.reduce(self._loss.reshape(-1, self.b), axis=1)
-        self._sq = self._sq + np.bincount(cols // self.n, weights=new * new - old * old,
-                                          minlength=self.workers)
-        return self._sums / self.b + 0.5 * self.obj.reg * self._sq
-
-    def _dense(self, V: np.ndarray, step: float) -> np.ndarray:
-        """Worker values at the planned dense candidates V (see values)."""
-        products = next(self._products, None)
-        if products is None or self._a is None:
-            return self.values(V)
-        self.obj.eval_counter += len(self.rows)
-        a = self._a + step * products
+        # a dense candidate's shifts are its products, at every row
+        rows, shifts, cols, first = (None, planned, None, None) if before is None else planned
+        kept, owner = (self._a, self._owners) if rows is None else (self._a[rows], rows // self.b)
+        a = kept + step * shifts
         if not math.isfinite(np.add.reduce(a)):
-            # a finite total means finite margins; recompute the others from their rows
+            # a finite total means finite margins; recompute the others from
+            # their rows (a margin may overflow where its exact value does not)
             bad = np.flatnonzero(~np.isfinite(a))
-            a[bad] = self._y[bad] * (self._X[bad] @ V.reshape(-1))
-        self._moved = a
-        self._loss = self._sums = self._sq = self._undo = None
-        return self._exact(V, a)
+            at = bad if rows is None else rows[bad]
+            a[bad] = self._y[at] * (self._X[at] @ V.reshape(-1))
+        loss = _loss_values(self.obj.loss_kind, a)
+        if before is None:
+            sums, sq = np.add.reduce(loss.reshape(-1, self.b), axis=1), squared_norms(V)
+        else:
+            moved = loss - _loss_values(self.obj.loss_kind, kept)
+            sums = self._sums + np.bincount(owner, weights=moved, minlength=self.workers)
+            if not math.isfinite(np.add.reduce(sums)):
+                # an overflowed sum cannot come back by differences (inf - inf is NaN)
+                whole = loss
+                if rows is not None:
+                    whole = _loss_values(self.obj.loss_kind, self._a)
+                    whole[rows] = loss
+                sums = np.add.reduce(whole.reshape(-1, self.b), axis=1)
+            old, new = before[first], V.reshape(-1)[cols]
+            sq = self._sq + np.bincount(cols // self.n, weights=new * new - old * old,
+                                        minlength=self.workers)
+        self._candidate = (rows, owner, a, sums, sq)
+        return sums / self.b + 0.5 * self.obj.reg * sq
 
     def keep(self, accepted: np.ndarray) -> None:
-        """Keep the last planned candidates of the accepted workers; restore the rest."""
-        if self._moved is not None:
-            np.copyto(self._a.reshape(-1, self.b), self._moved.reshape(-1, self.b),
-                      where=accepted[:, None])
-            self._moved = None
-        if self._undo is None:
+        """Keep the last planned candidates of the accepted workers in the cache."""
+        if self._candidate is None:
             return
-        touched, a, loss, sums, sq = self._undo
-        self._undo = None
-        rejected = ~accepted
-        if touched is None:
-            self._a.reshape(-1, self.b)[rejected] = a.reshape(-1, self.b)[rejected]
-            self._loss.reshape(-1, self.b)[rejected] = loss.reshape(-1, self.b)[rejected]
+        rows, owner, a, sums, sq = self._candidate
+        self._candidate = None
+        if rows is None:
+            np.copyto(self._a.reshape(-1, self.b), a.reshape(-1, self.b), where=accepted[:, None])
         else:
-            back = rejected[touched // self.b]
-            self._a[touched[back]] = a[back]
-            self._loss[touched[back]] = loss[back]
-        self._sums[rejected] = sums[rejected]
-        self._sq[rejected] = sq[rejected]
+            moved = accepted[owner]
+            self._a[rows[moved]] = a[moved]
+        np.copyto(self._sums, sums, where=accepted)
+        np.copyto(self._sq, sq, where=accepted)
 
 
 class BatchView(StackedBatch):
@@ -351,7 +308,7 @@ class BatchView(StackedBatch):
 
 # A plan block whose candidates average more CSC entries than this share of
 # the M*b stacked rows (so that most rows may be touched) lists no touched
-# rows: its candidates copy and score whole cache rows instead
+# rows: it holds a shift for every row of every candidate instead
 DENSE_TOUCH = 0.25
 
 
@@ -359,32 +316,32 @@ class PlanBlock(NamedTuple):
     """The plan of consecutive mixture candidates. Candidate s changes the
     sorted unique coordinates unique[bounds[s]:bounds[s+1]], whose first
     occurrences in its row of cols are in first (what np.unique(row,
-    return_index=True) returns) and whose CSC entry counts are in counts.
-    Its entries are entry_rows and data[starts[s]:starts[s+1]], column by
-    column. In a block with no more entries than DENSE_TOUCH of its rows,
-    the candidate touches the sorted rows touched[tbounds[s]:tbounds[s+1]];
-    in a denser block those two are empty. Every field is a 1-d array."""
+    return_index=True) returns). Its shifts, y * (X u) for its unit draw u
+    (each unique coordinate's terms summed in draw order), are each row's
+    entries times u summed in column order. In a block with no more CSC
+    entries than DENSE_TOUCH of its rows, the candidate touches the sorted
+    rows touched[tbounds[s]:tbounds[s+1]], whose shifts are
+    shifts[tbounds[s]:tbounds[s+1]]; in a denser block those two are empty,
+    and shifts holds one M*b row a candidate. Every field is a 1-d array."""
 
     bounds: np.ndarray
     unique: np.ndarray
     first: np.ndarray
-    counts: np.ndarray
-    starts: np.ndarray
-    entry_rows: np.ndarray
-    data: np.ndarray
     tbounds: np.ndarray
     touched: np.ndarray
+    shifts: np.ndarray
 
 
-def _plan_blocks(X: sp.csr_matrix, y: np.ndarray, cols: np.ndarray):
-    """PlanBlocks for the rows of cols (one candidate each), as many
-    candidates per block as fit in PLAN_ENTRIES entries of a y-scaled CSC of
-    only the drawn columns of X, one at least."""
+def _plan_blocks(X: sp.csr_matrix, y: np.ndarray, cols: np.ndarray, terms: np.ndarray):
+    """PlanBlocks for the rows of cols and terms (one candidate each), as
+    many candidates per block as fit in PLAN_ENTRIES entries of a y-scaled
+    CSC of only the drawn columns of X, one at least."""
     order = np.argsort(cols, axis=1, kind="stable")
     ordered = np.take_along_axis(cols, order, axis=1)
     new = np.ones(cols.shape, dtype=bool)
     new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
     unique, first = ordered[new], order[new]
+    units = np.bincount(np.cumsum(new) - 1, weights=np.take_along_axis(terms, order, axis=1).ravel())
     bounds = np.concatenate(([0], np.cumsum(np.add.reduce(new, axis=1))))
     drawn, local = np.unique(unique, return_inverse=True)
     csc = X[:, drawn].tocsc()
@@ -398,37 +355,45 @@ def _plan_blocks(X: sp.csr_matrix, y: np.ndarray, cols: np.ndarray):
         stop = max(k + 1, int(np.searchsorted(starts, starts[k] + PLAN_ENTRIES, "right")) - 1)
         coords = slice(bounds[k], bounds[stop])
         pos = _column_entries(csc.indptr, local[coords])
-        block_starts = starts[k:stop + 1] - starts[k]
-        steps = np.arange(stop - k)
-        entry_rows = csc.indices[pos]
+        steps = np.arange(stop - k) * rows
+        # each entry's (candidate, row) key and its shift per unit step
+        key = np.repeat(steps, np.diff(starts[k:stop + 1])) + csc.indices[pos]
+        shift = csc.data[pos] * np.repeat(units[coords], counts[coords])
         tbounds = touched = np.zeros(0, np.int64)
-        if block_starts[-1] <= DENSE_TOUCH * rows * len(steps):
-            entry_rows = entry_rows.astype(np.int64)  # int32 indices cost a cast at each use
-            # each candidate's touched rows once: sort (candidate, row) keys
-            # and drop repeats (np.unique would hash them, several times slower)
-            key = (np.repeat(steps * rows, np.diff(block_starts))
-                   + entry_rows).astype(index_dtype(rows * len(steps)))
-            key.sort()
+        if len(key) <= DENSE_TOUCH * rows * len(steps):
+            # each candidate's touched rows once, and each one's shift summed
+            # in entry order: sort the keys with each entry's index in their
+            # low bits (faster than argsort; np.unique would hash them, several
+            # times slower), drop repeats, and sum their runs
+            bits = len(key).bit_length()
+            packed = key << bits | np.arange(len(key))
+            packed.sort()
+            key = packed >> bits
             once = np.ones(len(key), dtype=bool)
             np.not_equal(key[1:], key[:-1], out=once[1:])
-            key = key[once].astype(np.int64)
+            shift = np.bincount(np.cumsum(once) - 1, weights=shift[packed & (1 << bits) - 1])
+            key = key[once]
             tbounds = np.searchsorted(key, np.arange(stop - k + 1) * rows)
-            touched = key - np.repeat(steps * rows, np.diff(tbounds))
+            touched = key - np.repeat(steps, np.diff(tbounds))
+        else:
+            shift = np.bincount(key, weights=shift, minlength=rows * len(steps))
         yield PlanBlock(bounds[k:stop + 1] - bounds[k], unique[coords], first[coords],
-                        counts[coords], block_starts, entry_rows, csc.data[pos], tbounds, touched)
+                        tbounds, touched, shift)
         k = stop
 
 
 def _plan_steps(blocks):
-    """Each candidate's (unique, first, counts, entry_rows, data, touched)
-    from a sequence of PlanBlocks, touched None where a block lists none."""
+    """Each mixture candidate's (touched, shifts, unique, first) from a
+    sequence of PlanBlocks, touched None where a block lists none."""
     for block in blocks:
-        bounds, starts, tbounds = block.bounds, block.starts, block.tbounds
+        bounds, listed = block.bounds, block.tbounds.size > 0
+        # where no rows are listed, a candidate's shifts are one M*b row
+        tbounds = block.tbounds if listed else np.arange(len(bounds)) * (
+            len(block.shifts) // (len(bounds) - 1))
         for s in range(len(bounds) - 1):
-            coords, entries = slice(bounds[s], bounds[s + 1]), slice(starts[s], starts[s + 1])
-            touched = block.touched[tbounds[s]:tbounds[s + 1]] if tbounds.size else None
-            yield (block.unique[coords], block.first[coords], block.counts[coords],
-                   block.entry_rows[entries], block.data[entries], touched)
+            coords, moved = slice(bounds[s], bounds[s + 1]), slice(tbounds[s], tbounds[s + 1])
+            yield (block.touched[moved] if listed else None, block.shifts[moved],
+                   block.unique[coords], block.first[coords])
 
 
 def _column_entries(indptr: np.ndarray, cols: np.ndarray) -> np.ndarray:

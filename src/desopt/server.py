@@ -145,7 +145,9 @@ def _round_arrays(cfg: DesConfig, obj: RegularizedObjective, partition: Partitio
     streams: the head holds each worker's size-b minibatch rows (uniform with
     replacement from its shard) and a mixture round's mixture_draws (cols,
     terms); a block is one dense_draws block and its products over the
-    rows, or the nine arrays of one PlanBlock of cols."""
+    rows, or the six arrays of one PlanBlock of (cols, terms): its
+    candidates' coordinates, and their margin shifts per unit step at their
+    touched rows or at all rows."""
     rows = np.array([partition.minibatch(i, RngStream(cfg.seed, t, i, "batch"), cfg.batch_size)
                      for i in range(cfg.workers)], dtype=np.int64)
     gens = [RngStream(cfg.seed, t, i, "mutation").gen for i in range(cfg.workers)]
@@ -153,7 +155,7 @@ def _round_arrays(cfg: DesConfig, obj: RegularizedObjective, partition: Partitio
     if cfg.model.is_mixture:
         cols, terms = mixture_draws(cfg.model, gens, cfg.local_iters)
         yield [rows, cols, terms]
-        yield from map(list, batch.blocks(cols))
+        yield from map(list, batch.blocks(cols, terms))
     else:
         yield [rows]
         for draws in dense_draws(cfg.model, gens, cfg.local_iters, cfg.batch_size):
@@ -167,8 +169,9 @@ def prepare_round(cfg: DesConfig, obj: RegularizedObjective, partition: Partitio
     StackedBatch of the head's rows, made without a gather, and planned with
     the blocks: a mixture round's mutations are its (cols, terms), and its
     blocks plan blocks; a dense round's mutations are its draw blocks, and
-    their products plan its candidates. Blocks are read as the candidates
-    reach them."""
+    their products plan its candidates. Either way every candidate is
+    scored from the kept margins plus its step times planned shifts. Blocks
+    are read as the candidates reach them."""
     lists = iter(_round_arrays(cfg, obj, partition, t) if arrays is None else arrays)
     rows, *draws = next(lists)
     batch = StackedBatch(obj, rows.reshape(cfg.workers, -1))
@@ -178,7 +181,7 @@ def prepare_round(cfg: DesConfig, obj: RegularizedObjective, partition: Partitio
         batch.plan_dense(p.reshape(-1, rows.size) for _, p in products)
         return batch, (u.reshape(-1, cfg.workers, cfg.model.n) for u, _ in blocks)
     cols, terms = (d.reshape(cfg.local_iters, -1) for d in draws)
-    batch.plan(cols, (PlanBlock(*block) for block in lists))
+    batch.plan(cols, terms, (PlanBlock(*block) for block in lists))
     return batch, (cols, terms)
 
 

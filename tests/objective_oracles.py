@@ -1,8 +1,8 @@
 """Test-suite oracles for the objectives: analytic minibatch gradients, checked
 against central differences and used as ground truth for the zeroth-order
 gradient estimates, a standalone one-minibatch objective that the stacked
-evaluator's dense values must equal bit for bit, and the stacked evaluator's
-unplanned mixture path."""
+evaluator's dense values must equal bit for bit, and a per-candidate lookup
+that the stacked evaluator's planned mixture candidates must equal."""
 from __future__ import annotations
 
 import math
@@ -81,14 +81,18 @@ class ReferenceBatchView:
 
 class UnplannedStackedBatch(StackedBatch):
     """StackedBatch scoring each mixture candidate on its own: a y-scaled CSC
-    copy of all M*b rows, and every candidate's unique coordinates, CSC
-    entries and touched rows (np.unique) looked up at its values call. plan
-    only queues the candidates' coordinates. The planned evaluator, in every
-    plan block of either kind, must equal it bit for bit. It queues no dense
-    products, so it scores every dense candidate as an unplanned one."""
+    copy of all M*b rows, and every candidate's unique coordinates, unit
+    draw, CSC entries and touched rows (np.unique) looked up at its values
+    call. plan only queues the candidates' coordinates and terms. Its
+    arithmetic is the planned-delta form: each touched row's shift is its
+    entries times the unit draw summed in entry order (column by column),
+    the row's margin is the kept one plus the step times its shift, and
+    its loss change is taken from the losses of the two margins. The
+    planned evaluator, in every plan block of either kind, must equal it bit
+    for bit. Dense candidates take StackedBatch's own path."""
 
-    def plan(self, cols: np.ndarray, blocks=None) -> None:
-        self._queued = iter(np.asarray(cols, dtype=np.int64))
+    def plan(self, cols: np.ndarray, terms: np.ndarray, blocks=None) -> None:
+        self._queued = zip(np.asarray(cols, dtype=np.int64), np.asarray(terms, dtype=np.float64))
 
     @cached_property
     def _csc(self) -> sp.csc_matrix:
@@ -96,33 +100,36 @@ class UnplannedStackedBatch(StackedBatch):
         csc.data *= self._y[csc.indices]
         return csc
 
-    def values(self, V: np.ndarray, before=None) -> np.ndarray:
-        if before is None or isinstance(before, float):
-            return super().values(V, before)  # a dense candidate: the oracle plans none
-        if self._sums is None:
-            raise ValueError("mixture candidates need reset(V) first, and again after a dense one")
-        cols, first = np.unique(next(self._queued), return_index=True)
+    def values(self, V: np.ndarray, step=None, before=None) -> np.ndarray:
+        if step is None or before is None:
+            return super().values(V, step, before)  # an unplanned or a dense candidate
+        queued = next(self._queued, None) if self._a is not None else None
+        if queued is None:
+            raise ValueError("mixture candidates need plan(cols, terms) and reset(V) first")
         self.obj.eval_counter += len(self.rows)
-        old, new = before[first], V.reshape(-1)[cols]
+        cols, first, inverse = np.unique(queued[0], return_index=True, return_inverse=True)
+        unit = np.bincount(inverse, weights=queued[1])  # repeats' terms in draw order
         pos, counts = column_entries(self._csc.indptr, cols)
-        entry_rows = self._csc.indices[pos]
-        touched = np.unique(entry_rows)
-        self._undo = (touched, self._a[touched], self._loss[touched], self._sums, self._sq)
-        np.add.at(self._a, entry_rows, self._csc.data[pos] * np.repeat(new - old, counts))
-        fresh = _loss_values(self.obj.loss_kind, self._a[touched])
-        self._sums = self._sums + np.bincount(touched // self.b, weights=fresh - self._undo[2],
-                                              minlength=self.workers)
-        self._loss[touched] = fresh
-        # the evaluator's test and recompute
-        if not (math.isfinite(np.add.reduce(self._a[touched]))
-                and math.isfinite(np.add.reduce(self._sums))):
-            bad = np.flatnonzero(~np.isfinite(self._a))
-            self._a[bad] = self._y[bad] * (self._X[bad] @ V.reshape(-1))
-            self._loss[bad] = _loss_values(self.obj.loss_kind, self._a[bad])
-            self._sums = np.add.reduce(self._loss.reshape(-1, self.b), axis=1)
-        self._sq = self._sq + np.bincount(cols // self.n, weights=new * new - old * old,
-                                          minlength=self.workers)
-        return self._sums / self.b + 0.5 * self.obj.reg * self._sq
+        touched, entry = np.unique(self._csc.indices[pos], return_inverse=True)
+        shifts = np.bincount(entry, weights=self._csc.data[pos] * np.repeat(unit, counts),
+                             minlength=len(touched))
+        kept = self._a[touched]
+        a = kept + step * shifts
+        if not math.isfinite(np.add.reduce(a)):
+            bad = np.flatnonzero(~np.isfinite(a))
+            a[bad] = self._y[touched[bad]] * (self._X[touched[bad]] @ V.reshape(-1))
+        loss, owner = _loss_values(self.obj.loss_kind, a), touched // self.b
+        sums = self._sums + np.bincount(owner, weights=loss - _loss_values(self.obj.loss_kind, kept),
+                                        minlength=self.workers)
+        if not math.isfinite(np.add.reduce(sums)):
+            whole = _loss_values(self.obj.loss_kind, self._a)
+            whole[touched] = loss
+            sums = np.add.reduce(whole.reshape(-1, self.b), axis=1)
+        old, new = before[first], V.reshape(-1)[cols]
+        sq = self._sq + np.bincount(cols // self.n, weights=new * new - old * old,
+                                    minlength=self.workers)
+        self._candidate = (touched, owner, a, sums, sq)
+        return sums / self.b + 0.5 * self.obj.reg * sq
 
 
 def column_entries(indptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,11 +2,14 @@
 
 The digest pins the exact float64 output of all seven algorithm ids on the
 three losses, each run twice, plus evaluation-capped runs and odd-K runs
-with two smoothing directions (also twice). A refactor of the round engine
+with a wider smoothing radius (also twice). A refactor of the round engine
 that changes any number, any config entry or the round count fails here.
-GOLDEN was last re-recorded when the logistic loss moved from np.logaddexp
-to log1p(exp(-|a|)) + max(-a, 0) on numpy's vectorised exp and log1p, which
-moves per-example losses by a few ulp.
+GOLDEN was last re-recorded when SmoothingConfig lost its directions field,
+so the odd-K cells, which took two directions per estimate, now take one.
+The same change scores mixture candidates from margin shifts planned with
+the round instead of from the moved coordinates of the rounded point; such
+margins differ by a few ulp and could flip a near-tie accept, but here every
+mixture cell's output is unchanged.
 
 The value was recorded on x86-64 (AVX-512) with numpy 2.4.6, scipy 1.17.1 and
 OpenBLAS 0.3.31. Numpy's vectorised exp/log1p/tanh and BLAS dot products
@@ -42,7 +45,7 @@ from desopt import (
     synth_dataset,
 )
 
-GOLDEN = "1c2d1be1e905a0f0e84dc86ab7c595dec8beefeb2d458253e81b846e73f9f1fc"
+GOLDEN = "2bac60556c9adf85a6c644e0d2b72a3d0d0ed3c2b71f571bd482a7b83dcab6a7"
 KERNEL_PROBE = "98759b1b2ead3de83191a4b4efcf5e71f4c7f74d6bf7a1139a726b64b26ef60f"
 
 N = 6
@@ -81,7 +84,7 @@ def _records():
         yield runner(_base_cfg(rounds=6, max_evals=cap + 1), train, test, LossKind.NSVM)
     yield run_es_csa(dataclasses.replace(csa_cfg, rounds=6, max_evals=200),
                      train, test, LossKind.LSVM)
-    odd = SmoothingConfig(mu=1e-4, directions=2)
+    odd = SmoothingConfig(mu=1e-4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # odd-K forfeit notice
         for runner in ZO_RUNNERS:

@@ -844,11 +844,11 @@ def test_dead_helper_rounds_prepared_in_process(death, monkeypatch, two_cpus):
 
     def sending(writer, arrays, ring):  # only the helper sends
         # a round's head holds its rows (and a mixture round's cols and
-        # terms); a block is nine plan arrays, or draws and their products;
+        # terms); a block is six plan arrays, or draws and their products;
         # the empty list that ends a round is not counted
         if not arrays:
             return send(writer, arrays, ring)
-        if len(arrays) < 9 and arrays[0].dtype.kind == "i":
+        if len(arrays) < len(objective.PlanBlock._fields) and arrays[0].dtype.kind == "i":
             blocks_sent.append(0)
         else:
             blocks_sent[-1] += 1

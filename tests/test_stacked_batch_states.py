@@ -1,38 +1,40 @@
-"""StackedBatch as a state machine, against the unplanned oracle.
+"""StackedBatch as a state machine, against the per-candidate oracle.
 
 The stacked evaluator keeps state across calls: a cache of the kept points'
-margins, losses, loss sums and squared norms, a queue of planned mixture
+margins, loss sums and squared norms, a queue of planned mixture
 candidates in plan blocks of two kinds, a queue of planned dense candidates'
-products, an undo record and an overflow path. Hypothesis drives one small
-batch through any order of resets, plans, mixture candidates, planned and
-unplanned dense candidates, keeps and moves that overflow a margin and come
-back, and checks after every step that:
+products, the last planned candidate until keep, and an overflow path.
+Hypothesis drives one small batch through any order of resets, plans,
+mixture candidates, planned and unplanned dense candidates, keeps, and
+candidates that overflow a margin and come back, and checks after every
+step that:
 - every mixture or unplanned value, and the whole cache, equal
-  UnplannedStackedBatch bit for bit;
-- every planned dense value is within TOL of the oracle's (an exact
-  recompute), and keep leaves the kept points' margins in the cache, within
-  TOL of an exact recompute;
+  UnplannedStackedBatch bit for bit (which scores planned dense candidates
+  by StackedBatch's own path, so the two caches stay equal through them);
+- every planned dense value is within TOL of an exact recompute, and keep
+  leaves the kept points' margins in the cache, within TOL of an exact
+  recompute;
 - the cache holds the kept points' values, within TOL of an exact recompute;
-- keep puts back exactly the rejected workers' margins, losses, sums and
-  norms;
+- keep leaves exactly the rejected workers' margins, sums and norms;
 - every values call that scores charges M*b evaluations, and one that
   raises charges none;
 - a mixture candidate raises ValueError exactly when no reset has followed
-  the last dense candidate, or the plan is spent; a dense candidate scores
-  as an unplanned one when no reset has followed the last unplanned
+  the last unplanned candidate, or the plan is spent; a dense candidate
+  scores as an unplanned one when no reset has followed the last unplanned
   candidate, or no products are queued.
 
 Column 0 of the data holds entries of 1e308 in rows with no other entry, and
-the kept points' column 0 only takes the values 0 and +-2, so those rows'
-margins are 0 or +-inf exactly: incremental updates and recomputes agree on
-them, and values can be checked against an exact recompute through overflows.
-Entries of 1e300 would need |x0| above 1.8e8 to overflow, and the squared
-norms would then cancel 3e16 or more by differences, far beyond TOL. Exact
-margins near +-1e308 that overflow by differences are out of reach too;
+every planned term at column 0 is +-2, so a candidate that moves column 0
+shifts those rows' margins by +-inf per unit step (or by exactly 0, where
+its repeated terms cancel): their margins are recomputed from their rows at
+every candidate that moves them, and otherwise keep an exact value. So
+values can be checked against an exact recompute through overflows.
+Entries of 1e300 with finite shifts would leave margins near 1e308 that
+planned steps move by differences, far beyond TOL once they cancel;
 test_lockstep's test_mixture_value_after_an_overflowed_loss_sum and
-test_planned_dense_values_stay_exact cover them. Planned dense draws leave
-column 0 alone, so their candidates keep its levels, and the rows whose
-margins are +-inf are recomputed at every one of them.
+test_planned_dense_values_stay_exact cover exact margins near +-1e308 that
+overflow by differences. Planned dense draws leave column 0 alone, so the
+rows whose margins are +-inf are recomputed at every one of them.
 """
 from __future__ import annotations
 
@@ -56,7 +58,7 @@ from objective_oracles import ReferenceBatchView, UnplannedStackedBatch
 TOL = 1e-10
 N = 4  # features; column 0 is the overflow column
 HUGE_ROWS = 2  # examples 0 and 1 hold 1e308 in column 0 and nothing else
-LEVELS = (0.0, 2.0, -2.0)  # the kept points' column 0: margins 0 or +-inf
+LEVELS = (0.0, 2.0, -2.0)  # the start points' column 0: margins 0 or +-inf
 
 seen = Counter()
 
@@ -90,9 +92,9 @@ class StackedBatchStates(RuleBasedStateMachine):
         self.views = [ReferenceBatchView(self.batch.obj, r) for r in self.rows]
         self.V = self.kept_point()
         self.calls = 0  # values calls that scored, each charging M*b evaluations
-        self.fresh = False  # a reset since the last dense candidate
         self.margins = False  # a reset since the last unplanned candidate
-        self.cols, self.left = None, 0  # the plan and its candidates not yet scored
+        self.cols = self.terms = None  # the plan
+        self.left = 0  # its candidates not yet scored
 
     def kept_point(self) -> np.ndarray:
         V = self.rng.normal(size=(len(self.rows), N)) * self.rng.choice([0.0, 0.5, 3.0])
@@ -104,7 +106,7 @@ class StackedBatchStates(RuleBasedStateMachine):
             return np.array([view.peek_value(v) for view, v in zip(self.views, V)])
 
     def cache(self, batch) -> list:
-        return [np.copy(c) for c in (batch._a, batch._loss, batch._sums, batch._sq)]
+        return [np.copy(c) for c in (batch._a, batch._sums, batch._sq)]
 
     @rule(scores=st.booleans(), new_point=st.booleans())
     def reset(self, scores, new_point):
@@ -121,18 +123,21 @@ class StackedBatchStates(RuleBasedStateMachine):
             got = self.batch.reset(self.V, None if given is None else given.reshape(-1))
             want = self.oracle.reset(self.V)
         assert equal(got, want) and close(got, self.exact(self.V))
-        self.fresh = self.margins = True
+        self.margins = True
         seen["reset from scores" if scores else "reset"] += 1
 
     @rule(steps=st.integers(1, 12), l=st.integers(1, 4), piped=st.booleans(),
           cap=st.sampled_from([1, 3, 12, objective.PLAN_ENTRIES]),
-          dense_touch=st.sampled_from([0.0, 0.25, np.inf]))
-    def plan(self, steps, l, piped, cap, dense_touch):
+          dense_touch=st.sampled_from([0.0, 0.25, np.inf]), scale=st.sampled_from([0.01, 1.0, 5.0]))
+    def plan(self, steps, l, piped, cap, dense_touch, scale):
         objective.PLAN_ENTRIES, objective.DENSE_TOUCH = cap, dense_touch
         workers = len(self.rows)
         self.cols = (self.rng.integers(0, N, size=(steps, workers, l))
                      + (np.arange(workers) * N)[:, None]).reshape(steps, -1)
-        blocks = list(self.batch.blocks(self.cols))
+        self.terms = np.where(self.cols % N == 0, self.rng.choice([2.0, -2.0], size=self.cols.shape),
+                              self.rng.normal(size=self.cols.shape) * scale)
+        with np.errstate(over="ignore"):  # 1e308 * 2 at column 0
+            blocks = list(self.batch.blocks(self.cols, self.terms))
         for block in blocks:
             seen["touched-row block" if block.tbounds.size else "whole-row block"] += 1
         if piped:
@@ -143,66 +148,64 @@ class StackedBatchStates(RuleBasedStateMachine):
                 for block in blocks:
                     send_arrays(writer, block)
                     received.append(PlanBlock(*recv_arrays(reader)))
-            self.batch.plan(self.cols, received)
+            self.batch.plan(self.cols, self.terms, received)
             seen["piped plan"] += 1
         else:
-            self.batch.plan(self.cols)
-        self.oracle.plan(self.cols)
+            self.batch.plan(self.cols, self.terms)
+        self.oracle.plan(self.cols, self.terms)
         self.left = steps
 
-    @rule(scale=st.sampled_from([0.01, 1.0, 5.0]), accept=st.integers(0, 7))
-    def mixture(self, scale, accept):
-        # a mixture candidate at the next planned coordinates, but for column
-        # 0, then keep with the accepted mask drawn from the bits of `accept`
-        self.candidate(accept, lambda flat, cols: np.add.at(
-            flat, cols[cols % N != 0], self.rng.normal(size=int((cols % N != 0).sum())) * scale))
+    @rule(step=st.sampled_from([0.01, 5.0]), accept=st.integers(0, 7))
+    def mixture(self, step, accept):
+        # the next planned mixture candidate at this step, then keep with the
+        # accepted mask drawn from the bits of `accept`
+        self.candidate(step, accept)
 
     @rule(accept=st.integers(0, 7))
     def overflow(self, accept):
-        # a mixture candidate that moves each planned column-0 coordinate from
-        # 0 to +-2, overflowing its rows' margins, or from +-2 back to 0
-        def move(flat, cols):
-            col0 = np.unique(cols[cols % N == 0])
-            flat[col0] = np.where(flat[col0] == 0.0, self.rng.choice(LEVELS[1:], size=col0.size), 0.0)
+        # the next planned mixture candidate at a unit step: its column-0
+        # terms move column 0 by +-2 (or not at all where they cancel), so
+        # from 0 they overflow its rows' margins, and from +-2 they may bring
+        # them back to 0
+        self.candidate(1.0, accept)
 
-        self.candidate(accept, move)
-
-    def candidate(self, accept, move):
+    def candidate(self, step, accept):
         workers = len(self.rows)
         accepted = (accept >> np.arange(workers)) & 1 == 1
-        if not self.fresh or not self.left:
+        if not self.margins or not self.left:
             counter = self.batch.obj.eval_counter
             try:
-                self.batch.values(self.V, self.V.reshape(-1)[:0])
+                self.batch.values(self.V, step, self.V.reshape(-1)[:0])
             except ValueError:
-                seen["raise after a dense candidate" if not self.fresh else "raise, plan spent"] += 1
+                seen["raise after an unplanned candidate" if not self.margins
+                     else "raise, plan spent"] += 1
             else:
                 raise AssertionError("a mixture candidate without reset or plan was scored")
             assert self.batch.obj.eval_counter == counter  # nothing evaluated, nothing charged
             return
         self.calls += 1
-        cols = self.cols[len(self.cols) - self.left]
+        k = len(self.cols) - self.left
+        cols = self.cols[k]
         self.left -= 1
         cand = self.V.copy()
-        move(cand.reshape(-1), cols)
+        np.add.at(cand.reshape(-1), cols, step * self.terms[k])
         before = self.V.reshape(-1)[cols]
         kept = self.cache(self.batch)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = self.batch.values(cand, before)
-            want = self.oracle.values(cand, before)
+            got = self.batch.values(cand, step, before)
+            want = self.oracle.values(cand, step, before)
         assert equal(got, want), (got, want)
         assert close(got, self.exact(cand)), (got, self.exact(cand))
+        self.batch.keep(accepted)
+        self.oracle.keep(accepted)
         seen["inf margin"] += bool(np.isinf(self.batch._a).any())
         seen["inf margin brought back"] += bool(np.isinf(kept[0]).any()
                                                and np.isfinite(self.batch._a).all())
-        self.batch.keep(accepted)
-        self.oracle.keep(accepted)
         self.V[accepted] = cand[accepted]
         rejected = ~accepted
         now = self.cache(self.batch)
-        for old, new in zip(kept[:2], now[:2]):
-            assert equal(new.reshape(workers, -1)[rejected], old.reshape(workers, -1)[rejected])
-        for old, new in zip(kept[2:], now[2:]):
+        assert equal(now[0].reshape(workers, -1)[rejected], kept[0].reshape(workers, -1)[rejected])
+        for old, new in zip(kept[1:], now[1:]):
             assert equal(new[rejected], old[rejected])
         seen["mixed keep"] += 0 < accepted.sum() < workers
         seen["scored"] += 1
@@ -219,8 +222,8 @@ class StackedBatchStates(RuleBasedStateMachine):
         accepted = (accept >> np.arange(len(self.rows))) & 1 == 1
         self.batch.keep(accepted)
         self.oracle.keep(accepted)
-        assert self.batch._a is None and self.batch._undo is None
-        self.fresh = self.margins = False
+        assert self.batch._a is None and self.batch._candidate is None
+        self.margins = False
         seen["dense"] += 1
 
     @rule(iters=st.integers(1, 4), short=st.booleans(), piped=st.booleans(),
@@ -230,8 +233,9 @@ class StackedBatchStates(RuleBasedStateMachine):
         # a block of planned dense candidates, the kept points plus step
         # times draws that leave column 0 alone, scored from the products a
         # batch of the same rows made (maybe sent over a pipe, as the
-        # round-prep helper's are); when short, the last candidate has no
-        # products queued and scores as an unplanned one
+        # round-prep helper's are), by both the batch and the oracle; when
+        # short, the last candidate has no products queued and scores as an
+        # unplanned one
         workers = len(self.rows)
         draws = self.rng.normal(size=(iters, workers, N)) * scale
         draws[:, :, 0] = 0.0
@@ -243,6 +247,7 @@ class StackedBatchStates(RuleBasedStateMachine):
                 send_arrays(writer, blocks)
                 blocks = [p.reshape(iters - short, -1) for p in recv_arrays(reader)]
         self.batch.plan_dense(blocks)
+        self.oracle.plan_dense(blocks)
         for k, u in enumerate(draws):
             accepted = (accept >> np.arange(workers) + k) & 1 == 1
             cand = self.V + step * u
@@ -250,35 +255,32 @@ class StackedBatchStates(RuleBasedStateMachine):
             with np.errstate(over="ignore", invalid="ignore"):
                 got = self.batch.values(cand, step)
                 want = self.oracle.values(cand, step)
-            assert close(got, want) and close(got, self.exact(cand)), (got, want)
+            assert equal(got, want) and close(got, self.exact(cand)), (got, want)
             planned = self.margins and k < iters - short
             if planned:
-                assert self.batch._loss is None and self.batch._sums is None
                 seen["planned dense"] += 1
-                seen["dense inf margin"] += bool(np.isinf(self.batch._moved).any())
+                seen["dense inf margin"] += bool(np.isinf(self.batch._candidate[2]).any())
             else:
-                assert equal(got, want)  # an unplanned candidate
                 self.margins = False
                 seen["dense, unplanned"] += 1
             self.batch.keep(accepted)
             self.oracle.keep(accepted)
             self.V[accepted] = cand[accepted]
             seen["mixed dense keep"] += planned and 0 < accepted.sum() < workers
-        self.fresh = False
 
     @invariant()
     def cache_holds_the_kept_values(self):
         assert self.batch.obj.eval_counter == self.calls * self.rows.size
-        if self.margins:
-            with np.errstate(over="ignore"):
-                X = self.batch.obj.dataset.matrix
-                exact = np.concatenate([X[r] @ v for r, v in zip(self.rows, self.V)])
-            assert close(self.batch._a, self.batch._y * exact)
-        if not self.fresh:
+        assert self.oracle.obj.eval_counter == self.batch.obj.eval_counter
+        if not self.margins:
             return
+        with np.errstate(over="ignore"):
+            X = self.batch.obj.dataset.matrix
+            exact = np.concatenate([X[r] @ v for r, v in zip(self.rows, self.V)])
+        assert close(self.batch._a, self.batch._y * exact)
         got, want = self.cache(self.batch), self.cache(self.oracle)
         assert all(equal(g, w) for g, w in zip(got, want))
-        values = got[2] / self.batch.b + 0.5 * self.batch.obj.reg * got[3]
+        values = got[1] / self.batch.b + 0.5 * self.batch.obj.reg * got[2]
         assert close(values, self.exact(self.V)), (values, self.exact(self.V))
 
 
@@ -291,6 +293,6 @@ def test_stacked_batch_state_machine(monkeypatch):
         max_examples=300, stateful_step_count=50, deadline=None, derandomize=True))
     assert min(seen[k] for k in (
         "reset", "reset from scores", "touched-row block", "whole-row block", "piped plan",
-        "raise after a dense candidate", "raise, plan spent", "inf margin",
+        "raise after an unplanned candidate", "raise, plan spent", "inf margin",
         "inf margin brought back", "mixed keep", "dense", "planned dense", "dense inf margin",
         "dense, unplanned", "mixed dense keep")) > 0, seen
