@@ -37,7 +37,6 @@ from .dataio import (
     partition_uniform,
     split_train_test,
     synth_dataset,
-    synth_dataset_with_truth,
     write_libsvm,
 )
 from .localsolver import (

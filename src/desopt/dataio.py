@@ -473,10 +473,9 @@ class SynthKind(Enum):
     NOISY_LINEAR = "noisy"
 
 
-def synth_dataset_with_truth(
-    kind: SynthKind, n: int, num_examples: int, stream: RngStream
-) -> tuple[Dataset, np.ndarray]:
-    """Generate a sparse linear-model dataset and return the ground-truth weights.
+def synth_dataset(kind: SynthKind, n: int, num_examples: int, stream: RngStream) -> Dataset:
+    """Generate a sparse linear-model dataset from ground-truth weights, the
+    stream's first standard_normal(n).
 
     Features: each example has max(1, round(n/4)) distinct Gaussian entries.
     Labels: sign of the ground-truth margin (ties +1); NoisyLinear flips each
@@ -499,9 +498,4 @@ def synth_dataset_with_truth(
         labels = np.where(gen.random(num_examples) < 0.1, -labels, labels)
     indptr = np.arange(num_examples + 1) * nnz
     matrix = sp.csr_matrix((values.reshape(-1), indices.reshape(-1), indptr), shape=(num_examples, n))
-    return Dataset(matrix, labels), w_star
-
-
-def synth_dataset(kind: SynthKind, n: int, num_examples: int, stream: RngStream) -> Dataset:
-    dataset, _ = synth_dataset_with_truth(kind, n, num_examples, stream)
-    return dataset
+    return Dataset(matrix, labels)

@@ -67,7 +67,7 @@ class CallableBatch:
     def __init__(self, value_fns: list[Callable[[np.ndarray], float]]):
         self.value_fns = value_fns
 
-    def values(self, V: np.ndarray, step=None, before=None) -> np.ndarray:
+    def values(self, V: np.ndarray, step=None, planned=None, before=None) -> np.ndarray:
         return np.array([fn(v) for fn, v in zip(self.value_fns, V)], dtype=np.float64)
 
     def keep(self, accepted: np.ndarray) -> None:
@@ -102,40 +102,35 @@ def run_lockstep_es(
     V: np.ndarray,
     cfg: LocalConfig,
     batch,
-    mutations,
+    candidates,
     f_start,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run cfg.iters (1+1)-ES iterations on every row of V at once, in place.
 
     Row i of V (M x n, C-contiguous) is worker i's point and f_start[i] its
-    value. Every iteration, all M candidates v_i + step_k * u_i with
-    step_k = step0 / sqrt(k+1) are evaluated by one batch.values call, and
-    each worker keeps its candidate on ties or improvement; batch.keep(accepted)
-    then drops the rejected candidates from any state the evaluator holds.
-    The caller draws the mutations and plans batch; this does neither.
-    Mixture mutations are mixture_draws' (cols, terms); their candidates are
-    made in place and scored by batch.values(V, step_k, before), where
-    before holds the kept values at row k's coordinates. Dense ones are
-    dense_draws' blocks, read as the iterations reach them; each
-    iteration's M x n candidates are scored by batch.values(candidates,
-    step_k). A StackedBatch planned with the round scores either kind from
-    its kept margins plus step_k times the planned shifts; other evaluators
-    score point by point. The solver reports only through batch's two calls
-    and its return: (final values, accepted counts), both of length M.
+    value. Iteration k reads the next of candidates, exactly cfg.iters of
+    them, and evaluates all M candidates v_i + step_k * u_i with
+    step_k = step0 / sqrt(k+1) by one batch.values call; each worker keeps
+    its candidate on ties or improvement, and batch.keep(accepted) then
+    drops the rejected candidates from any state the evaluator holds. A
+    candidate carries its plan, which is passed to batch.values as it is
+    (None for none). A mixture one is (cols, terms, planned), a row of
+    mixture_draws' (cols, terms): it is made in place and scored by
+    batch.values(V, step_k, planned, before), where before holds the kept
+    values at cols. A dense one is (u, planned), u an iteration's M x n
+    draws: it is scored by batch.values(V + step_k * u, step_k, planned).
+    The solver reports only through batch's two calls and its return: (final
+    values, accepted counts), both of length M.
     """
     if not V.flags.c_contiguous:
         raise ValueError("the stacked points must be one C-contiguous array")
     f = np.array(f_start, dtype=np.float64)
     if np.isnan(f).any():
         raise NonFiniteObjectiveError(f"objective returned NaN at the start point ({f!r})")
-    model, mixture = cfg.model, cfg.model.is_mixture
+    n, mixture = cfg.model.n, cfg.model.is_mixture
     flat = V.reshape(-1)
     accepted = np.zeros(len(V), dtype=np.int64)
-    if mixture:
-        all_cols, all_terms = mutations
-        owner = np.repeat(np.arange(len(V)), model.l)  # the worker of each changed slot
-    else:
-        mutations = itertools.chain.from_iterable(mutations)
+    candidates = iter(candidates)
 
     for k in range(cfg.iters):
         step = cfg.step0 * (k + 1) ** -0.5
@@ -143,22 +138,23 @@ def run_lockstep_es(
             # Sparse candidates: perturb in place, then put back the saved
             # slots of rejected workers. Duplicate indices accumulate in draw
             # order and restore to the value saved before any of them.
-            cols = all_cols[k]
+            cols, terms, planned = next(candidates)
             saved = flat[cols]
-            np.add.at(flat, cols, step * all_terms[k])
-            f_cand = batch.values(V, step, saved)
+            np.add.at(flat, cols, step * terms)
+            f_cand = batch.values(V, step, planned, saved)
         else:
-            candidates = V + step * next(mutations)
-            f_cand = batch.values(candidates, step)
+            u, planned = next(candidates)
+            cand = V + step * u
+            f_cand = batch.values(cand, step, planned)
         # f holds checked values only, so NaN is checked on the candidates alone; ties accept
         if np.isnan(f_cand).any():
             raise NonFiniteObjectiveError(f"objective returned NaN at a candidate ({f_cand!r})")
         ok = f_cand <= f
         if mixture:
-            undo = (~ok)[owner]
+            undo = (~ok)[cols // n]  # a slot's worker is its coordinate // n
             flat[cols[undo]] = saved[undo]
         else:
-            np.copyto(V, candidates, where=ok[:, None])
+            np.copyto(V, cand, where=ok[:, None])
         batch.keep(ok)
         np.copyto(f, f_cand, where=ok)
         accepted += ok
@@ -182,12 +178,15 @@ def run_local_es(
     iteration; pass f_start to supply the initial parent value from an
     uncounted path. evals_per_call sizes the evaluation ledger (b for
     minibatch objectives). It scores every candidate through a CallableBatch
-    of value_fn and reports only the WorkerResult.
+    of value_fn, with no plan, and reports only the WorkerResult.
     """
     V = np.array(x_start, dtype=np.float64, copy=True).reshape(1, -1)
     f_v = value_fn(V[0]) if f_start is None else float(f_start)
-    draws = mixture_draws if cfg.model.is_mixture else dense_draws
-    f, accepted = run_lockstep_es(V, cfg, CallableBatch([value_fn]),
-                                  draws(cfg.model, [stream.gen], cfg.iters), [f_v])
+    if cfg.model.is_mixture:
+        mutations = mixture_draws(cfg.model, [stream.gen], cfg.iters)  # (cols, terms)
+    else:  # one iteration's draws a row
+        mutations = [itertools.chain.from_iterable(dense_draws(cfg.model, [stream.gen], cfg.iters))]
+    candidates = zip(*mutations, itertools.repeat(None))  # with no plan
+    f, accepted = run_lockstep_es(V, cfg, CallableBatch([value_fn]), candidates, [f_v])
     return WorkerResult(v_final=V[0], f_final=float(f[0]), evals_used=cfg.iters * evals_per_call,
                         accepted_count=int(accepted[0]))

@@ -7,7 +7,6 @@ an L2 regularizer. Minibatches are plain arrays of row indices into a Dataset
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from enum import Enum
 from typing import NamedTuple
@@ -110,32 +109,32 @@ class StackedBatch:
     One gather of all M*b rows, made on first use (a prepared round needs it
     only after an overflow), makes a block-diagonal CSR whose block i holds
     the entries of dataset.matrix[rows[i]] in stored order and acts on row i
-    of V (columns offset by i*n). An unplanned candidate is a pure function
-    of V: the full stacked matvec, then per worker the loss sum over b plus
-    the L2 term, bit for bit the mean loss plus regularizer of that worker
-    alone. It drops the cache below: keep after it does nothing, and any
-    planned candidate after it needs a new reset.
+    of V (columns offset by i*n).
 
     reset caches the kept points' M*b signed margins a = y * (X v), each
     worker's loss sum and squared norm, all exact; given the rows' products
     (the training-set scores of the round's start point), it needs no
     gather and no product.
 
-    A planned candidate is the kept points plus a step times planned draws
-    whose per-unit margin shifts y * (X u) were made with the round, maybe
-    in the process that prepared it: products(draws) for dense draws
-    (plan_dense queues them), and the PlanBlocks of plan(cols, terms) for
-    mixture ones. Every planned candidate is scored one way: its margins
-    are the kept ones plus the step times its shifts, at its touched rows
-    or at all M*b rows, in fresh arrays; then come those rows' losses and
-    each worker's loss sum and squared norm. A dense candidate takes its
-    sums and norms from its points. A mixture candidate moves the kept sums
+    A planned candidate is the kept points plus a step times draws whose
+    per-unit margin shifts y * (X u), its plan, were made with the round,
+    maybe in the process that prepared it: its row of products(draws) for a
+    dense one, what plan_steps yields for it from blocks(cols, terms) for a
+    mixture one. While the cache is kept, its margins are the kept ones plus
+    the step times its shifts, at its touched rows or at all M*b rows, in
+    fresh arrays; then come those rows' losses and each worker's loss sum
+    and squared norm. A dense candidate takes its sums and norms from its
+    points. A mixture candidate moves the kept sums
     by its rows' losses less those of their kept margins (a row's worker is
     its index // b), and the kept norms by new^2 - old^2 over its unique
     coordinates (a coordinate's worker is its index // n): O(l * column nnz
     + touched rows) arithmetic in a block that lists touched rows. keep
     writes the accepted workers' part of the last planned candidate into
-    the cache, which stays valid.
+    the cache, which stays valid. Any other candidate is a pure function of
+    V: the full stacked matvec, then per worker the loss sum over b plus
+    the L2 term, bit for bit the mean loss plus regularizer of that worker
+    alone. It drops the cache: keep after it does nothing, and every
+    candidate after it is scored the same way until the next reset.
 
     Planned values equal an exact recompute up to rounding; a planned
     margin that is not finite is recomputed from its row, and a mixture
@@ -150,7 +149,6 @@ class StackedBatch:
         self.n = obj.dataset.n_features
         self._y = obj.dataset.labels[self.rows]
         self._a = self._sums = self._sq = self._candidate = None
-        self._steps = self._products = iter(())
 
     @functools.cached_property
     def _X(self) -> sp.csr_matrix:
@@ -192,47 +190,28 @@ class StackedBatch:
         # y is +-1: scaling the transposed product is exact, and lays it out by rows
         return np.multiply(product.T, self._y, out=np.empty(product.shape[::-1]))
 
-    def plan_dense(self, products) -> None:
-        """Plan the coming dense candidates (prepare_round does, once a
-        round): products yields blocks of products(draws) for the
-        candidates' draws, in order, maybe made in the process that prepared
-        the round."""
-        self._products = itertools.chain.from_iterable(products)
-
     def blocks(self, cols: np.ndarray, terms: np.ndarray):
-        """The PlanBlocks of cols and terms (see plan), made one at a time."""
+        """The PlanBlocks of mixture candidates, made one at a time: candidate
+        k adds its step times terms[k] at the flat coordinates cols[k] (row
+        i, column j as i*n + j; repeats add up) to the kept points."""
         # a module-level generator: one holding self would keep every round's
         # batch alive in a reference cycle until the next garbage collection
         return _plan_blocks(self._X, self._y, np.asarray(cols, dtype=np.int64),
                             np.asarray(terms, dtype=np.float64))
 
-    def plan(self, cols: np.ndarray, terms: np.ndarray, blocks=None) -> None:
-        """Plan the coming mixture candidates (prepare_round does, once a round):
-        candidate k adds its step times terms[k] at the flat coordinates cols[k]
-        (row i, column j as i*n + j; repeats add up) to the kept points.
-        blocks, if given, are blocks(cols, terms), maybe made in the process
-        that prepared the round."""
-        self._steps = _plan_steps(self.blocks(cols, terms) if blocks is None else blocks)
-
-    def values(self, V: np.ndarray, step: float | None = None, before=None) -> np.ndarray:
+    def values(self, V: np.ndarray, step: float | None = None, planned=None,
+               before=None) -> np.ndarray:
         """Worker values at the candidates V, charging M*b evaluations.
 
-        step None means V may differ anywhere. Otherwise V is the next
-        planned candidate, the kept points plus step times its planned
-        draws: a mixture one when before, the kept values at its planned
-        coordinates in order, is given, else a dense one. A mixture
-        candidate that cannot be scored raises ValueError and charges
-        nothing; a dense one is scored as an unplanned candidate when no
-        products are queued, or no reset has followed the last unplanned
-        candidate.
+        Given its plan (planned) while the cache is kept, V is scored as the
+        kept points plus step times its planned draws: a mixture candidate
+        when before, the kept values at its coordinates in draw order, is
+        given (planned is what plan_steps yields for it), else a dense one
+        (planned is its row of products). Any other V is scored exactly from
+        the rows, and that drops the cache.
         """
-        planned = None
-        if step is not None and self._a is not None:
-            planned = next(self._products if before is None else self._steps, None)
-        if planned is None and before is not None:
-            raise ValueError("mixture candidates need plan(cols, terms) and reset(V) first")
         self.obj.eval_counter += len(self.rows)
-        if planned is None:
+        if planned is None or self._a is None:
             self._a = self._sums = self._sq = self._candidate = None
             return self._exact(V)
         # a dense candidate's shifts are its products, at every row
@@ -382,9 +361,10 @@ def _plan_blocks(X: sp.csr_matrix, y: np.ndarray, cols: np.ndarray, terms: np.nd
         k = stop
 
 
-def _plan_steps(blocks):
-    """Each mixture candidate's (touched, shifts, unique, first) from a
-    sequence of PlanBlocks, touched None where a block lists none."""
+def plan_steps(blocks):
+    """Each mixture candidate's plan, (touched, shifts, unique, first), from
+    a sequence of PlanBlocks, read one block at a time; touched is None
+    where a block lists no touched rows."""
     for block in blocks:
         bounds, listed = block.bounds, block.tbounds.size > 0
         # where no rows are listed, a candidate's shifts are one M*b row

@@ -40,6 +40,7 @@ from .objective import (
     RegularizedObjective,
     StackedBatch,
     classification_error,
+    plan_steps,
 )
 from .processes import Ring, forked, process_count, recv_arrays, send_arrays
 
@@ -164,25 +165,23 @@ def _round_arrays(cfg: DesConfig, obj: RegularizedObjective, partition: Partitio
 
 def prepare_round(cfg: DesConfig, obj: RegularizedObjective, partition: PartitionPlan, t: int,
                   arrays=None) -> tuple:
-    """Round t as (batch, mutations), read from its array lists (arrays, or
+    """Round t as (batch, candidates), read from its array lists (arrays, or
     else _round_arrays' own), flattened by a pipe or not. batch is a
-    StackedBatch of the head's rows, made without a gather, and planned with
-    the blocks: a mixture round's mutations are its (cols, terms), and its
-    blocks plan blocks; a dense round's mutations are its draw blocks, and
-    their products plan its candidates. Either way every candidate is
-    scored from the kept margins plus its step times planned shifts. Blocks
-    are read as the candidates reach them."""
+    StackedBatch of the head's rows, made without a gather. candidates
+    yields each iteration's candidate with its plan, as run_lockstep_es
+    reads them: a dense round's (u, shifts), a row of a block's draws and
+    the same row of its products; a mixture round's (cols, terms, planned),
+    a row of the head's (cols, terms) and what plan_steps yields for it
+    from the PlanBlocks. Blocks are read as the candidates reach them."""
     lists = iter(_round_arrays(cfg, obj, partition, t) if arrays is None else arrays)
     rows, *draws = next(lists)
     batch = StackedBatch(obj, rows.reshape(cfg.workers, -1))
     if not cfg.model.is_mixture:
-        # the solver reads each block's draws just before batch reads its products
-        blocks, products = itertools.tee(lists)
-        batch.plan_dense(p.reshape(-1, rows.size) for _, p in products)
-        return batch, (u.reshape(-1, cfg.workers, cfg.model.n) for u, _ in blocks)
+        shape = (-1, cfg.workers, cfg.model.n)
+        return batch, itertools.chain.from_iterable(
+            zip(u.reshape(shape), p.reshape(-1, rows.size)) for u, p in lists)
     cols, terms = (d.reshape(cfg.local_iters, -1) for d in draws)
-    batch.plan(cols, terms, (PlanBlock(*block) for block in lists))
-    return batch, (cols, terms)
+    return batch, zip(cols, terms, plan_steps(PlanBlock(*block) for block in lists))
 
 
 def des_round(
@@ -194,23 +193,23 @@ def des_round(
 ) -> tuple[ServerState, RoundMetrics]:
     """One synchronous round at t = state.t.
 
-    The round starts from prepared, prepare_round's (batch, mutations) for t,
-    made here if not given.
-    All M workers then run the local solver on its mutations in lockstep, in
-    the calling thread, from the broadcast point with the round's annealed
-    base step, and the StackedBatch scores all M candidates at once. Its
-    start values take the training-set scores of the last snapshot if that
-    was at the broadcast point. The server averages the endpoints into a
-    displacement and applies the momentum step. The workers' iterations
-    show only through the batch's values and keep calls.
+    The round starts from prepared, prepare_round's (batch, candidates) for
+    t, made here if not given. All M workers then run the local solver on
+    its candidates in lockstep, in the calling thread, from the broadcast
+    point with the round's annealed base step, and the StackedBatch scores
+    all M candidates at once, each from its plan. Its start values take
+    the training-set scores of the last snapshot if that was at the
+    broadcast point. The server averages the endpoints into a displacement
+    and applies the momentum step. The workers' iterations show only
+    through the batch's values and keep calls.
     """
     _check_dimension(cfg, obj.dataset.n_features)
     t = state.t
     local_cfg = LocalConfig(iters=cfg.local_iters, model=cfg.model, step0=step_size(cfg.alpha, t, 0))
-    batch, mutations = prepare_round(cfg, obj, partition, t) if prepared is None else prepared
+    batch, candidates = prepare_round(cfg, obj, partition, t) if prepared is None else prepared
     V = np.tile(state.x, (cfg.workers, 1))
     scores = obj.kept_scores(state.x)
-    f, accepted = run_lockstep_es(V, local_cfg, batch, mutations,
+    f, accepted = run_lockstep_es(V, local_cfg, batch, candidates,
                                   batch.reset(V, None if scores is None else scores[batch.rows]))
     m_next = momentum_update(state.m, average_displacement(state.x, V), cfg.beta)
     return ServerState(x=state.x + m_next, m=m_next, t=t + 1), RoundMetrics(

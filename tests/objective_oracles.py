@@ -83,16 +83,14 @@ class UnplannedStackedBatch(StackedBatch):
     """StackedBatch scoring each mixture candidate on its own: a y-scaled CSC
     copy of all M*b rows, and every candidate's unique coordinates, unit
     draw, CSC entries and touched rows (np.unique) looked up at its values
-    call. plan only queues the candidates' coordinates and terms. Its
-    arithmetic is the planned-delta form: each touched row's shift is its
-    entries times the unit draw summed in entry order (column by column),
-    the row's margin is the kept one plus the step times its shift, and
-    its loss change is taken from the losses of the two margins. The
-    planned evaluator, in every plan block of either kind, must equal it bit
-    for bit. Dense candidates take StackedBatch's own path."""
-
-    def plan(self, cols: np.ndarray, terms: np.ndarray, blocks=None) -> None:
-        self._queued = zip(np.asarray(cols, dtype=np.int64), np.asarray(terms, dtype=np.float64))
+    call. A mixture candidate's plan is its own (cols, terms), the row of
+    mixture_draws that made it. Its arithmetic is the planned-delta form:
+    each touched row's shift is its entries times the unit draw summed in
+    entry order (column by column), the row's margin is the kept one plus
+    the step times its shift, and its loss change is taken from the losses
+    of the two margins. The planned evaluator, in every plan block of either
+    kind, must equal it bit for bit. Dense and unplanned candidates, and
+    candidates with no kept cache, take StackedBatch's own path."""
 
     @cached_property
     def _csc(self) -> sp.csc_matrix:
@@ -100,15 +98,13 @@ class UnplannedStackedBatch(StackedBatch):
         csc.data *= self._y[csc.indices]
         return csc
 
-    def values(self, V: np.ndarray, step=None, before=None) -> np.ndarray:
-        if step is None or before is None:
-            return super().values(V, step, before)  # an unplanned or a dense candidate
-        queued = next(self._queued, None) if self._a is not None else None
-        if queued is None:
-            raise ValueError("mixture candidates need plan(cols, terms) and reset(V) first")
+    def values(self, V: np.ndarray, step=None, planned=None, before=None) -> np.ndarray:
+        if planned is None or before is None or self._a is None:
+            return super().values(V, step, planned, before)
         self.obj.eval_counter += len(self.rows)
-        cols, first, inverse = np.unique(queued[0], return_index=True, return_inverse=True)
-        unit = np.bincount(inverse, weights=queued[1])  # repeats' terms in draw order
+        drawn, terms = planned
+        cols, first, inverse = np.unique(drawn, return_index=True, return_inverse=True)
+        unit = np.bincount(inverse, weights=terms)  # repeats' terms in draw order
         pos, counts = column_entries(self._csc.indptr, cols)
         touched, entry = np.unique(self._csc.indices[pos], return_inverse=True)
         shifts = np.bincount(entry, weights=self._csc.data[pos] * np.repeat(unit, counts),

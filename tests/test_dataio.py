@@ -31,7 +31,6 @@ from desopt import (
     partition_uniform,
     split_train_test,
     synth_dataset,
-    synth_dataset_with_truth,
     write_libsvm,
 )
 from desopt import dataio
@@ -595,8 +594,15 @@ def test_partition_validation_and_determinism():
         npt.assert_array_equal(a, b)
 
 
+def synth_dataset_with_truth(kind, n, num_examples, seed):
+    """synth_dataset's data and its ground-truth weights, the first
+    standard_normal(n) of the same stream."""
+    truth = RngStream(seed, "synth").gen.standard_normal(n)
+    return synth_dataset(kind, n, num_examples, RngStream(seed, "synth")), truth
+
+
 def test_synth_separable_truth_has_zero_error():
-    ds, w_star = synth_dataset_with_truth(SynthKind.SEPARABLE_LINEAR, 20, 500, RngStream(21, "synth"))
+    ds, w_star = synth_dataset_with_truth(SynthKind.SEPARABLE_LINEAR, 20, 500, 21)
     assert classification_error(w_star, ds) == 0.0
     # per-row sparsity: round(20/4) = 5 distinct sorted indices
     for i in range(0, 500, 97):
@@ -607,7 +613,7 @@ def test_synth_separable_truth_has_zero_error():
 
 def test_synth_noisy_flip_rate():
     n_rows = 100_000
-    ds, w_star = synth_dataset_with_truth(SynthKind.NOISY_LINEAR, 8, n_rows, RngStream(22, "synth"))
+    ds, w_star = synth_dataset_with_truth(SynthKind.NOISY_LINEAR, 8, n_rows, 22)
     err = classification_error(w_star, ds)
     assert abs(err - 0.1) < 0.01  # flips happen with probability 0.1
 

@@ -2,6 +2,8 @@
 rejection restores, and the more-iterations-helps trend."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -63,7 +65,7 @@ def test_accept_rule():
         V = np.zeros((len(f_start), 2))
         batch = localsolver.CallableBatch([lambda v, f=f: f for f in f_cand])
         cfg = LocalConfig(iters=1, model=GAUSS(2), step0=1.0)
-        f, accepted = localsolver.run_lockstep_es(V, cfg, batch, [np.ones((1, len(V), 2))],
+        f, accepted = localsolver.run_lockstep_es(V, cfg, batch, [(np.ones((len(V), 2)), None)],
                                                   f_start)
         return V, f, accepted
 
@@ -75,6 +77,25 @@ def test_accept_rule():
         run([np.nan, 1.0], [0.5, 0.5])
     with pytest.raises(NonFiniteObjectiveError, match="at a candidate"):
         run([1.0, 1.0], [0.5, np.nan])
+
+
+def test_solver_reads_exactly_iters_candidates():
+    # One candidate an iteration and no more, of either kind: a round's
+    # stream may hold more, which its reader drains itself
+    for model in (GAUSS(3), MutationModel(MutationKind.MIXTURE_GAUSSIAN, 3, 2)):
+        pulled = []
+
+        def candidates():
+            for k in itertools.count():
+                pulled.append(k)
+                # worker 0's coordinates are 0..2, worker 1's 3..5
+                yield ((np.array([0, 1, 3, 5]), np.ones(4), None) if model.is_mixture
+                       else (np.ones((2, 3)), None))
+
+        cfg = LocalConfig(iters=5, model=model, step0=0.1)
+        localsolver.run_lockstep_es(np.zeros((2, 3)), cfg, localsolver.CallableBatch([sphere] * 2),
+                                    candidates(), [1.0, 1.0])
+        assert pulled == list(range(5))
 
 
 def test_local_config_validation():

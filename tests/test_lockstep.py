@@ -20,6 +20,7 @@ one-point estimates on ReferenceBatchView.value bit for bit.
 """
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 from collections import Counter
 
@@ -245,7 +246,8 @@ def test_dense_mutation_blocks_are_memory_bounded():
     tracemalloc.start()
     try:
         draws = dense_draws(cfg.model, [RngStream(0, i).gen for i in range(workers)], iters)
-        run_lockstep_es(V, cfg, batch, draws, f_start)
+        run_lockstep_es(V, cfg, batch, zip(itertools.chain.from_iterable(draws),
+                                           itertools.repeat(None)), f_start)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -341,18 +343,18 @@ def test_incremental_mixture_value_matches_exact_recompute(monkeypatch):
         workers, n = V.shape
         steps = 1 + 10 * warmup
         cols, terms = mixture_plan(steps, workers, n, l, rng)
-        for block in batch.blocks(cols, terms):
+        blocks = list(batch.blocks(cols, terms))
+        for block in blocks:
             seen["touched-row block" if block.tbounds.size else "block touching most rows"] += 1
         batch.reset(V)
-        batch.plan(cols, terms)
-        for k in range(steps):
+        for k, planned in enumerate(objective.plan_steps(blocks)):
             kept = V.copy()
             cached = [batch._a.reshape(workers, -1).copy(), batch._sums.copy(), batch._sq.copy()]
             before = V.reshape(-1)[cols[k]]
             step = rng.choice([0.01, 1.0, 5.0])
             np.add.at(V.reshape(-1), cols[k], step * terms[k])
             counter = obj.eval_counter
-            got = batch.values(V, step, before)
+            got = batch.values(V, step, planned, before)
             assert obj.eval_counter - counter == rows.size
             exact = np.array([view.peek_value(v) for view, v in zip(views, V)])
             assert close(got, exact), (k, got, exact)
@@ -403,7 +405,7 @@ def test_plan_blocks_hand_out_each_candidates_shifts_and_touched_rows(monkeypatc
         cols, terms = mixture_plan(steps, workers, n, l, rng)
         csc = batch._X.tocsc()
         csc.data *= batch._y[csc.indices]
-        planned = list(objective._plan_steps(batch.blocks(cols, terms)))
+        planned = list(objective.plan_steps(batch.blocks(cols, terms)))
         assert len(planned) == steps
         for row, row_terms, (touched, shifts, unique, first) in zip(cols, terms, planned):
             want, want_first, inverse = np.unique(row, return_index=True, return_inverse=True)
@@ -456,7 +458,7 @@ def test_planned_shifts_are_the_unit_draws_products(monkeypatch):
         scale = (abs(batch._X) @ unit_draws(cols, np.abs(terms), workers * n).T).toarray().T
         # the rounding of each row's sum and of each coordinate's repeated terms
         terms_in_sum = np.diff(batch._X.indptr) + l + 1
-        for k, (touched, shifts, _, _) in enumerate(objective._plan_steps(batch.blocks(cols, terms))):
+        for k, (touched, shifts, _, _) in enumerate(objective.plan_steps(batch.blocks(cols, terms))):
             if touched is None:
                 touched = np.arange(rows.size)
                 seen["block touching most rows"] += 1
@@ -503,13 +505,12 @@ def test_planned_margins_follow_a_chain_of_candidates(monkeypatch):
         X, flat = abs(batch._X), V.reshape(-1)
         nnz = np.diff(X.indptr)
         batch.reset(V)
-        batch.plan(cols, terms)
         drift = np.zeros(rows.size)
-        for k in range(steps):
+        for k, planned in enumerate(objective.plan_steps(batch.blocks(cols, terms))):
             before = flat[cols[k]]
             step = rng.choice([0.01, 1.0, 5.0])
             np.add.at(flat, cols[k], step * terms[k])
-            batch.values(V, step, before)
+            batch.values(V, step, planned, before)
             ok = rng.random(workers) < 0.7
             undo = np.repeat(~ok, l)
             flat[cols[k][undo]] = before[undo]
@@ -595,14 +596,13 @@ def test_mixture_value_after_an_overflowed_loss_sum(rows, moves, loss):
     assert all((block.tbounds.size == 0) == (len(rows) == 2) for block in blocks)
     V = np.zeros((1, 2))
     batch.reset(V)
-    batch.plan(cols, terms)
     values = []
     with np.errstate(over="ignore", invalid="ignore"):  # inf, then inf - inf
-        for x0, term in zip([*moves, 0.0], terms):
+        for x0, term, planned in zip([*moves, 0.0], terms, objective.plan_steps(blocks)):
             before = V[0, :1].copy()
             V[0, 0] += term[0]
             assert V[0, 0] == x0
-            values.append(batch.values(V, 1.0, before))
+            values.append(batch.values(V, 1.0, planned, before))
             batch.keep(np.array([True]))
             want = view.peek_value(V[0])
             assert values[-1] == want or close(values[-1], want), (x0, values[-1], want)
@@ -616,8 +616,9 @@ def test_dense_values_are_stateless():
     # run_local_es scores through a CallableBatch: both must score each point
     # from scratch, as a black box would, bit for bit the standalone
     # reference. So must a StackedBatch given a dense candidate's step with no
-    # products queued (a DES round queues them; see
-    # test_planned_dense_values_stay_exact).
+    # plan (a DES round plans them; see test_planned_dense_values_stay_exact),
+    # and, once an unplanned candidate has dropped its cache, a candidate of
+    # either kind that comes with its plan; keep after either changes nothing.
     seen = Counter()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -648,13 +649,19 @@ def test_dense_values_are_stateless():
             batch.keep(ok)
             V[ok] = candidates[ok]
             seen["mixed keep"] += 0 < ok.sum() < len(ok)
-        # an unplanned candidate drops the cached margins
+        # the unplanned candidates dropped the cache: planned ones score exactly
+        u = rng.normal(size=V.shape)
+        shifts = StackedBatch(obj, rows).products(u[None])[0]
         cols, terms, before = mixture_candidate(V, l, rng)
-        batch.plan(cols[None], terms[None])
-        counter = obj.eval_counter
-        with pytest.raises(ValueError):
-            batch.values(V, 1.0, before)
-        assert obj.eval_counter == counter  # a candidate that raises is not charged
+        [planned] = objective.plan_steps(batch.blocks(cols[None], terms[None]))
+        for candidates, plan, kept in ((V, planned, before), (V + u, shifts, None)):
+            counter = obj.eval_counter
+            got = batch.values(candidates, 1.0, plan, kept)
+            assert obj.eval_counter - counter == rows.size
+            want = np.array([view.peek_value(v) for view, v in zip(views, candidates)])
+            assert np.array_equal(got, want), (got, want)
+            batch.keep(np.ones(len(V), dtype=bool))
+            assert batch._a is None and batch._candidate is None
         seen["loss " + loss.value] += 1
         seen["reg 0" if reg == 0 else "reg > 0"] += 1
 
@@ -702,11 +709,12 @@ def test_planned_dense_values_stay_exact():
         with np.errstate(over="ignore"):
             scores = np.concatenate([data.matrix[r] @ v for r, v in zip(rows, V)])
             batch.reset(V, scores)
-        batch.plan_dense(producer.products(draws[k:k + block]) for k in range(0, iters, block))
-        for k in range(iters):
+        shifts = itertools.chain.from_iterable(producer.products(draws[k:k + block])
+                                               for k in range(0, iters, block))
+        for k, planned in enumerate(shifts):
             candidates = V + steps[k] * draws[k]
             with np.errstate(over="ignore", invalid="ignore"):
-                got = batch.values(candidates, float(steps[k]))
+                got = batch.values(candidates, float(steps[k]), planned)
                 exact = np.array([view.peek_value(v) for view, v in zip(views, candidates)])
                 near = np.abs(got - exact) <= TOL * (1.0 + np.abs(exact))
             assert np.all((got == exact) | near), (k, got, exact)
@@ -755,10 +763,18 @@ def test_planned_rounds_match_unplanned_oracle(monkeypatch):
             yield block
 
     monkeypatch.setattr(objective, "_plan_blocks", kinds)
+    prepare = server.prepare_round
+
+    def own_plans(*args):
+        # the oracle's plan of a mixture candidate is the candidate's (cols, terms)
+        batch, candidates = prepare(*args)
+        return batch, ((cols, terms, (cols, terms)) for cols, terms, _ in candidates)
 
     def run(evaluator, data, cfg, loss, reg, state, partition):
         batches = recording(evaluator)
         monkeypatch.setattr(server, "StackedBatch", batches)
+        monkeypatch.setattr(server, "prepare_round",
+                            own_plans if evaluator is UnplannedStackedBatch else prepare)
         obj = RegularizedObjective(loss, data, reg)
         rounds_out = []
         for _ in range(2):
@@ -814,19 +830,43 @@ def test_planned_rounds_match_unplanned_oracle(monkeypatch):
                                  "block touching most rows", "touched-row block")) > 0, seen
 
 
-def test_mixture_candidates_follow_the_plan():
-    data, rng = sparse_dataset(30, 40, seed=8)
-    batch = StackedBatch(RegularizedObjective(LossKind.LR, data, 1e-6),
-                         rng.integers(0, len(data), size=(2, 10)))
-    V = rng.normal(size=(2, 30))
-    batch.reset(V)
-    cols, terms, before = mixture_candidate(V, 3, rng)
-    with pytest.raises(ValueError, match="plan"):
-        batch.values(V, 1.0, before)  # no plan yet
-    batch.plan(cols[None], terms[None])
-    batch.values(V, 1.0, before)
-    with pytest.raises(ValueError, match="plan"):
-        batch.values(V, 1.0, before)  # past the planned candidates
+def test_a_planned_candidate_scores_the_same_twice(monkeypatch):
+    # A candidate's plan is data, and scoring it moves no cursor: after one
+    # reset, the same (V, step, planned, before) scored twice gives values
+    # equal bit for bit, within TOL of an exact recompute, and charges M*b
+    # evaluations each time. A dense candidate, and a mixture one in each
+    # form of plan block.
+    seen = Counter()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(kept_states(), st.sampled_from(["dense", 0.0, np.inf]), st.sampled_from([0.01, 1.0, 5.0]))
+    def check(case, form, step):
+        data, rows, l, loss, reg, V, rng, _ = case
+        obj = RegularizedObjective(loss, data, reg)
+        batch = StackedBatch(obj, rows)
+        views = [ReferenceBatchView(obj, r) for r in rows]
+        batch.reset(V)
+        if form == "dense":
+            u = rng.normal(size=V.shape)
+            candidate = (V + step * u, step, batch.products(u[None])[0], None)
+            seen["dense"] += 1
+        else:
+            monkeypatch.setattr(objective, "DENSE_TOUCH", form)
+            cols, terms = mixture_plan(1, *V.shape, l, rng)
+            [planned] = objective.plan_steps(batch.blocks(cols, terms))
+            points = V.copy()
+            np.add.at(points.reshape(-1), cols[0], step * terms[0])
+            candidate = (points, step, planned, V.reshape(-1)[cols[0]])
+            seen["touched-row block" if planned[0] is not None else "block touching most rows"] += 1
+        counter = obj.eval_counter
+        first = batch.values(*candidate)
+        assert obj.eval_counter - counter == rows.size
+        assert np.array_equal(batch.values(*candidate), first)
+        assert obj.eval_counter - counter == 2 * rows.size
+        assert close(first, np.array([view.peek_value(v) for view, v in zip(views, candidate[0])]))
+
+    check()
+    assert min(seen[k] for k in ("dense", "touched-row block", "block touching most rows")) > 0, seen
 
 
 def test_mixture_plan_blocks_are_memory_bounded():
@@ -847,8 +887,8 @@ def test_mixture_plan_blocks_are_memory_bounded():
     tracemalloc.start()
     try:
         cols, terms = mixture_draws(cfg.model, [RngStream(0, i).gen for i in range(workers)], iters)
-        batch.plan(cols, terms)
-        run_lockstep_es(V, cfg, batch, (cols, terms), f_start)
+        planned = objective.plan_steps(batch.blocks(cols, terms))
+        run_lockstep_es(V, cfg, batch, zip(cols, terms, planned), f_start)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

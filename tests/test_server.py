@@ -183,7 +183,7 @@ def test_des_round_nan_candidate_raises(monkeypatch):
     train = synth_dataset(SynthKind.SEPARABLE_LINEAR, 4, 40, RngStream(3, "synth"))
     obj = RegularizedObjective(LossKind.LR, train)
     partition = partition_uniform(train, 2, RngStream(0, "partition"))
-    monkeypatch.setattr(StackedBatch, "values", lambda self, V, cols=None: np.full(len(V), np.nan))
+    monkeypatch.setattr(StackedBatch, "values", lambda self, V, *plan: np.full(len(V), np.nan))
     with pytest.raises(NonFiniteObjectiveError, match="candidate"):
         des_round(initial_state(4), make_cfg(), obj, partition)
 
@@ -652,7 +652,7 @@ def test_helper_sent_rounds_equal_prepare_round(monkeypatch):
     # the batch rows, a mixture round's cols and terms (a dense round has
     # none), and each block's arrays, flattened, every one of them read in
     # the ring that the helper wrote. prepare_round reads them into the same
-    # batch rows and mutations. A small PLAN_ENTRIES gives mixture rounds
+    # batch rows and candidates, each with its plan. A small PLAN_ENTRIES gives mixture rounds
     # several plan blocks of both kinds, and a small DENSE_BLOCK gives dense
     # rounds several draw blocks. While the helper lives, the caller makes
     # round 0 only.
@@ -680,8 +680,8 @@ def test_helper_sent_rounds_equal_prepare_round(monkeypatch):
         partition = partition_uniform(train, cfg.workers, RngStream(cfg.seed, "partition"))
         with Ring() as ring, forked(1, lambda k, writer: server._send_rounds(
                 cfg, obj, partition, writer, ring)) as [(_, reader)]:
-            for t, (batch, mutations) in enumerate(server._prepared_rounds(cfg, obj, partition,
-                                                                           reader, ring)):
+            for t, (batch, candidates) in enumerate(server._prepared_rounds(cfg, obj, partition,
+                                                                            reader, ring)):
                 (head, *blocks), (want_head, *want_blocks) = received[-1], make(cfg, obj,
                                                                                  partition, t)
                 assert len(blocks) == len(want_blocks) > 1
@@ -699,10 +699,18 @@ def test_helper_sent_rounds_equal_prepare_round(monkeypatch):
                               else "most rows"] += 1
                     else:
                         kinds["draws"] += 1
-                want_mutations = (want_head[1:] if cfg.model.is_mixture
-                                  else [draws for draws, _ in want_blocks])
-                assert all(have.shape == want.shape and np.array_equal(have, want)
-                           for have, want in zip(mutations, want_mutations, strict=True))
+                # the candidates' fields, over the iterations
+                have = list(zip(*candidates))
+                if cfg.model.is_mixture:
+                    want = want_head[1:]
+                    plans = objective.plan_steps(objective.PlanBlock(*b) for b in want_blocks)
+                    for plan, want_plan in zip(have.pop(), plans, strict=True):
+                        assert all(a is b is None or np.array_equal(a, b)
+                                   for a, b in zip(plan, want_plan, strict=True))
+                else:
+                    want = [np.concatenate(field) for field in zip(*want_blocks)]
+                assert all(np.stack(h).shape == w.shape and np.array_equal(np.stack(h), w)
+                           for h, w in zip(have, want, strict=True))
                 rounds.append(t)
     assert rounds == 2 * list(range(5)) and here == [0, 0]
     assert kinds["most rows"] > 0 and kinds["touched rows"] > 0, kinds

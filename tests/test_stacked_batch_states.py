@@ -1,13 +1,13 @@
 """StackedBatch as a state machine, against the per-candidate oracle.
 
 The stacked evaluator keeps state across calls: a cache of the kept points'
-margins, loss sums and squared norms, a queue of planned mixture
-candidates in plan blocks of two kinds, a queue of planned dense candidates'
-products, the last planned candidate until keep, and an overflow path.
-Hypothesis drives one small batch through any order of resets, plans,
-mixture candidates, planned and unplanned dense candidates, keeps, and
-candidates that overflow a margin and come back, and checks after every
-step that:
+margins, loss sums and squared norms, the last planned candidate until
+keep, and an overflow path. A candidate brings its own plan: the machine
+holds the cursor, over mixture plans in plan blocks of two kinds and over
+dense candidates' products. Hypothesis drives one small batch through any
+order of resets, plans, planned and unplanned mixture and dense
+candidates, keeps, and candidates that overflow a margin and come back,
+and checks after every step that:
 - every mixture or unplanned value, and the whole cache, equal
   UnplannedStackedBatch bit for bit (which scores planned dense candidates
   by StackedBatch's own path, so the two caches stay equal through them);
@@ -16,12 +16,11 @@ step that:
   recompute;
 - the cache holds the kept points' values, within TOL of an exact recompute;
 - keep leaves exactly the rejected workers' margins, sums and norms;
-- every values call that scores charges M*b evaluations, and one that
-  raises charges none;
-- a mixture candidate raises ValueError exactly when no reset has followed
-  the last unplanned candidate, or the plan is spent; a dense candidate
-  scores as an unplanned one when no reset has followed the last unplanned
-  candidate, or no products are queued.
+- every values call charges M*b evaluations;
+- a candidate of either kind that comes with no plan, or after an unplanned
+  candidate with no reset since, is scored exactly: bit for bit the
+  standalone reference. It drops the cache, and keep after it changes
+  nothing.
 
 Column 0 of the data holds entries of 1e308 in rows with no other entry, and
 every planned term at column 0 is +-2, so a candidate that moves column 0
@@ -49,7 +48,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from desopt import Dataset, LossKind, RegularizedObjective
 from desopt import objective
-from desopt.objective import PlanBlock, StackedBatch
+from desopt.objective import PlanBlock, StackedBatch, plan_steps
 from desopt.processes import recv_arrays, send_arrays
 from objective_oracles import ReferenceBatchView, UnplannedStackedBatch
 
@@ -91,9 +90,9 @@ class StackedBatchStates(RuleBasedStateMachine):
         self.oracle = UnplannedStackedBatch(RegularizedObjective(loss, data, reg), self.rows)
         self.views = [ReferenceBatchView(self.batch.obj, r) for r in self.rows]
         self.V = self.kept_point()
-        self.calls = 0  # values calls that scored, each charging M*b evaluations
+        self.calls = 0  # values calls, each charging M*b evaluations
         self.margins = False  # a reset since the last unplanned candidate
-        self.cols = self.terms = None  # the plan
+        self.cols = self.terms = self.planned = None  # the plan
         self.left = 0  # its candidates not yet scored
 
     def kept_point(self) -> np.ndarray:
@@ -131,11 +130,7 @@ class StackedBatchStates(RuleBasedStateMachine):
           dense_touch=st.sampled_from([0.0, 0.25, np.inf]), scale=st.sampled_from([0.01, 1.0, 5.0]))
     def plan(self, steps, l, piped, cap, dense_touch, scale):
         objective.PLAN_ENTRIES, objective.DENSE_TOUCH = cap, dense_touch
-        workers = len(self.rows)
-        self.cols = (self.rng.integers(0, N, size=(steps, workers, l))
-                     + (np.arange(workers) * N)[:, None]).reshape(steps, -1)
-        self.terms = np.where(self.cols % N == 0, self.rng.choice([2.0, -2.0], size=self.cols.shape),
-                              self.rng.normal(size=self.cols.shape) * scale)
+        self.cols, self.terms = self.draw(steps, l, scale)
         with np.errstate(over="ignore"):  # 1e308 * 2 at column 0
             blocks = list(self.batch.blocks(self.cols, self.terms))
         for block in blocks:
@@ -148,17 +143,25 @@ class StackedBatchStates(RuleBasedStateMachine):
                 for block in blocks:
                     send_arrays(writer, block)
                     received.append(PlanBlock(*recv_arrays(reader)))
-            self.batch.plan(self.cols, self.terms, received)
+            blocks = received
             seen["piped plan"] += 1
-        else:
-            self.batch.plan(self.cols, self.terms)
-        self.oracle.plan(self.cols, self.terms)
+        self.planned = list(plan_steps(blocks))
         self.left = steps
+
+    def draw(self, steps, l, scale):
+        """The flat coordinates and terms of steps mixture candidates with l
+        terms a worker; every term at column 0 is +-2."""
+        workers = len(self.rows)
+        cols = (self.rng.integers(0, N, size=(steps, workers, l))
+                + (np.arange(workers) * N)[:, None]).reshape(steps, -1)
+        return cols, np.where(cols % N == 0, self.rng.choice([2.0, -2.0], size=cols.shape),
+                              self.rng.normal(size=cols.shape) * scale)
 
     @rule(step=st.sampled_from([0.01, 5.0]), accept=st.integers(0, 7))
     def mixture(self, step, accept):
-        # the next planned mixture candidate at this step, then keep with the
-        # accepted mask drawn from the bits of `accept`
+        # the next planned mixture candidate at this step (an unplanned one
+        # once the plan is spent), then keep with the accepted mask drawn
+        # from the bits of `accept`
         self.candidate(step, accept)
 
     @rule(accept=st.integers(0, 7))
@@ -172,28 +175,27 @@ class StackedBatchStates(RuleBasedStateMachine):
     def candidate(self, step, accept):
         workers = len(self.rows)
         accepted = (accept >> np.arange(workers)) & 1 == 1
-        if not self.margins or not self.left:
-            counter = self.batch.obj.eval_counter
-            try:
-                self.batch.values(self.V, step, self.V.reshape(-1)[:0])
-            except ValueError:
-                seen["raise after an unplanned candidate" if not self.margins
-                     else "raise, plan spent"] += 1
-            else:
-                raise AssertionError("a mixture candidate without reset or plan was scored")
-            assert self.batch.obj.eval_counter == counter  # nothing evaluated, nothing charged
-            return
+        if self.left:
+            k = len(self.cols) - self.left
+            self.left -= 1
+            cols, terms, planned = self.cols[k], self.terms[k], self.planned[k]
+            own = (cols, terms)  # the oracle's plan
+        else:
+            [cols], [terms] = self.draw(1, int(self.rng.integers(1, 5)), 1.0)
+            planned = own = None
         self.calls += 1
-        k = len(self.cols) - self.left
-        cols = self.cols[k]
-        self.left -= 1
         cand = self.V.copy()
-        np.add.at(cand.reshape(-1), cols, step * self.terms[k])
+        np.add.at(cand.reshape(-1), cols, step * terms)
         before = self.V.reshape(-1)[cols]
+        if planned is None or not self.margins:
+            self.unplanned(cand, (step, planned, before), (step, own, before), accepted)
+            self.V[accepted] = cand[accepted]
+            seen["unplanned mixture" if planned is None else "planned mixture, no cache"] += 1
+            return
         kept = self.cache(self.batch)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = self.batch.values(cand, step, before)
-            want = self.oracle.values(cand, step, before)
+            got = self.batch.values(cand, step, planned, before)
+            want = self.oracle.values(cand, step, own, before)
         assert equal(got, want), (got, want)
         assert close(got, self.exact(cand)), (got, self.exact(cand))
         self.batch.keep(accepted)
@@ -212,30 +214,35 @@ class StackedBatchStates(RuleBasedStateMachine):
 
     @rule(scale=st.sampled_from([0.5, 3.0]), accept=st.integers(0, 7))
     def dense(self, scale, accept):
-        # any point, column 0 included; keep after it does nothing
-        V = self.rng.normal(size=self.V.shape) * scale
+        # any point, column 0 included, with no step and no plan
         self.calls += 1
+        self.unplanned(self.rng.normal(size=self.V.shape) * scale, (), (),
+                       (accept >> np.arange(len(self.rows))) & 1 == 1)
+        seen["dense"] += 1
+
+    def unplanned(self, cand, args, oracle_args, accepted):
+        """Score a candidate that the batch scores exactly (no plan, or no
+        cache), then keep: the value is bit for bit the reference's, the
+        cache is dropped, and keep changes nothing."""
         with np.errstate(over="ignore", invalid="ignore"):
-            got = self.batch.values(V)
-            want = self.oracle.values(V)
-        assert equal(got, want) and close(got, self.exact(V))
-        accepted = (accept >> np.arange(len(self.rows))) & 1 == 1
+            got = self.batch.values(cand, *args)
+            want = self.oracle.values(cand, *oracle_args)
+        assert equal(got, want) and equal(got, self.exact(cand)), (got, self.exact(cand))
         self.batch.keep(accepted)
         self.oracle.keep(accepted)
         assert self.batch._a is None and self.batch._candidate is None
         self.margins = False
-        seen["dense"] += 1
 
     @rule(iters=st.integers(1, 4), short=st.booleans(), piped=st.booleans(),
           scale=st.sampled_from([0.5, 3.0]), step=st.sampled_from([0.01, 1.0, 3.0]),
           accept=st.integers(0, 7))
     def dense_block(self, iters, short, piped, scale, step, accept):
         # a block of planned dense candidates, the kept points plus step
-        # times draws that leave column 0 alone, scored from the products a
-        # batch of the same rows made (maybe sent over a pipe, as the
-        # round-prep helper's are), by both the batch and the oracle; when
-        # short, the last candidate has no products queued and scores as an
-        # unplanned one
+        # times draws that leave column 0 alone, each scored from its row of
+        # the products a batch of the same rows made (maybe sent over a
+        # pipe, as the round-prep helper's are), by both the batch and the
+        # oracle; when short, the last candidate has no products and scores
+        # as an unplanned one
         workers = len(self.rows)
         draws = self.rng.normal(size=(iters, workers, N)) * scale
         draws[:, :, 0] = 0.0
@@ -246,27 +253,27 @@ class StackedBatchStates(RuleBasedStateMachine):
             with reader, writer:
                 send_arrays(writer, blocks)
                 blocks = [p.reshape(iters - short, -1) for p in recv_arrays(reader)]
-        self.batch.plan_dense(blocks)
-        self.oracle.plan_dense(blocks)
+        shifts = [row for block in blocks for row in block]
         for k, u in enumerate(draws):
             accepted = (accept >> np.arange(workers) + k) & 1 == 1
             cand = self.V + step * u
             self.calls += 1
-            with np.errstate(over="ignore", invalid="ignore"):
-                got = self.batch.values(cand, step)
-                want = self.oracle.values(cand, step)
-            assert equal(got, want) and close(got, self.exact(cand)), (got, want)
-            planned = self.margins and k < iters - short
-            if planned:
-                seen["planned dense"] += 1
-                seen["dense inf margin"] += bool(np.isinf(self.batch._candidate[2]).any())
-            else:
-                self.margins = False
+            planned = shifts[k] if k < len(shifts) else None
+            if planned is None or not self.margins:
+                self.unplanned(cand, (step, planned), (step, planned), accepted)
+                self.V[accepted] = cand[accepted]
                 seen["dense, unplanned"] += 1
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = self.batch.values(cand, step, planned)
+                want = self.oracle.values(cand, step, planned)
+            assert equal(got, want) and close(got, self.exact(cand)), (got, want)
+            seen["planned dense"] += 1
+            seen["dense inf margin"] += bool(np.isinf(self.batch._candidate[2]).any())
             self.batch.keep(accepted)
             self.oracle.keep(accepted)
             self.V[accepted] = cand[accepted]
-            seen["mixed dense keep"] += planned and 0 < accepted.sum() < workers
+            seen["mixed dense keep"] += 0 < accepted.sum() < workers
 
     @invariant()
     def cache_holds_the_kept_values(self):
@@ -293,6 +300,6 @@ def test_stacked_batch_state_machine(monkeypatch):
         max_examples=300, stateful_step_count=50, deadline=None, derandomize=True))
     assert min(seen[k] for k in (
         "reset", "reset from scores", "touched-row block", "whole-row block", "piped plan",
-        "raise after an unplanned candidate", "raise, plan spent", "inf margin",
+        "unplanned mixture", "planned mixture, no cache", "inf margin",
         "inf margin brought back", "mixed keep", "dense", "planned dense", "dense inf margin",
         "dense, unplanned", "mixed dense keep")) > 0, seen
